@@ -288,8 +288,8 @@ def run_generate(config: ExperimentConfig, stamp: bool = False) -> tuple[dict, C
             },
             "monte_carlo": {
                 "resamples": config.resamples,
-                "fidelity": {"mean": mc_fid.mean, "std": mc_fid.std, "failures": mc_fid.failures},
-                "purity": {"mean": mc_pur.mean, "std": mc_pur.std, "failures": mc_pur.failures},
+                "fidelity": mc_fid.to_json_dict(),
+                "purity": mc_pur.to_json_dict(),
             },
         },
         "witness": witness.to_json_dict(),
@@ -450,7 +450,7 @@ def cmd_tomo(args) -> int:
             mc = monte_carlo_uncertainty(
                 counts, args.resamples, lambda r: fidelity(r, target), args.seed
             )
-            payload["fidelity_mc"] = {"mean": mc.mean, "std": mc.std, "failures": mc.failures}
+            payload["fidelity_mc"] = mc.to_json_dict()
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -1,15 +1,19 @@
 """Projective Pauli-basis tomography: simulation, likelihood reconstruction, errors.
 
-Counts are simulated per measurement setting with multinomial statistics,
-density matrices are reconstructed by an iterative likelihood fixed point
-(the R-rho-R update with a diluted fallback step, which keeps the estimate
-positive semidefinite and the log-likelihood non-decreasing), and
-uncertainties are propagated by Poisson resampling of the observed counts.
+Counts are simulated per measurement setting with multinomial statistics.
+Density matrices are reconstructed by accelerated projected gradient on the
+negative log-likelihood (Shang, Zhang & Ng, PRA 95, 062336 (2017)): every
+iterate is a density matrix, the log-likelihood never decreases, and the
+fit stops on a certified bound on its log-likelihood shortfall from the
+optimum (Glancy, Knill & Girard, New J. Phys. 14, 095017 (2012)).
+Uncertainties are propagated by Poisson resampling of the observed counts;
+resamples whose fit does not converge are counted and left out.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,8 +23,11 @@ import numpy as np
 
 from .validation import ConvergenceError, ValidationError, as_complex_matrix
 
-MLE_TOL = 1e-9
+#: certified log-likelihood shortfall at which the reconstruction stops
+MLE_TOL = 1e-2
 MLE_MAX_ITER = 10_000
+#: step halvings before a likelihood step counts as stalled
+_MAX_HALVINGS = 60
 
 _SQ2 = np.sqrt(2.0)
 #: columns are the (+1, -1) eigenvectors of each Pauli basis
@@ -184,9 +191,25 @@ class ReconstructionResult:
         }
 
 
-def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    diff = a - b
-    return 0.5 * float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum())
+@functools.cache
+def _stacked_setting_vectors(n: int) -> np.ndarray:
+    """Projection vectors of every outcome of every setting, in ``measurement_settings`` order."""
+    vecs = np.vstack([_setting_vectors(s) for s in measurement_settings(n)])
+    vecs.setflags(write=False)
+    return vecs
+
+
+def _project_to_states(m: np.ndarray) -> np.ndarray:
+    """Nearest density matrix to Hermitian ``m`` in Frobenius norm.
+
+    Keeps the eigenvectors and projects the eigenvalues onto the unit simplex.
+    """
+    vals, vecs = np.linalg.eigh(m)
+    top = vals[::-1]
+    shifts = (np.cumsum(top) - 1.0) / np.arange(1, vals.size + 1)
+    kept = np.count_nonzero(top > shifts)  # the condition holds on a prefix
+    lam = np.maximum(vals - shifts[kept - 1], 0.0)
+    return (vecs * lam) @ vecs.conj().T
 
 
 def reconstruct_mle(
@@ -194,10 +217,20 @@ def reconstruct_mle(
 ) -> ReconstructionResult:
     """Maximum-likelihood density matrix from a complete Pauli counts table.
 
-    Iterates the likelihood fixed-point update from the maximally mixed state,
-    falling back to a diluted step whenever a full step would lower the
-    log-likelihood; stops once the trace-distance step drops below ``tol``.
-    The estimate is positive semidefinite with unit trace by construction.
+    Minimises the negative log-likelihood per count by accelerated projected
+    gradient (FISTA with backtracking, gradient-based momentum restart) from
+    the maximally mixed state. Each step projects onto the density matrices
+    by an eigendecomposition with the eigenvalues projected onto the unit
+    simplex, and is kept only if it does not lower the log-likelihood.
+
+    Stops once ``N * (lambda_max(R) - 1) <= tol``, where ``N`` is the total
+    count and ``R = sum_k (n_k / N) Pi_k / p_k`` (with equal counts per
+    setting, ``sum_k (f_k / p_k) Pi_k / S`` for per-setting frequencies
+    ``f_k`` and ``S`` settings). By concavity this bounds
+    ``logL(rho_ml) - logL(rho)`` from above, so ``tol`` is in log-likelihood
+    units. The estimate is positive semidefinite with unit trace by
+    construction; ``converged`` is False if ``max_iter`` steps end above
+    ``tol`` or a step can no longer be resolved in floating point.
     """
     n = counts.n_qubits
     expected = measurement_settings(n)
@@ -214,82 +247,122 @@ def reconstruct_mle(
                 f"{[''.join(s) for s in missing[:5]]}{'...' if len(missing) > 5 else ''}"
             )
     dim = 2**n
-    n_settings = len(counts.settings)
-    totals = counts.counts.sum(axis=1).astype(float)
-    if (totals == 0).any():
+    if (counts.counts.sum(axis=1) == 0).any():
         raise ValidationError("every setting needs at least one recorded count")
 
-    vecs = np.vstack([_setting_vectors(s) for s in counts.settings])  # (S * dim, dim)
+    # only observed outcomes enter the likelihood
     flat_counts = counts.counts.reshape(-1).astype(float)
-    weights = (counts.counts / totals[:, None]).reshape(-1)  # frequencies per setting
+    observed = flat_counts > 0
+    vecs = _stacked_setting_vectors(n)[observed]
+    vecs_conj = vecs.conj()
+    flat_counts = flat_counts[observed]
+    total = float(flat_counts.sum())
+    weights = flat_counts / total
 
     def probabilities(rho: np.ndarray) -> np.ndarray:
-        return np.einsum("ka,ab,kb->k", vecs.conj(), rho, vecs).real
+        return ((vecs_conj @ rho) * vecs).sum(axis=1).real
 
-    def log_likelihood(p: np.ndarray) -> float:
-        mask = flat_counts > 0
-        return float(np.dot(flat_counts[mask], np.log(np.clip(p[mask], 1e-300, None))))
+    def r_operator(p: np.ndarray) -> np.ndarray:
+        """Minus the gradient of the objective at a state with probabilities ``p``."""
+        return (vecs.T * (weights / p)) @ vecs_conj
+
+    def change(p_from: np.ndarray, step: np.ndarray) -> float:
+        """Objective change ``f(rho + step) - f(rho)`` for ``p_from = p(rho)``, tr(rho) = 1.
+
+        The objective ``f = -sum_k w_k log(p_k / tr rho)`` is the negative
+        log-likelihood per count on unit-trace states. Its scale invariance
+        keeps the ~1e-16 trace error of a projected state out of the change,
+        and evaluating the change from the step itself keeps its relative
+        precision near the optimum, where it falls to ~1e-17 of ``f``. Either
+        loss makes the descent stall at a gap near 1e-2 on 10k-shot counts.
+        """
+        ratio = probabilities(step) / p_from
+        if (ratio <= -1.0).any():
+            return np.inf
+        return float(np.log1p(np.trace(step).real) - weights @ np.log1p(ratio))
+
+    def shortfall(r: np.ndarray) -> float:
+        return float(total * (np.linalg.eigvalsh(r)[-1] - 1.0))
 
     rho = np.eye(dim, dtype=complex) / dim
     p = probabilities(rho)
-    logl = log_likelihood(p)
-    history = [logl]
-    converged = False
+    r = r_operator(p)
+    gap = shortfall(r)
+    # the initial log-likelihood plus each accepted change: never decreases
+    history = [float(flat_counts @ np.log(p))]
+    y, p_y, r_y = rho, p, r  # extrapolated point of the accelerated step
+    momentum = 1.0
+    step = 1.0
     iterations = 0
-    for iterations in range(1, int(max_iter) + 1):
-        coeff = weights / np.clip(p, 1e-12, None)
-        r_op = ((coeff[:, None] * vecs).T @ vecs.conj()) / n_settings
-        candidate = r_op @ rho @ r_op
-        candidate = (candidate + candidate.conj().T) / 2
-        candidate /= np.real(np.trace(candidate))
-        p_new = probabilities(candidate)
-        logl_new = log_likelihood(p_new)
-
-        if logl_new < logl - 1e-10 * (1.0 + abs(logl)):
-            # Diluted step: shrink towards the identity until likelihood ascends.
-            alpha = 0.5
-            eye = np.eye(dim, dtype=complex)
-            while alpha > 1e-8:
-                mixed = (1.0 - alpha) * eye + alpha * r_op
-                candidate = mixed @ rho @ mixed
-                candidate = (candidate + candidate.conj().T) / 2
-                candidate /= np.real(np.trace(candidate))
-                p_new = probabilities(candidate)
-                logl_new = log_likelihood(p_new)
-                if logl_new >= logl - 1e-10 * (1.0 + abs(logl)):
-                    break
-                alpha /= 2.0
+    while gap > tol and iterations < max_iter:
+        for _ in range(_MAX_HALVINGS):
+            z = _project_to_states(y + step * r_y)
+            dz = z - y
+            model = np.vdot(dz, dz).real / (2.0 * step) - np.vdot(r_y, dz).real + np.trace(dz).real
+            if change(p_y, dz) <= model:
+                break
+            step /= 2.0
+        else:
+            break  # no step resolvable in floating point: stalled
+        iterations += 1
+        previous = rho
+        descent = change(p, z - rho)
+        if descent <= 0.0:
+            rho, p = z, probabilities(z)
+            restart = np.vdot(y - z, z - previous).real > 0.0
+        else:
+            descent, restart = 0.0, True
+        r = r_operator(p)
+        gap = shortfall(r)
+        history.append(history[-1] - total * descent)
+        y, p_y, r_y = rho, p, r
+        if restart:
+            momentum = 1.0
+        else:
+            following = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
+            extrapolated = rho + ((momentum - 1.0) / following) * (rho - previous)
+            momentum = following
+            p_extrapolated = probabilities(extrapolated)
+            if (p_extrapolated > 0.0).all():
+                y, p_y, r_y = extrapolated, p_extrapolated, r_operator(p_extrapolated)
             else:
-                candidate, p_new, logl_new = rho, p, logl  # stationary
-        assert logl_new >= logl - 1e-9 * (1.0 + abs(logl)), "likelihood decreased"
-
-        step = _trace_distance(candidate, rho)
-        rho, p, logl = candidate, p_new, logl_new
-        history.append(logl)
-        if step < tol:
-            converged = True
-            break
+                momentum = 1.0
+        step *= 1.5
 
     rho = (rho + rho.conj().T) / 2
     rho /= np.real(np.trace(rho))
     rho.setflags(write=False)
     return ReconstructionResult(
         rho=rho,
-        log_likelihood=logl,
+        log_likelihood=history[-1],
         iterations=iterations,
-        converged=converged,
+        converged=bool(gap <= tol),
         log_likelihood_history=tuple(history),
     )
 
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """Sample statistics of a state functional under Poisson count resampling."""
+    """Sample statistics of a state functional under Poisson count resampling.
+
+    ``values`` holds converged resamples only; ``failures`` counts resamples
+    whose reconstruction raised and ``unconverged`` those that stopped short
+    of the likelihood tolerance.
+    """
 
     mean: float
     std: float
     failures: int
+    unconverged: int
     values: tuple[float, ...] = field(repr=False, default=())
+
+    def to_json_dict(self) -> dict:
+        return {
+            "mean": self.mean,
+            "std": self.std,
+            "failures": self.failures,
+            "unconverged": self.unconverged,
+        }
 
 
 def monte_carlo_uncertainty(
@@ -304,7 +377,8 @@ def monte_carlo_uncertainty(
 
     Each resample draws every outcome count Poissonian around the observed
     value, re-runs the likelihood reconstruction and applies ``functional``
-    to the estimate; reconstruction failures are counted and excluded.
+    to the estimate. Failed and unconverged reconstructions are counted and
+    excluded; fewer than two converged resamples raise ``ConvergenceError``.
     """
     if int(resamples) < 2:
         raise ValidationError("resamples must be at least 2")
@@ -315,6 +389,7 @@ def monte_carlo_uncertainty(
     children = seed_seq.spawn(int(resamples))
     values: list[float] = []
     failures = 0
+    unconverged = 0
     for child in children:
         rng = np.random.default_rng(child)
         drawn = rng.poisson(counts.counts)
@@ -322,17 +397,22 @@ def monte_carlo_uncertainty(
         try:
             table = CountsTable(counts.settings, drawn, shots)
             result = reconstruct_mle(table, tol=tol, max_iter=max_iter)
+            if not result.converged:
+                unconverged += 1
+                continue
             values.append(float(functional(result.rho)))
         except (ValidationError, ConvergenceError, np.linalg.LinAlgError):
             failures += 1
     if len(values) < 2:
         raise ConvergenceError(
-            f"only {len(values)} of {resamples} resamples reconstructed successfully"
+            f"only {len(values)} of {resamples} resamples reconstructed to convergence "
+            f"({failures} failed, {unconverged} unconverged)"
         )
     arr = np.array(values)
     return MonteCarloResult(
         mean=float(arr.mean()),
         std=float(arr.std(ddof=1)),
         failures=failures,
+        unconverged=unconverged,
         values=tuple(values),
     )

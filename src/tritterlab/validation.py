@@ -48,14 +48,6 @@ def check_unitary(m: np.ndarray, tol: float = 1e-10, name: str = "matrix") -> No
         raise ValidationError(f"{name} is not unitary: max |U U^dag - I| = {dev:.3e} > {tol:.0e}")
 
 
-def check_state_vector(v: np.ndarray, tol: float = 1e-12, name: str = "state") -> None:
-    if v.ndim != 1:
-        raise ValidationError(f"{name} must be a 1-d amplitude vector")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol:
-        raise ValidationError(f"{name} is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
-
-
 def check_density_matrix(rho: np.ndarray, tol: float = 1e-10, name: str = "rho") -> None:
     """Hermitian, unit trace and positive semidefinite within tol."""
     check_square(rho, name)

@@ -1,11 +1,14 @@
 """Command-line pipeline: subcommands, config handling, exit codes, determinism."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
+import tritterlab.cli
 from tritterlab.cli import ExperimentConfig, main, run_generate
+from tritterlab.tomography import monte_carlo_uncertainty
 
 TABLE1_CSV = (
     "Output 1 (%),Output 2 (%),Output 3 (%),Insertion loss (dB)\n"
@@ -114,6 +117,26 @@ class TestGenerate:
         # echoed config embeds the resolved matrix, not the file path
         assert report["config"]["interferometer"]["source"] == "matrix"
         assert report["noisy"]["probability"] != pytest.approx(1 / 9, abs=1e-6)
+
+    def test_report_counts_unconverged_resamples(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["generate", "--state", "w", "--shots", "1000", "--seed", "4",
+                     "--resamples", "3", "--out", str(out)]) == 0
+        monte_carlo = _read_json(out)["tomography"]["monte_carlo"]
+        for block in (monte_carlo["fidelity"], monte_carlo["purity"]):
+            assert block["failures"] == 0
+            assert block["unconverged"] == 0
+
+    def test_unconverged_resamples_exit_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            tritterlab.cli,
+            "monte_carlo_uncertainty",
+            functools.partial(monte_carlo_uncertainty, max_iter=2),
+        )
+        rc = main(["generate", "--state", "w", "--shots", "1000", "--seed", "4",
+                   "--resamples", "3", "--out", str(tmp_path / "x.json")])
+        assert rc == 3
+        assert "unconverged" in capsys.readouterr().err
 
     def test_invalid_white_noise_exits_2(self, tmp_path, capsys):
         rc = main(["generate", "--state", "w", "--white-noise", "1.5",
@@ -226,6 +249,14 @@ class TestTomo:
         assert payload["converged"] is True
         assert "fidelity_mc" in payload
         assert len(payload["rho"]) == 8
+
+    def test_monte_carlo_block_counts_unconverged(self, tmp_path):
+        main(["generate", "--state", "w", "--shots", "1000", "--seed", "2",
+              "--resamples", "2", "--out", str(tmp_path / "report.json")])
+        recon_out = tmp_path / "recon.json"
+        assert main(["tomo", "--counts", str(tmp_path / "report.counts.csv"),
+                     "--target", "w", "--resamples", "3", "--out", str(recon_out)]) == 0
+        assert _read_json(recon_out)["fidelity_mc"]["unconverged"] == 0
 
     def test_missing_counts_file_exits_2(self, tmp_path):
         assert main(["tomo", "--counts", str(tmp_path / "nope.csv")]) == 2

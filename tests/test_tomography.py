@@ -1,11 +1,17 @@
 """Pauli tomography: settings, Born rule, counts, MLE reconstruction, errors."""
 
+import dataclasses
+import functools
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+import tritterlab.cli
+import tritterlab.tomography
 from tritterlab import (
+    ConvergenceError,
     CountsTable,
     ValidationError,
     born_probabilities,
@@ -17,6 +23,25 @@ from tritterlab import (
     reconstruct_mle,
     simulate_counts,
 )
+from tritterlab.cli import ExperimentConfig, run_generate
+from tritterlab.tomography import MLE_TOL
+
+#: the README's noisy GHZ' generation config
+NOISY_GHZPRIME = {
+    "state": "ghzprime",
+    "noise": {
+        "gram": [[1, 1, 0.9778], [1, 1, 0.9778], [0.9778, 0.9778, 1]],
+        "extinction_ratio": 335,
+        "white_noise": 0.02,
+    },
+}
+
+_PAULIS = [
+    np.eye(2),
+    np.array([[0, 1], [1, 0]]),
+    np.array([[0, -1j], [1j, 0]]),
+    np.diag([1.0, -1.0]),
+]
 
 
 def _trace_distance(a, b):
@@ -180,6 +205,91 @@ class TestReconstructMle:
         assert np.abs(a.rho - b.rho).max() < 1e-9
 
 
+def _noisy_ghzprime_run(resamples: int = 2):
+    config = dict(NOISY_GHZPRIME, tomography={"shots": 10_000, "resamples": resamples, "seed": 7})
+    return run_generate(ExperimentConfig.from_dict(config))
+
+
+def _outcome_projectors(setting):
+    """Projector of each outcome, expanded in Pauli strings via the Born rule alone."""
+    n = len(setting)
+    projectors = np.zeros((2**n, 2**n, 2**n), dtype=complex)
+    for factors in itertools.product(_PAULIS, repeat=n):
+        pauli = functools.reduce(np.kron, factors)
+        projectors += born_probabilities(pauli, setting)[:, None, None] * pauli
+    return projectors / 2**n
+
+
+def _certified_shortfall(counts, rho):
+    """Counts * (lambda_max(R) - 1) with R = sum_k (f_k / p_k) Pi_k / S, frequencies per setting."""
+    r_op = np.zeros_like(rho)
+    for setting, row in zip(counts.settings, counts.counts):
+        freqs = row / row.sum()
+        probs = born_probabilities(rho, setting)
+        seen = freqs > 0
+        r_op += np.einsum("k,kab->ab", freqs[seen] / probs[seen], _outcome_projectors(setting)[seen])
+    r_op /= len(counts.settings)
+    return counts.counts.sum() * (np.linalg.eigvalsh(r_op)[-1] - 1.0)
+
+
+class TestMleCrossChecks:
+    @pytest.mark.parametrize(
+        "bloch", [(0.3, -0.2, 0.5), (0.0, 0.6, -0.7), (-0.55, 0.55, 0.55)]
+    )
+    def test_single_qubit_mle_is_physical_linear_inversion(self, bloch):
+        # per-axis likelihoods are separable, so a physical linear-inversion
+        # Bloch vector is the unconstrained, hence the constrained, optimum
+        rho = (np.eye(2) + sum(r * p for r, p in zip(bloch, _PAULIS[1:]))) / 2
+        counts = simulate_counts(rho, measurement_settings(1), 2_000, seed=21)
+        linear = (counts.counts[:, 0] - counts.counts[:, 1]) / counts.counts.sum(axis=1)
+        assert np.linalg.norm(linear) < 1.0
+        result = reconstruct_mle(counts, tol=1e-6)
+        assert result.converged
+        estimate = [np.trace(result.rho @ p).real for p in _PAULIS[1:]]
+        assert np.abs(np.array(estimate) - linear).max() < 1e-6
+
+    @pytest.mark.parametrize("source", ["ideal-w", "noisy-ghzprime"])
+    def test_independent_certificate_within_tolerance(self, source):
+        if source == "ideal-w":
+            v = canonical_state("w")
+            counts = simulate_counts(np.outer(v, v.conj()), measurement_settings(3), 10_000, seed=7)
+        else:
+            _, counts = _noisy_ghzprime_run()
+        result = reconstruct_mle(counts)
+        assert result.converged
+        shortfall = _certified_shortfall(counts, result.rho)
+        assert -1e-6 < shortfall <= MLE_TOL
+        # the certificate bounds the distance to a hundredfold tighter optimum
+        tight = reconstruct_mle(counts, tol=1e-4)
+        assert tight.converged
+        assert -1e-4 <= tight.log_likelihood - result.log_likelihood <= shortfall + 1e-4
+
+    def test_noisy_ghzprime_fits_converge_quickly(self, monkeypatch):
+        fits = []
+
+        def recording(counts, **kwargs):
+            result = reconstruct_mle(counts, **kwargs)
+            fits.append(result)
+            return result
+
+        monkeypatch.setattr(tritterlab.tomography, "reconstruct_mle", recording)
+        monkeypatch.setattr(tritterlab.cli, "reconstruct_mle", recording)
+        _noisy_ghzprime_run(resamples=10)
+        assert len(fits) == 21
+        assert all(fit.converged for fit in fits)
+        assert max(fit.iterations for fit in fits) <= 500
+
+    def test_stalled_step_ends_unconverged(self, monkeypatch):
+        # a projection that always lands on a state the counts rule out
+        pure = np.diag([1.0, 0.0]).astype(complex)
+        monkeypatch.setattr(tritterlab.tomography, "_project_to_states", lambda m: pure)
+        counts = simulate_counts(np.eye(2) / 2, measurement_settings(1), 500, seed=4)
+        result = reconstruct_mle(counts)
+        assert not result.converged
+        assert result.iterations == 0
+        assert len(result.log_likelihood_history) == 1
+
+
 class TestMonteCarlo:
     def test_high_shot_counts_concentrate(self):
         v = canonical_state("w")
@@ -213,6 +323,27 @@ class TestMonteCarlo:
         counts = simulate_counts(rho, measurement_settings(1), 100, seed=0)
         with pytest.raises(ValidationError, match="at least 2"):
             monte_carlo_uncertainty(counts, 1, purity, seed=0)
+
+    def test_unconverged_resamples_raise(self):
+        v = canonical_state("w")
+        counts = simulate_counts(np.outer(v, v.conj()), measurement_settings(3), 1000, seed=5)
+        with pytest.raises(ConvergenceError, match="4 unconverged"):
+            monte_carlo_uncertainty(counts, 4, purity, seed=3, max_iter=2)
+
+    def test_unconverged_resamples_excluded_and_counted(self, monkeypatch):
+        counts = simulate_counts(np.eye(2) / 2, measurement_settings(1), 500, seed=1)
+        reference = monte_carlo_uncertainty(counts, 6, purity, seed=4)
+        calls = itertools.count()
+
+        def every_other_unconverged(table, **kwargs):
+            result = reconstruct_mle(table, **kwargs)
+            return dataclasses.replace(result, converged=next(calls) % 2 == 0)
+
+        monkeypatch.setattr(tritterlab.tomography, "reconstruct_mle", every_other_unconverged)
+        mc = monte_carlo_uncertainty(counts, 6, purity, seed=4)
+        assert mc.unconverged == 3
+        assert mc.failures == 0
+        assert mc.values == reference.values[::2]
 
     def test_deterministic_for_fixed_seed(self):
         rho = np.eye(2) / 2
