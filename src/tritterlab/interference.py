@@ -2,12 +2,20 @@
 
 Each photon occupies one input port and carries an internal state: a
 polarisation qubit tensored with a spectral-mode vector in an orthonormal
-auxiliary basis. The interferometer mixes the spatial ports and leaves the
-internal modes untouched, so a combined output mode is a triple
-(port, polarisation, spectral label). Occupation probabilities and
-post-selected polarisation states are computed from permanents of the
-photon-to-mode transition submatrices; tracing over the unobserved spectral
-labels is what turns partial distinguishability into decoherence.
+auxiliary basis of dimension D. The interferometer mixes the spatial ports
+and leaves the internal modes untouched.
+
+Every amplitude comes from one first-quantised symmetrisation kernel. Send
+p photons to p output slots (output ports, repeats allowed): photon j
+reaching slot k carries the vector ``U[in_j, out_k] * (pol_j (x) spec_j)``
+over the 2D internal modes, and the output amplitude tensor is the sum over
+photon-to-slot assignments of the tensor product of these vectors (Tichy,
+PRA 91, 022316 (2015)). The kernel evaluates that sum with Glynn's formula
+(Eur. J. Combin. 31, 1887 (2010)) over the 2^(p-1) sign vectors, in a
+working array of 2^(p-1) * (2D)^p complex entries; a permanent is the case
+of one internal mode. Post-selected states and output-port probabilities
+are read off the tensor, and tracing over the unobserved spectral labels is
+what turns partial distinguishability into decoherence.
 
 Conventions: ports are 1-based; ``matrix[k-1, j-1]`` is the amplitude from
 input port k to output port j; polarisation index 0 is H and 1 is V.
@@ -33,21 +41,39 @@ UNITARITY_TOL = 1e-10
 STATE_NORM_TOL = 1e-12
 DISTRIBUTION_NORM_TOL = 1e-9
 
-#: permutation enumeration up to this dimension, inclusion-exclusion above
-_PERMANENT_ENUM_MAX = 6
-#: hard size bound so desk-scale runs stay sub-second
+#: hard bound on permanent dimension and photon number so desk-scale runs
+#: stay sub-second and the kernel's working array stays small
 PERMANENT_MAX_DIM = 12
 
 #: squared-amplitude totals below this are reported as zero-probability events
 _ZERO_PROBABILITY = 1e-24
 
 
+def _symmetrized(v: np.ndarray) -> np.ndarray:
+    """Sum over permutations s of the tensor products (x)_k v[s(k), k], flattened.
+
+    ``v`` has shape (p, p, m); the result has length m**p with slot 0 most
+    significant. Glynn's formula: with sign vectors d in {+1, -1}^p, d_0 = +1,
+    the sum is 2^-(p-1) sum_d (prod_i d_i) (x)_k (sum_i d_i v[i, k]), because
+    averaging prod_i d_i prod_k d_(i_k) over the signs keeps exactly the index
+    tuples (i_k) that are permutations.
+    """
+    p, _, m = v.shape
+    bits = (np.arange(1 << (p - 1))[:, None] >> np.arange(p - 1)) & 1
+    signs = np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits])
+    sums = np.einsum("bi,ikm->bkm", signs, v)
+    out = sums[:, 0]
+    for k in range(1, p):
+        out = (out[:, :, None] * sums[:, k, None, :]).reshape(len(signs), -1)
+    return signs.prod(axis=1) @ out / (1 << (p - 1))
+
+
 def permanent(m) -> complex:
     """Permanent of a square complex matrix.
 
-    Exact permutation enumeration is used for dimension <= 6 and a Ryser-type
-    inclusion-exclusion above that; both are exact up to floating rounding.
-    Dimensions above ``PERMANENT_MAX_DIM`` are rejected.
+    The symmetrisation kernel with one internal mode: Glynn's formula over
+    the 2^(n-1) sign vectors, exact up to floating rounding. Dimensions
+    above ``PERMANENT_MAX_DIM`` are rejected.
     """
     m = as_complex_matrix(m, "permanent argument")
     if m.shape[0] != m.shape[1]:
@@ -57,46 +83,7 @@ def permanent(m) -> complex:
         raise ValidationError(f"permanent dimension {n} exceeds bound {PERMANENT_MAX_DIM}")
     if n == 0:
         return complex(1.0)
-    if n == 1:
-        return complex(m[0, 0])
-    if n == 2:
-        return complex(m[0, 0] * m[1, 1] + m[0, 1] * m[1, 0])
-    if n == 3:
-        return complex(
-            m[0, 0] * (m[1, 1] * m[2, 2] + m[1, 2] * m[2, 1])
-            + m[0, 1] * (m[1, 0] * m[2, 2] + m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] + m[1, 1] * m[2, 0])
-        )
-    if n <= _PERMANENT_ENUM_MAX:
-        total = 0.0 + 0.0j
-        rows = range(n)
-        for cols in itertools.permutations(rows):
-            term = 1.0 + 0.0j
-            for i in rows:
-                term *= m[i, cols[i]]
-            total += term
-        return complex(total)
-    return _permanent_ryser(m)
-
-
-def _permanent_ryser(m: np.ndarray) -> complex:
-    """Inclusion-exclusion over column subsets, Gray-code ordered."""
-    n = m.shape[0]
-    row_sums = np.zeros(n, dtype=complex)
-    total = 0.0 + 0.0j
-    gray_prev = 0
-    for k in range(1, 1 << n):
-        gray = k ^ (k >> 1)
-        changed = gray ^ gray_prev
-        j = changed.bit_length() - 1
-        if gray & changed:
-            row_sums += m[:, j]
-        else:
-            row_sums -= m[:, j]
-        gray_prev = gray
-        sign = -1.0 if (gray.bit_count() % 2) else 1.0
-        total += sign * np.prod(row_sums)
-    return complex(total if n % 2 == 0 else -total)
+    return complex(_symmetrized(m[:, :, None])[0])
 
 
 @dataclass(frozen=True)
@@ -222,24 +209,25 @@ class PostSelectionResult:
         return len(self.ports)
 
 
-def _check_ports_in_range(config: InputConfiguration, n: int) -> None:
+def _check_config(config: InputConfiguration, n: int) -> None:
     bad = [p for p in config.ports if p > n]
     if bad:
         raise ValidationError(f"input ports {bad} exceed interferometer dimension {n}")
+    if len(config) > PERMANENT_MAX_DIM:
+        raise ValidationError(f"{len(config)} photons exceed bound {PERMANENT_MAX_DIM}")
 
 
-def _mode_amplitude_rows(u: Interferometer, config: InputConfiguration) -> np.ndarray:
-    """Photon-by-combined-output-mode amplitude matrix.
+def _amplitudes(u: Interferometer, config: InputConfiguration, outs: Sequence[int]) -> np.ndarray:
+    """Amplitude tensor for one photon in each slot of ``outs`` (1-based, may repeat).
 
-    Combined mode index m = (port-1) * 2D + pol * D + spec; entry (i, m) is
-    the amplitude for photon i to arrive in that mode.
+    Flattened slot-major, each slot indexed by (polarisation, spectral label),
+    so its length is (2D)**p.
     """
-    n = u.dim
-    d = config.spectral_dim
-    rows = np.empty((len(config), n * 2 * d), dtype=complex)
-    for i, (port, state) in enumerate(config.photons):
-        rows[i] = np.einsum("j,p,s->jps", u.matrix[port - 1], state.pol, state.spectral).reshape(-1)
-    return rows
+    rows = np.array(config.ports) - 1
+    cols = np.array(outs) - 1
+    internal = np.stack([np.kron(s.pol, s.spectral) for s in config.states])
+    v = u.matrix[np.ix_(rows, cols)][:, :, None] * internal[:, None, :]
+    return _symmetrized(v)
 
 
 def output_distribution(
@@ -247,39 +235,23 @@ def output_distribution(
 ) -> dict[tuple[int, ...], float]:
     """Probability of every output-port occupation pattern.
 
-    Expands each photon over combined (port, polarisation, spectral) modes,
-    computes |permanent|^2 / prod(n_m!) for every combined occupation, and
-    marginalizes over the internal modes. The returned map covers every
-    port pattern of the right photon number and sums to 1 within 1e-9.
+    For each multiset of output ports the kernel gives the amplitude tensor A
+    over the internal modes of the ordered slots, in a working array of
+    2^(p-1) * (2D)^p entries; the pattern's probability is
+    ||A||^2 / prod_j n_j!, which marginalizes over the internal modes. The
+    returned map covers every port pattern of the right photon number and
+    sums to 1 within 1e-9. More than ``PERMANENT_MAX_DIM`` photons are
+    rejected.
     """
     n = u.dim
-    _check_ports_in_range(config, n)
-    p = len(config)
-    d = config.spectral_dim
-    rows = _mode_amplitude_rows(u, config)
-    mode_port = np.repeat(np.arange(n), 2 * d)
-
-    # Complete support up front so impossible patterns report an exact 0.
+    _check_config(config, n)
+    ports = range(1, n + 1)
     result: dict[tuple[int, ...], float] = {}
-    for combo in itertools.combinations_with_replacement(range(n), p):
-        counts = [0] * n
-        for c in combo:
-            counts[c] += 1
-        result[tuple(counts)] = 0.0
-
-    active = np.flatnonzero(np.abs(rows).max(axis=0) > 0.0)
-    for combo in itertools.combinations_with_replacement(active.tolist(), p):
-        amp = permanent(rows[:, combo])
-        weight = abs(amp) ** 2
-        if weight == 0.0:
-            continue
-        mult = 1.0
-        for _, group in itertools.groupby(combo):
-            mult *= math.factorial(sum(1 for _ in group))
-        counts = [0] * n
-        for c in combo:
-            counts[mode_port[c]] += 1
-        result[tuple(counts)] += weight / mult
+    for outs in itertools.combinations_with_replacement(ports, len(config)):
+        counts = tuple(outs.count(j) for j in ports)
+        amps = _amplitudes(u, config, outs)
+        weight = float(np.vdot(amps, amps).real)
+        result[counts] = weight / math.prod(math.factorial(c) for c in counts)
     return result
 
 
@@ -292,9 +264,14 @@ def postselect_coincidence(
     one photon in as many ports as there are input photons (bunched patterns
     are not supported here; their probabilities are available through
     ``output_distribution``). Qubits are ordered by increasing output port.
+    The kernel's amplitude tensor, reshaped to a (2^p x D^p) matrix of
+    polarisation by spectral patterns, gives the unnormalized state
+    ``A A^dagger`` with the spectral labels traced out; its working array has
+    2^(p-1) * (2D)^p entries. More than ``PERMANENT_MAX_DIM`` photons are
+    rejected.
     """
     n = u.dim
-    _check_ports_in_range(config, n)
+    _check_config(config, n)
     pattern = tuple(int(c) for c in pattern)
     if len(pattern) != n:
         raise ValidationError(f"pattern length {len(pattern)} != port count {n}")
@@ -310,20 +287,8 @@ def postselect_coincidence(
     outs = tuple(j + 1 for j, c in enumerate(pattern) if c == 1)
 
     d = config.spectral_dim
-    base = np.empty((p, p), dtype=complex)
-    for j, (port, _) in enumerate(config.photons):
-        for k, out in enumerate(outs):
-            base[j, k] = u.matrix[port - 1, out - 1]
-    pols = np.stack([s.pol for s in config.states])  # (p, 2)
-    specs = np.stack([s.spectral for s in config.states])  # (p, d)
-
-    pol_patterns = list(itertools.product((0, 1), repeat=p))
-    spec_patterns = list(itertools.product(range(d), repeat=p))
-    amps = np.empty((len(pol_patterns), len(spec_patterns)), dtype=complex)
-    for ip, pp in enumerate(pol_patterns):
-        pol_cols = pols[:, pp]  # (p, p): photon j projected on pol pp[k]
-        for isp, sp in enumerate(spec_patterns):
-            amps[ip, isp] = permanent(base * pol_cols * specs[:, sp])
+    amps = _amplitudes(u, config, outs).reshape((2, d) * p)
+    amps = amps.transpose(np.r_[0 : 2 * p : 2, 1 : 2 * p : 2]).reshape(2**p, d**p)
 
     rho = amps @ amps.conj().T
     prob = float(np.real(np.trace(rho)))
@@ -343,8 +308,11 @@ def pair_coincidence_probability(
     """Two-photon coincidence probability for a given spectral overlap.
 
     The photons share the same polarisation and have spectral vectors with
-    inner product ``overlap``; for the balanced 3-port splitter the result is
-    (2 - |overlap|^2) / 9 for any input pair and any output pair.
+    inner product ``overlap``. With the two assignment amplitudes
+    a = U[j, x] U[k, y] and b = U[j, y] U[k, x] the probability is
+    |a|^2 + |b|^2 + 2 Re(a conj(b)) |overlap|^2, affine in |overlap|^2; for
+    the balanced 3-port splitter it is (2 - |overlap|^2) / 9 for any input
+    pair and any output pair.
     """
     overlap = complex(overlap)
     if abs(overlap) > 1.0 + 1e-12:
@@ -355,21 +323,14 @@ def pair_coincidence_probability(
         raise ValidationError("input ports must be distinct")
     if x == y:
         raise ValidationError("output ports must be distinct")
+    if not (1 <= j <= u.dim and 1 <= k <= u.dim):
+        raise ValidationError(f"input ports {(j, k)} out of range 1..{u.dim}")
     if not (1 <= x <= u.dim and 1 <= y <= u.dim):
         raise ValidationError(f"output ports {(x, y)} exceed interferometer dimension {u.dim}")
-    residual = math.sqrt(max(0.0, 1.0 - abs(overlap) ** 2))
-    pol = np.array([1.0, 0.0])
-    config = InputConfiguration(
-        [
-            (j, InternalState(pol, np.array([1.0, 0.0]))),
-            (k, InternalState(pol, np.array([overlap, residual]))),
-        ]
-    )
-    dist = output_distribution(u, config)
-    pattern = [0] * u.dim
-    pattern[x - 1] = 1
-    pattern[y - 1] = 1
-    return dist[tuple(pattern)]
+    m = u.matrix
+    a = m[j - 1, x - 1] * m[k - 1, y - 1]
+    b = m[j - 1, y - 1] * m[k - 1, x - 1]
+    return float(abs(a) ** 2 + abs(b) ** 2 + 2.0 * (a * b.conjugate()).real * abs(overlap) ** 2)
 
 
 def spectral_vectors_from_gram(gram, tol: float = 1e-9) -> list[np.ndarray]:

@@ -1,6 +1,7 @@
 """Interference engine: unitaries, permanents, distributions, post-selection."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -91,11 +92,14 @@ class TestPermanent:
             assert got.real == pytest.approx(float(exact_re), abs=1e-9)
             assert got.imag == pytest.approx(float(exact_im), abs=1e-9)
 
-    def test_ryser_path_matches_enumeration(self):
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_matches_permutation_sum(self, dim):
         rng = np.random.default_rng(7)
-        m = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rows = m.tolist()
         naive = sum(
-            np.prod([m[i, s[i]] for i in range(7)]) for s in itertools.permutations(range(7))
+            math.prod(rows[i][s[i]] for i in range(dim))
+            for s in itertools.permutations(range(dim))
         )
         assert permanent(m) == pytest.approx(naive, rel=1e-10)
 
@@ -135,6 +139,14 @@ class TestInputValidation:
         config = InputConfiguration([(4, InternalState(H))])
         with pytest.raises(ValidationError):
             output_distribution(tritter, config)
+
+    def test_photon_count_above_bound_rejected(self):
+        u = fourier_unitary(13)
+        config = InputConfiguration([(port, InternalState(H)) for port in range(1, 14)])
+        with pytest.raises(ValidationError, match="13 photons exceed"):
+            postselect_coincidence(u, config, (1,) * 13)
+        with pytest.raises(ValidationError, match="13 photons exceed"):
+            output_distribution(u, config)
 
 
 class TestOutputDistribution:
@@ -255,12 +267,13 @@ class TestPostselectCoincidence:
     def test_probability_consistent_with_distribution(self):
         for seed in range(30):
             rng = np.random.default_rng(1000 + seed)
-            n = int(rng.integers(2, 4))
+            n = int(rng.integers(2, 5))
+            d = int(rng.integers(1, 4))
             p = int(rng.integers(1, n + 1))
             u = Interferometer(random_unitary(n, rng))
             ports = rng.choice(n, size=p, replace=False) + 1
             config = InputConfiguration(
-                [(int(port), random_internal(rng, 2)) for port in ports]
+                [(int(port), random_internal(rng, d)) for port in ports]
             )
             outs = sorted(rng.choice(n, size=p, replace=False))
             pattern = tuple(1 if j in outs else 0 for j in range(n))
@@ -272,6 +285,24 @@ class TestPostselectCoincidence:
                 assert np.abs(rho - rho.conj().T).max() < 1e-10
                 assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
                 assert np.linalg.eigvalsh(rho).min() > -1e-10
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_random_unitaries_match_oracle(self, p, d):
+        rng = np.random.default_rng(10 * p + d)
+        n = p + 1
+        u = random_unitary(n, rng)
+        ports = tuple(int(x) + 1 for x in rng.choice(n, size=p, replace=False))
+        outs = tuple(sorted(int(x) + 1 for x in rng.choice(n, size=p, replace=False)))
+        states = [random_internal(rng, d) for _ in ports]
+        config = InputConfiguration(list(zip(ports, states)))
+        pattern = tuple(1 if j in outs else 0 for j in range(1, n + 1))
+        result = postselect_coincidence(Interferometer(u), config, pattern)
+        _, rho_oracle, prob_oracle = oracle_coincidence(
+            u, ports, [s.pol for s in states], [s.spectral for s in states], outs
+        )
+        assert result.probability == pytest.approx(prob_oracle, rel=1e-10)
+        assert np.abs(result.rho - rho_oracle).max() < 1e-10
 
     def test_zero_probability_is_flagged_not_raised(self):
         u = fourier_unitary(2)
@@ -338,6 +369,11 @@ class TestPairCoincidence:
     def test_identical_ports_rejected(self, tritter):
         with pytest.raises(ValidationError):
             pair_coincidence_probability(tritter, (1, 1), (1, 2), 0.5)
+
+    @pytest.mark.parametrize("ports", [(0, 2), (1, 4)])
+    def test_input_port_out_of_range_rejected(self, tritter, ports):
+        with pytest.raises(ValidationError):
+            pair_coincidence_probability(tritter, ports, (1, 2), 0.5)
 
 
 class TestSpectralVectors:
