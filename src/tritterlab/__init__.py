@@ -7,7 +7,7 @@ chain: splitter calibration, coincidence-dip visibilities, state tomography
 with Monte-Carlo error bars, and entanglement witnesses.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .calibration import (
     DipScan,

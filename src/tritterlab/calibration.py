@@ -34,8 +34,8 @@ class IntensityTable:
 
     def __post_init__(self):
         frac = np.array(self.fractions, dtype=float)
-        if frac.shape != (3, 3):
-            raise ValidationError(f"intensity table must be 3x3, got shape {frac.shape}")
+        if frac.ndim != 2 or frac.shape[0] != frac.shape[1] or frac.size == 0:
+            raise ValidationError(f"intensity table must be square, got shape {frac.shape}")
         if not np.all(np.isfinite(frac)):
             raise ValidationError("intensity table contains non-finite entries")
         if (frac < 0).any():
@@ -47,14 +47,16 @@ class IntensityTable:
         object.__setattr__(self, "fractions", frac)
         if self.loss_db is not None:
             loss = np.array(self.loss_db, dtype=float).reshape(-1)
-            if loss.size != 3:
-                raise ValidationError(f"insertion-loss column must have 3 entries, got {loss.size}")
+            if loss.size != len(frac):
+                raise ValidationError(
+                    f"insertion-loss column must have {len(frac)} entries, got {loss.size}"
+                )
             loss.setflags(write=False)
             object.__setattr__(self, "loss_db", loss)
 
     @classmethod
     def from_csv(cls, path) -> "IntensityTable":
-        """Read 3 rows of 3 or 4 comma-separated columns; a header row is optional."""
+        """Read n rows of n or n + 1 comma-separated columns; a header row is optional."""
         path = Path(path)
         rows: list[list[float]] = []
         with path.open(newline="", encoding="utf-8") as fh:
@@ -63,25 +65,24 @@ class IntensityTable:
                 if not cells:
                     continue
                 try:
-                    values = [float(c) for c in cells]
+                    rows.append([float(c) for c in cells])
                 except ValueError:
                     if lineno == 1 and not rows:
                         continue  # header row
                     raise ValidationError(f"{path.name}: line {lineno}: non-numeric cell in {cells}")
-                if len(values) not in (3, 4):
-                    raise ValidationError(
-                        f"{path.name}: line {lineno}: expected 3 or 4 columns, got {len(values)}"
-                    )
-                rows.append(values)
-        if len(rows) != 3:
-            raise ValidationError(f"{path.name}: expected 3 data rows, got {len(rows)}")
+        if not rows:
+            raise ValidationError(f"{path.name}: no data rows")
         widths = {len(r) for r in rows}
         if len(widths) != 1:
             raise ValidationError(f"{path.name}: inconsistent column counts {sorted(widths)}")
+        n, width = len(rows), widths.pop()
+        if width not in (n, n + 1):
+            raise ValidationError(
+                f"{path.name}: {n} data rows of {width} columns; a table needs {width} data rows,"
+                f" or {width - 1} data rows and an insertion-loss column"
+            )
         arr = np.array(rows, dtype=float)
-        if arr.shape[1] == 4:
-            return cls(arr[:, :3], arr[:, 3])
-        return cls(arr, None)
+        return cls(arr[:, :n], arr[:, n] if width > n else None)
 
 
 def sinkhorn_magnitudes(
@@ -92,7 +93,7 @@ def sinkhorn_magnitudes(
     The row-normalized power matrix (losses drop out) is rescaled alternately
     along rows and columns until doubly stochastic within ``tol``; the
     element-wise square root is returned, so a perfectly balanced device
-    yields all entries 1/sqrt(3).
+    yields all entries 1/sqrt(n).
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
@@ -145,7 +146,6 @@ class DipScan:
 
     delays: np.ndarray
     counts: np.ndarray
-    coherence: float | None = None
     floor_rate: float | None = None
     ceiling_rate: float | None = None
 
@@ -218,18 +218,18 @@ def hom_scan(
     delays = np.array(delays, dtype=float).reshape(-1)
     if delays.size == 0:
         raise ValidationError("empty delay grid")
-    overlaps = peak_overlap * np.exp(-(delays**2) / (2.0 * coherence**2))
-    expected = rate * np.array(
-        [pair_coincidence_probability(u, pair, outs, ov) for ov in overlaps]
-    )
+    # the coincidence probability is affine in |overlap|^2, so its two ends give every delay
+    ceiling = rate * pair_coincidence_probability(u, pair, outs, 0.0)
+    slope = rate * pair_coincidence_probability(u, pair, outs, 1.0) - ceiling
+    overlaps_sq = peak_overlap**2 * np.exp(-(delays**2) / coherence**2)
+    expected = ceiling + slope * overlaps_sq
     if poisson:
         rng = np.random.default_rng(seed)
         counts = rng.poisson(expected).astype(float)
     else:
         counts = expected
-    floor = rate * pair_coincidence_probability(u, pair, outs, peak_overlap)
-    ceiling = rate * pair_coincidence_probability(u, pair, outs, 0.0)
-    return DipScan(delays, counts, coherence=coherence, floor_rate=floor, ceiling_rate=ceiling)
+    floor = ceiling + slope * peak_overlap**2
+    return DipScan(delays, counts, floor_rate=floor, ceiling_rate=ceiling)
 
 
 @dataclass(frozen=True)

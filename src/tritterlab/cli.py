@@ -49,17 +49,27 @@ from .tomography import (
 from .validation import ConfigError, ConvergenceError, ValidationError, check_gram
 
 
-@dataclass
+def _fields(section, name: str, known: tuple[str, ...]) -> dict:
+    """Return a config object after rejecting any key outside ``known``."""
+    if not isinstance(section, dict):
+        raise ConfigError(name or "config", "must be a JSON object")
+    for key in section:
+        if key not in known:
+            if name:
+                raise ConfigError(f"{name}.{key}", "unknown configuration field")
+            raise ConfigError(key, "unknown configuration section")
+    return section
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved generation run: state, interferometer source, noise, tomography."""
+    """Resolved generation run: state, splitter, noise, tomography."""
 
     state: StateKind
-    interferometer_source: str  # "ideal" | "csv" | "matrix"
-    interferometer_dim: int
-    interferometer_path: str | None
+    #: 3x3 splitter unitary; None selects the ideal tritter
     interferometer_matrix: np.ndarray | None
-    # resolution record kept when a csv source was turned into an embedded matrix,
-    # so the echoed config re-runs without the file and reports stay byte-identical
+    # how a csv source became the embedded matrix, echoed so the config
+    # re-runs without the file and reports stay byte-identical
     interferometer_resolved_from: dict | None
     gram: np.ndarray
     extinction_ratio: tuple[float, float, float] | None
@@ -70,10 +80,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {"state", "interferometer", "noise", "tomography"}
-        for key in raw:
-            if key not in known:
-                raise ConfigError(key, "unknown configuration section")
+        _fields(raw, "", ("state", "interferometer", "noise", "tomography"))
 
         state_raw = raw.get("state", "w")
         try:
@@ -83,31 +90,35 @@ class ExperimentConfig:
         if state not in (StateKind.W, StateKind.GPRIME, StateKind.GHZPRIME):
             raise ConfigError("state", f"no generation recipe for '{state.value}'")
 
-        interf = dict(raw.get("interferometer") or {"source": "ideal"})
-        source = str(interf.get("source", "ideal"))
-        path = interf.get("path")
-        matrix = None
-        dim = int(interf.get("dim", 3))
-        resolved_from = interf.get("resolved_from")
-        if resolved_from is not None and not isinstance(resolved_from, dict):
-            raise ConfigError("interferometer.resolved_from", "must be an object")
-        if source == "ideal":
-            if dim != 3:
-                raise ConfigError("interferometer.dim", "generation recipes need a 3-port splitter")
-        elif source == "csv":
+        reads = {"ideal": (), "csv": ("path",), "matrix": ("matrix", "resolved_from")}
+        interf = raw.get("interferometer") or {}
+        source = str(interf.get("source", "ideal")) if isinstance(interf, dict) else "ideal"
+        if source not in reads:
+            raise ConfigError("interferometer.source", f"unknown source {source!r}")
+        _fields(interf, "interferometer", ("source",) + reads[source])
+        matrix, resolved_from = None, None
+        if source == "csv":
+            path = interf.get("path")
             if not path:
                 raise ConfigError("interferometer.path", "csv source needs a file path")
+            table = IntensityTable.from_csv(path)
+            if table.fractions.shape != (3, 3):
+                raise ConfigError("interferometer.path", f"need a 3-port table, got {table.fractions.shape}")
+            u, adjustment = interferometer_from_magnitudes(sinkhorn_magnitudes(table))
+            matrix = u.matrix
+            resolved_from = {"source": "csv", "path": str(path), "max_adjustment": adjustment}
         elif source == "matrix":
             if interf.get("matrix") is None:
                 raise ConfigError("interferometer.matrix", "matrix source needs matrix data")
             matrix = matrix_from_pairs(interf["matrix"])
             if matrix.shape != (3, 3):
                 raise ConfigError("interferometer.matrix", f"need 3x3, got {matrix.shape}")
-            dim = 3
-        else:
-            raise ConfigError("interferometer.source", f"unknown source {source!r}")
+            matrix = Interferometer(matrix).matrix
+            resolved_from = interf.get("resolved_from")
+            if resolved_from is not None and not isinstance(resolved_from, dict):
+                raise ConfigError("interferometer.resolved_from", "must be an object")
 
-        noise = dict(raw.get("noise") or {})
+        noise = _fields(raw.get("noise") or {}, "noise", ("gram", "extinction_ratio", "white_noise"))
         gram_raw = noise.get("gram")
         if gram_raw is None:
             gram = np.ones((3, 3), dtype=float)
@@ -119,6 +130,7 @@ class ExperimentConfig:
                 check_gram(gram.astype(complex), name="noise.gram")
             except ValidationError as exc:
                 raise ConfigError("noise.gram", str(exc))
+        gram.setflags(write=False)
 
         ext_raw = noise.get("extinction_ratio")
         if ext_raw is None:
@@ -139,7 +151,7 @@ class ExperimentConfig:
         if not 0.0 <= lam <= 1.0:
             raise ConfigError("noise.white_noise", f"{lam} outside [0, 1]")
 
-        tomo = dict(raw.get("tomography") or {})
+        tomo = _fields(raw.get("tomography") or {}, "tomography", ("shots", "resamples", "seed"))
         shots = int(tomo.get("shots", 10_000))
         if shots < 1:
             raise ConfigError("tomography.shots", "must be positive")
@@ -150,9 +162,6 @@ class ExperimentConfig:
 
         return cls(
             state=state,
-            interferometer_source=source,
-            interferometer_dim=dim,
-            interferometer_path=str(path) if path else None,
             interferometer_matrix=matrix,
             interferometer_resolved_from=resolved_from,
             gram=gram,
@@ -164,13 +173,11 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        interf: dict = {"source": self.interferometer_source, "dim": self.interferometer_dim}
-        if self.interferometer_path is not None:
-            interf["path"] = self.interferometer_path
+        interf: dict = {"source": "ideal"}
         if self.interferometer_matrix is not None:
-            interf["matrix"] = matrix_to_pairs(self.interferometer_matrix)
+            interf = {"source": "matrix", "matrix": matrix_to_pairs(self.interferometer_matrix)}
         if self.interferometer_resolved_from is not None:
-            interf["resolved_from"] = self.interferometer_resolved_from
+            interf["resolved_from"] = dict(self.interferometer_resolved_from)
         return {
             "state": self.state.value,
             "interferometer": interf,
@@ -198,43 +205,15 @@ def _leaky_pol(pol: np.ndarray, ratio: float) -> np.ndarray:
     return keep * pol + leak * _orthogonal_pol(pol)
 
 
-def _resolve_interferometer(config: ExperimentConfig) -> tuple[Interferometer, dict]:
-    if config.interferometer_source == "ideal":
-        u = fourier_unitary(config.interferometer_dim)
-    elif config.interferometer_source == "matrix":
-        u = Interferometer(config.interferometer_matrix)
-    else:
-        table = IntensityTable.from_csv(config.interferometer_path)
-        magnitudes = sinkhorn_magnitudes(table)
-        u, adjustment = interferometer_from_magnitudes(magnitudes)
-        # embed the resolved matrix so the config echo is self-contained
-        config.interferometer_resolved_from = {
-            "source": "csv",
-            "path": config.interferometer_path,
-            "max_adjustment": adjustment,
-        }
-        config.interferometer_source = "matrix"
-        config.interferometer_matrix = u.matrix
-        config.interferometer_path = None
-    resolved = config.interferometer_resolved_from
-    info = {
-        "source": resolved["source"] if resolved else config.interferometer_source,
-        "dim": u.dim,
-        "max_adjustment": float(resolved["max_adjustment"]) if resolved else 0.0,
-        "matrix": matrix_to_pairs(u.matrix),
-    }
-    return u, info
-
-
 def run_generate(config: ExperimentConfig, stamp: bool = False) -> tuple[dict, CountsTable]:
     """Full generation pipeline: recipe, noise, post-selection, tomography, witnesses."""
     rec = recipe(config.state)
     target = canonical_state(config.state)
-    u, interferometer_info = _resolve_interferometer(config)
+    tritter = fourier_unitary(3)
+    u = tritter if config.interferometer_matrix is None else Interferometer(config.interferometer_matrix)
+    resolved = config.interferometer_resolved_from or {}
 
-    ideal = postselect_coincidence(
-        fourier_unitary(3), rec.input_configuration(), (1, 1, 1)
-    )
+    ideal = postselect_coincidence(tritter, rec.input_configuration(), (1, 1, 1))
 
     pols = list(rec.inputs)
     if config.extinction_ratio is not None:
@@ -259,7 +238,12 @@ def run_generate(config: ExperimentConfig, stamp: bool = False) -> tuple[dict, C
 
     report = {
         "config": config.to_dict(),
-        "interferometer": interferometer_info,
+        "interferometer": {
+            "source": resolved.get("source", "ideal" if u is tritter else "matrix"),
+            "dim": u.dim,
+            "max_adjustment": float(resolved.get("max_adjustment", 0.0)),
+            "matrix": matrix_to_pairs(u.matrix),
+        },
         "ideal": {
             "probability": ideal.probability,
             "expected_probability": [
@@ -312,6 +296,15 @@ def report_to_json(report: dict) -> str:
 
 def write_report(report: dict, path) -> None:
     Path(path).write_text(report_to_json(report), encoding="utf-8")
+
+
+def _write_or_print(report: dict, out: str | None, message: str) -> None:
+    """Write the report to ``out`` and print ``message``, or print the report itself."""
+    if out:
+        write_report(report, out)
+        print(message)
+    else:
+        print(report_to_json(report), end="")
 
 
 def _load_json_file(path, what: str) -> dict:
@@ -382,20 +375,15 @@ def cmd_calibrate(args) -> int:
     )
     unitary, adjustment = interferometer_from_magnitudes(magnitudes)
     report = {
-        "magnitudes": [[float(v) for v in row] for row in magnitudes],
-        "magnitudes_scaled": [[float(v * np.sqrt(3.0)) for v in row] for row in magnitudes],
+        "magnitudes": magnitudes.tolist(),
+        "magnitudes_scaled": (magnitudes * np.sqrt(len(magnitudes))).tolist(),
         "insertion_loss_db": [insertion_loss_db(row) for row in table.fractions],
         "printed_loss_db": list(map(float, table.loss_db)) if table.loss_db is not None else None,
         "doubly_stochastic_residual": residual,
         "unitary": matrix_to_pairs(unitary.matrix),
         "max_adjustment": adjustment,
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"calibration -> {args.out}")
-    else:
-        print(text, end="")
+    _write_or_print(report, args.out, f"calibration -> {args.out}")
     return 0
 
 
@@ -432,7 +420,7 @@ def cmd_hom(args) -> int:
             "ceiling_rate": scan.ceiling_rate,
         }
     )
-    Path(fit_path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_report(payload, fit_path)
     print(f"visibility={fit.visibility:.4f} -> {scan_path}, {fit_path}")
     return 0
 
@@ -451,12 +439,7 @@ def cmd_tomo(args) -> int:
                 counts, args.resamples, lambda r: fidelity(r, target), args.seed
             )
             payload["fidelity_mc"] = mc.to_json_dict()
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"reconstruction -> {args.out} (converged={recon.converged})")
-    else:
-        print(text, end="")
+    _write_or_print(payload, args.out, f"reconstruction -> {args.out} (converged={recon.converged})")
     return 0
 
 
@@ -517,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_generate)
 
     cal = sub.add_parser("calibrate", help="reconstruct transfer-matrix magnitudes from a ratio CSV")
-    cal.add_argument("--input", required=True, help="3x3(+loss) splitting-ratio CSV")
+    cal.add_argument("--input", required=True, help="n x n (+loss column) splitting-ratio CSV")
     cal.add_argument("--out", help="calibration JSON path (default: stdout)")
     cal.add_argument("--max-iter", type=int, default=10_000, help="rescaling sweep limit")
     cal.set_defaults(func=cmd_calibrate)

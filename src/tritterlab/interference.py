@@ -39,7 +39,6 @@ from .validation import (
 
 UNITARITY_TOL = 1e-10
 STATE_NORM_TOL = 1e-12
-DISTRIBUTION_NORM_TOL = 1e-9
 
 #: hard bound on permanent dimension and photon number so desk-scale runs
 #: stay sub-second and the kernel's working array stays small
@@ -203,10 +202,6 @@ class PostSelectionResult:
     @property
     def state_defined(self) -> bool:
         return self.rho is not None
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.ports)
 
 
 def _check_config(config: InputConfiguration, n: int) -> None:

@@ -10,15 +10,18 @@ from tritterlab import (
     DipScan,
     GaussianFit,
     IntensityTable,
+    Interferometer,
     ValidationError,
     fit_gaussian,
     fourier_unitary,
     hom_scan,
     insertion_loss_db,
     interferometer_from_magnitudes,
+    pair_coincidence_probability,
     sinkhorn_magnitudes,
     visibility,
 )
+from conftest import random_unitary
 
 # measured splitting ratios (percent of input power) and printed losses
 RATIOS = np.array(
@@ -137,6 +140,15 @@ class TestHomScan:
         assert scan.floor_rate == pytest.approx(1000.0)
         assert scan.ceiling_rate == pytest.approx(2000.0)
 
+    def test_every_delay_matches_pair_probability(self):
+        u = Interferometer(random_unitary(4, np.random.default_rng(8)))
+        delays = np.linspace(-3, 3, 13)
+        scan = hom_scan(u, (2, 4), (1, 3), delays, 1.3, 7e3, seed=0, peak_overlap=0.8, poisson=False)
+        overlaps = 0.8 * np.exp(-(delays**2) / (2 * 1.3**2))
+        direct = [7e3 * pair_coincidence_probability(u, (2, 4), (1, 3), x) for x in overlaps]
+        assert np.abs(scan.counts - direct).max() < 1e-9
+        assert scan.floor_rate == pytest.approx(7e3 * pair_coincidence_probability(u, (2, 4), (1, 3), 0.8))
+
     def test_symmetric_grid_gives_symmetric_expectation(self, tritter):
         delays = np.linspace(-3, 3, 31)
         scan = hom_scan(tritter, (2, 3), (1, 3), delays, 0.7, 5e3, seed=0, poisson=False)
@@ -231,6 +243,14 @@ class TestIntensityTableCsv:
         table = IntensityTable.from_csv(path)
         assert table.loss_db is None
 
+    def test_reads_four_rows_with_loss_column(self, tmp_path):
+        path = tmp_path / "four.csv"
+        rows = [[24.0, 25.0, 23.5, 24.5, 0.1 * k] for k in range(1, 5)]
+        path.write_text("".join(",".join(map(str, r)) + "\n" for r in rows), encoding="utf-8")
+        table = IntensityTable.from_csv(path)
+        assert np.array_equal(table.fractions, np.array(rows)[:, :4])
+        assert np.array_equal(table.loss_db, np.array(rows)[:, 4])
+
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("33,33,33\n33,oops,33\n33,33,33\n", encoding="utf-8")
@@ -239,7 +259,8 @@ class TestIntensityTableCsv:
 
     def test_wrong_row_count_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
-        path.write_text("33,33,33\n33,33,33\n", encoding="utf-8")
+        # a 3-port table with a loss column that lost a row
+        path.write_text("33,33,33,0.3\n33,33,33,0.3\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="3 data rows"):
             IntensityTable.from_csv(path)
 

@@ -1,5 +1,6 @@
 """Command-line pipeline: subcommands, config handling, exit codes, determinism."""
 
+import dataclasses
 import functools
 import json
 
@@ -157,6 +158,23 @@ class TestGenerate:
         assert rc == 2
         assert "noise.extinction_ratio" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key", [("noise", "white_nosie"), ("tomography", "shot"), ("interferometer", "dim")]
+    )
+    def test_unknown_field_exits_2_naming_it(self, tmp_path, capsys, section, key):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"state": "w", section: {key: 3}}), encoding="utf-8")
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "x.json")]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_four_port_csv_source_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "four.csv"
+        csv_path.write_text("24,24,24,24\n" * 4, encoding="utf-8")
+        rc = main(["generate", "--state", "w", "--interferometer-csv", str(csv_path),
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert "interferometer.path" in capsys.readouterr().err
+
     def test_unknown_state_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["generate", "--state", "bogus", "--out", str(tmp_path / "x.json")])
@@ -183,6 +201,16 @@ class TestCalibrate:
         assert main(["calibrate", "--input", str(csv_path), "--out", str(out)]) == 0
         cal = _read_json(out)
         assert np.abs(np.array(cal["magnitudes"]) - 1 / np.sqrt(3)).max() < 1e-12
+
+    def test_four_port_table(self, tmp_path):
+        csv_path = tmp_path / "four.csv"
+        csv_path.write_text("24,24,24,24,0.18\n" * 4, encoding="utf-8")
+        out = tmp_path / "cal.json"
+        assert main(["calibrate", "--input", str(csv_path), "--out", str(out)]) == 0
+        cal = _read_json(out)
+        assert np.abs(np.array(cal["magnitudes"]) - 0.5).max() < 1e-12
+        assert np.abs(np.array(cal["magnitudes_scaled"]) - 1.0).max() < 1e-12
+        assert cal["printed_loss_db"] == [0.18] * 4
 
     def test_malformed_csv_exits_2_naming_row(self, tmp_path, capsys):
         csv_path = tmp_path / "bad.csv"
@@ -324,3 +352,16 @@ class TestExperimentConfig:
         report_b, counts_b = run_generate(config)
         assert report_a == report_b
         assert np.array_equal(counts_a.counts, counts_b.counts)
+
+    def test_run_generate_leaves_config_unchanged(self, tmp_path):
+        csv_path = tmp_path / "table1.csv"
+        csv_path.write_text(TABLE1_CSV, encoding="utf-8")
+        config = ExperimentConfig.from_dict(
+            {"interferometer": {"source": "csv", "path": str(csv_path)},
+             "tomography": {"shots": 400, "resamples": 2, "seed": 3}}
+        )
+        before = config.to_dict()
+        run_generate(config)
+        assert config.to_dict() == before
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.interferometer_matrix = None

@@ -31,6 +31,7 @@ from conftest import (
 
 H = np.array([1.0, 0.0], dtype=complex)
 V = np.array([0.0, 1.0], dtype=complex)
+DISTRIBUTION_NORM_TOL = 1e-9
 
 
 class TestFourierUnitary:
@@ -164,8 +165,6 @@ class TestOutputDistribution:
         assert dist[(1, 1, 0)] == pytest.approx(2.0 / 9.0, abs=1e-12)
 
     def test_three_photon_distribution_normalized(self, tritter):
-        from tritterlab.interference import DISTRIBUTION_NORM_TOL
-
         config = InputConfiguration(
             [(1, InternalState(H)), (2, InternalState(H)), (3, InternalState(V))]
         )
