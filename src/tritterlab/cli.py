@@ -38,7 +38,7 @@ from .interference import (
     postselect_coincidence,
     spectral_vectors_from_gram,
 )
-from .states import StateKind, canonical_state, fidelity, purity, recipe, witness_report
+from .states import GENERATED_KINDS, StateKind, canonical_state, fidelity, purity, recipe, witness_report
 from .tomography import (
     CountsTable,
     measurement_settings,
@@ -49,16 +49,41 @@ from .tomography import (
 from .validation import ConfigError, ConvergenceError, ValidationError, check_gram
 
 
-def _fields(section, name: str, known: tuple[str, ...]) -> dict:
-    """Return a config object after rejecting any key outside ``known``."""
+def _fields(section, name: str, known: tuple[str, ...] | None = None) -> dict:
+    """Return a config object (absent or null reads as empty) after rejecting any key outside ``known``."""
+    if section is None:
+        return {}
     if not isinstance(section, dict):
         raise ConfigError(name or "config", "must be a JSON object")
     for key in section:
-        if key not in known:
+        if known is not None and key not in known:
             if name:
                 raise ConfigError(f"{name}.{key}", "unknown configuration field")
             raise ConfigError(key, "unknown configuration section")
     return section
+
+
+def _read(section: dict, field: str, convert, default, valid=lambda value: True, why: str = ""):
+    """Read ``field`` ("section.key") from ``section``; absent or null gives ``default``.
+
+    A value that ``convert`` rejects or whose result fails ``valid`` is a ConfigError naming the field.
+    """
+    raw = section.get(field.rpartition(".")[2])
+    if raw is None:
+        return default
+    try:
+        value = convert(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(field, str(exc)) from None
+    if not valid(value):
+        raise ConfigError(field, f"{raw!r} {why}")
+    return value
+
+
+def _gram(raw) -> np.ndarray:
+    gram = np.array(raw, dtype=float)
+    check_gram(gram.astype(complex), name="Gram matrix")
+    return gram
 
 
 @dataclass(frozen=True)
@@ -80,25 +105,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _fields(raw, "", ("state", "interferometer", "noise", "tomography"))
-
-        state_raw = raw.get("state", "w")
-        try:
-            state = StateKind(str(state_raw).lower())
-        except ValueError:
-            raise ConfigError("state", f"unknown state kind {state_raw!r}")
-        if state not in (StateKind.W, StateKind.GPRIME, StateKind.GHZPRIME):
-            raise ConfigError("state", f"no generation recipe for '{state.value}'")
+        raw = _fields(raw, "", ("state", "interferometer", "noise", "tomography"))
+        state = _read(raw, "state", lambda v: StateKind(str(v).lower()), StateKind.W,
+                      GENERATED_KINDS.__contains__, "has no generation recipe")
 
         reads = {"ideal": (), "csv": ("path",), "matrix": ("matrix", "resolved_from")}
-        interf = raw.get("interferometer") or {}
-        source = str(interf.get("source", "ideal")) if isinstance(interf, dict) else "ideal"
-        if source not in reads:
-            raise ConfigError("interferometer.source", f"unknown source {source!r}")
+        interf = _fields(raw.get("interferometer"), "interferometer")
+        source = _read(interf, "interferometer.source", str, "ideal", reads.__contains__,
+                       "is not a splitter source; use ideal, csv or matrix")
         _fields(interf, "interferometer", ("source",) + reads[source])
         matrix, resolved_from = None, None
         if source == "csv":
-            path = interf.get("path")
+            path = _read(interf, "interferometer.path", str, "")
             if not path:
                 raise ConfigError("interferometer.path", "csv source needs a file path")
             table = IntensityTable.from_csv(path)
@@ -106,59 +124,30 @@ class ExperimentConfig:
                 raise ConfigError("interferometer.path", f"need a 3-port table, got {table.fractions.shape}")
             u, adjustment = interferometer_from_magnitudes(sinkhorn_magnitudes(table))
             matrix = u.matrix
-            resolved_from = {"source": "csv", "path": str(path), "max_adjustment": adjustment}
+            resolved_from = {"source": "csv", "path": path, "max_adjustment": adjustment}
         elif source == "matrix":
-            if interf.get("matrix") is None:
+            matrix = _read(interf, "interferometer.matrix",
+                           lambda v: Interferometer(matrix_from_pairs(v)).matrix, None,
+                           lambda m: m.shape == (3, 3), "is not a 3x3 matrix")
+            if matrix is None:
                 raise ConfigError("interferometer.matrix", "matrix source needs matrix data")
-            matrix = matrix_from_pairs(interf["matrix"])
-            if matrix.shape != (3, 3):
-                raise ConfigError("interferometer.matrix", f"need 3x3, got {matrix.shape}")
-            matrix = Interferometer(matrix).matrix
-            resolved_from = interf.get("resolved_from")
-            if resolved_from is not None and not isinstance(resolved_from, dict):
-                raise ConfigError("interferometer.resolved_from", "must be an object")
+            resolved_from = _read(interf, "interferometer.resolved_from", lambda v: v, None,
+                                  lambda v: isinstance(v, dict), "is not an object")
 
-        noise = _fields(raw.get("noise") or {}, "noise", ("gram", "extinction_ratio", "white_noise"))
-        gram_raw = noise.get("gram")
-        if gram_raw is None:
-            gram = np.ones((3, 3), dtype=float)
-        else:
-            gram = np.array(gram_raw, dtype=float)
-            if gram.shape != (3, 3):
-                raise ConfigError("noise.gram", f"must be 3x3, got shape {gram.shape}")
-            try:
-                check_gram(gram.astype(complex), name="noise.gram")
-            except ValidationError as exc:
-                raise ConfigError("noise.gram", str(exc))
+        noise = _fields(raw.get("noise"), "noise", ("gram", "extinction_ratio", "white_noise"))
+        gram = _read(noise, "noise.gram", _gram, np.ones((3, 3)),
+                     lambda g: g.shape == (3, 3), "is not 3x3")
         gram.setflags(write=False)
+        extinction = _read(noise, "noise.extinction_ratio",
+                           lambda r: tuple(float(v) for v in ([r] * 3 if np.isscalar(r) else r)), None,
+                           lambda r: len(r) == 3 and min(r) > 1, "is not one ratio or three, each above 1")
+        lam = _read(noise, "noise.white_noise", float, 0.0,
+                    lambda x: 0.0 <= x <= 1.0, "lies outside [0, 1]")
 
-        ext_raw = noise.get("extinction_ratio")
-        if ext_raw is None:
-            extinction = None
-        else:
-            values = (
-                [float(ext_raw)] * 3
-                if np.isscalar(ext_raw)
-                else [float(v) for v in ext_raw]
-            )
-            if len(values) != 3:
-                raise ConfigError("noise.extinction_ratio", "need a scalar or 3 values")
-            if any(v <= 1 for v in values):
-                raise ConfigError("noise.extinction_ratio", "ratios must exceed 1")
-            extinction = tuple(values)
-
-        lam = float(noise.get("white_noise", 0.0))
-        if not 0.0 <= lam <= 1.0:
-            raise ConfigError("noise.white_noise", f"{lam} outside [0, 1]")
-
-        tomo = _fields(raw.get("tomography") or {}, "tomography", ("shots", "resamples", "seed"))
-        shots = int(tomo.get("shots", 10_000))
-        if shots < 1:
-            raise ConfigError("tomography.shots", "must be positive")
-        resamples = int(tomo.get("resamples", 50))
-        if resamples < 2:
-            raise ConfigError("tomography.resamples", "must be at least 2")
-        seed = int(tomo.get("seed", 0))
+        tomo = _fields(raw.get("tomography"), "tomography", ("shots", "resamples", "seed"))
+        shots = _read(tomo, "tomography.shots", int, 10_000, lambda n: n >= 1, "is not positive")
+        resamples = _read(tomo, "tomography.resamples", int, 50, lambda n: n >= 2, "is below 2")
+        seed = _read(tomo, "tomography.seed", int, 0, lambda n: n >= 0, "is negative")
 
         return cls(
             state=state,
@@ -307,7 +296,7 @@ def _write_or_print(report: dict, out: str | None, message: str) -> None:
         print(report_to_json(report), end="")
 
 
-def _load_json_file(path, what: str) -> dict:
+def _load_json_file(path, what: str):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -325,30 +314,24 @@ def _parse_gram_argument(value: str) -> list:
     return _load_json_file(value, "gram")
 
 
+#: config fields that a generate flag overrides; each flag is named after its key
+_FLAG_FIELDS = ("state", "noise.gram", "noise.extinction_ratio", "noise.white_noise",
+                "tomography.shots", "tomography.resamples", "tomography.seed")
+
+
 def cmd_generate(args) -> int:
-    raw = _load_json_file(args.config, "config") if args.config else {}
-    if args.state is not None:
-        raw["state"] = args.state
+    raw = _fields(_load_json_file(args.config, "config") if args.config else None, "")
     if args.interferometer_csv is not None:
         raw["interferometer"] = {"source": "csv", "path": args.interferometer_csv}
-    noise = dict(raw.get("noise") or {})
-    if args.gram is not None:
-        noise["gram"] = _parse_gram_argument(args.gram)
-    if args.extinction_ratio is not None:
-        noise["extinction_ratio"] = args.extinction_ratio
-    if args.white_noise is not None:
-        noise["white_noise"] = args.white_noise
-    if noise:
-        raw["noise"] = noise
-    tomo = dict(raw.get("tomography") or {})
-    if args.shots is not None:
-        tomo["shots"] = args.shots
-    if args.resamples is not None:
-        tomo["resamples"] = args.resamples
-    if args.seed is not None:
-        tomo["seed"] = args.seed
-    if tomo:
-        raw["tomography"] = tomo
+    for field in _FLAG_FIELDS:
+        section, _, key = field.rpartition(".")
+        value = getattr(args, key)
+        if value is None:
+            continue
+        target = raw
+        if section:
+            target = raw[section] = _fields(raw.get(section), section)
+        target[key] = _parse_gram_argument(value) if key == "gram" else value
 
     config = ExperimentConfig.from_dict(raw)
     report, counts = run_generate(config, stamp=args.stamp)
@@ -430,8 +413,8 @@ def cmd_tomo(args) -> int:
     recon = reconstruct_mle(counts)
     payload = recon.to_json_dict()
     if args.target is not None:
-        target = canonical_state(StateKind(args.target.lower()))
-        payload["target"] = args.target.lower()
+        target = canonical_state(args.target)
+        payload["target"] = args.target
         payload["fidelity"] = fidelity(recon.rho, target)
         payload["purity"] = purity(recon.rho)
         if args.resamples:
@@ -476,6 +459,13 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """argparse type of every --seed: numpy seeds are non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tritterlab",
@@ -486,10 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="run the full generation + tomography pipeline")
     gen.add_argument("--config", help="JSON config file (flags override its fields)")
-    gen.add_argument("--state", choices=["w", "gprime", "ghzprime"], help="target state kind")
+    gen.add_argument("--state", choices=[k.value for k in GENERATED_KINDS], help="target state kind")
     gen.add_argument("--shots", type=int, help="tomography shots per setting")
     gen.add_argument("--resamples", type=int, help="Monte-Carlo resamples for error bars")
-    gen.add_argument("--seed", type=int, help="master seed")
+    gen.add_argument("--seed", type=_seed, help="master seed")
     gen.add_argument("--gram", help="spectral-overlap Gram matrix: JSON file or inline JSON")
     gen.add_argument("--extinction-ratio", type=float, help="preparation extinction ratio (> 1)")
     gen.add_argument("--white-noise", type=float, help="white-noise admixture in [0, 1]")
@@ -511,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     hom.add_argument("--coherence", type=float, default=1.0, help="coherence scale of the overlap decay")
     hom.add_argument("--span", type=float, default=4.0, help="scan half-range in coherence units")
     hom.add_argument("--points", type=int, default=41, help="number of delay points")
-    hom.add_argument("--seed", type=int, default=0)
+    hom.add_argument("--seed", type=_seed, default=0)
     hom.add_argument("--poisson", action=argparse.BooleanOptionalAction, default=True,
                      help="draw Poisson counts (--no-poisson for expected values)")
     hom.add_argument("--out", default="hom", help="output prefix for .scan.csv and .fit.json")
@@ -519,9 +509,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     tomo = sub.add_parser("tomo", help="maximum-likelihood reconstruction from a counts CSV")
     tomo.add_argument("--counts", required=True, help="counts CSV (setting, outcome, count)")
-    tomo.add_argument("--target", help="canonical state for fidelity (e.g. w, gprime, ghzprime)")
+    tomo.add_argument("--target", type=str.lower, choices=[k.value for k in StateKind],
+                      help="canonical state for fidelity")
     tomo.add_argument("--resamples", type=int, default=0, help="Monte-Carlo resamples (0 = skip)")
-    tomo.add_argument("--seed", type=int, default=0)
+    tomo.add_argument("--seed", type=_seed, default=0)
     tomo.add_argument("--out", help="reconstruction JSON path (default: stdout)")
     tomo.set_defaults(func=cmd_tomo)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -87,15 +86,9 @@ class Recipe:
     inputs: tuple[np.ndarray, np.ndarray, np.ndarray]
     expected_probability: Fraction
 
-    def input_configuration(self, spectra: Sequence[np.ndarray] | None = None) -> InputConfiguration:
-        """Photons at ports 1..3; optionally attach per-photon spectral vectors."""
-        if spectra is None:
-            states = [InternalState(pol) for pol in self.inputs]
-        else:
-            if len(spectra) != 3:
-                raise ValidationError(f"need 3 spectral vectors, got {len(spectra)}")
-            states = [InternalState(pol, sp) for pol, sp in zip(self.inputs, spectra)]
-        return InputConfiguration(list(zip((1, 2, 3), states)))
+    def input_configuration(self) -> InputConfiguration:
+        """Photons at ports 1..3 in the recipe's polarisations."""
+        return InputConfiguration([(port, InternalState(pol)) for port, pol in zip((1, 2, 3), self.inputs)])
 
 
 def recipe(kind: StateKind) -> Recipe:

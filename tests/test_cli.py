@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tritterlab.cli
-from tritterlab.cli import ExperimentConfig, main, run_generate
+from tritterlab.cli import ExperimentConfig, build_parser, main, run_generate
 from tritterlab.tomography import monte_carlo_uncertainty
 
 TABLE1_CSV = (
@@ -21,6 +21,12 @@ TABLE1_CSV = (
 
 def _read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _small_counts_csv(tmp_path) -> str:
+    assert main(["generate", "--state", "w", "--shots", "300", "--seed", "1",
+                 "--resamples", "2", "--out", str(tmp_path / "small.json")]) == 0
+    return str(tmp_path / "small.counts.csv")
 
 
 class TestGenerate:
@@ -175,6 +181,32 @@ class TestGenerate:
         assert rc == 2
         assert "interferometer.path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, flags, field",
+        [
+            ({"noise": {"white_noise": "abc"}}, [], "noise.white_noise"),
+            ({"tomography": {"shots": "many"}}, [], "tomography.shots"),
+            ([{"state": "w"}], [], "config"),
+            ([{"state": "w"}], ["--state", "w"], "config"),
+            ({"noise": 5}, [], "noise"),
+            ({"noise": {"gram": [[1, 1, "a"], [1, 1, 1], ["a", 1, 1]]}}, [], "noise.gram"),
+            ({"tomography": {"seed": -1}}, [], "tomography.seed"),
+        ],
+        ids=["white_noise", "shots", "array", "array-with-state", "noise", "gram", "seed"],
+    )
+    def test_malformed_config_exits_2_naming_field(self, tmp_path, capsys, config, flags, field):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        rc = main(["generate", "--config", str(cfg_path), *flags, "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
+
+    def test_null_field_reads_as_default(self):
+        config = ExperimentConfig.from_dict(
+            {"state": None, "noise": {"white_noise": None}, "tomography": None}
+        )
+        assert config.to_dict() == ExperimentConfig.from_dict({}).to_dict()
+
     def test_unknown_state_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["generate", "--state", "bogus", "--out", str(tmp_path / "x.json")])
@@ -288,6 +320,31 @@ class TestTomo:
 
     def test_missing_counts_file_exits_2(self, tmp_path):
         assert main(["tomo", "--counts", str(tmp_path / "nope.csv")]) == 2
+
+    def test_unknown_target_rejected_by_argparse(self, tmp_path):
+        counts = _small_counts_csv(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["tomo", "--counts", counts, "--target", "foo"])
+        assert exc.value.code == 2
+        assert build_parser().parse_args(["tomo", "--counts", counts, "--target", "W"]).target == "w"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--state", "w", "--shots", "300", "--resamples", "2"],
+        ["hom", "--rate", "100", "--points", "11"],
+        ["tomo", "--target", "w", "--resamples", "3"],
+    ],
+    ids=["generate", "hom", "tomo"],
+)
+def test_negative_seed_rejected_by_argparse(tmp_path, capsys, argv):
+    if argv[0] == "tomo":
+        argv = argv + ["--counts", _small_counts_csv(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
 
 
 class TestReport:
