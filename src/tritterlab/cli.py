@@ -145,7 +145,8 @@ class ExperimentConfig:
                     lambda x: 0.0 <= x <= 1.0, "lies outside [0, 1]")
 
         tomo = _fields(raw.get("tomography"), "tomography", ("shots", "resamples", "seed"))
-        shots = _read(tomo, "tomography.shots", int, 10_000, lambda n: n >= 1, "is not positive")
+        most = int(np.iinfo(np.int64).max)  # the largest trial count numpy's multinomial takes
+        shots = _read(tomo, "tomography.shots", int, 10_000, lambda n: 1 <= n <= most, f"lies outside [1, {most}]")
         resamples = _read(tomo, "tomography.resamples", int, 50, lambda n: n >= 2, "is below 2")
         seed = _read(tomo, "tomography.seed", int, 0, lambda n: n >= 0, "is negative")
 
@@ -428,24 +429,22 @@ def cmd_tomo(args) -> int:
 
 def cmd_report(args) -> int:
     report = _load_json_file(args.input, "report")
-    for key in ("config", "noisy", "tomography", "witness"):
-        if key not in report:
-            raise ValidationError(f"report is missing the '{key}' section")
-    witness = report["witness"]
-    tomo = report["tomography"]
-    print(f"state:        {report['config']['state']}")
-    print(f"probability:  {report['noisy']['probability']:.6f}")
-    print(
-        f"fidelity:     {tomo['reconstruction']['fidelity']:.4f}"
-        f" +/- {tomo['monte_carlo']['fidelity']['std']:.4f}"
-    )
-    print(
-        f"purity:       {tomo['reconstruction']['purity']:.4f}"
-        f" +/- {tomo['monte_carlo']['purity']['std']:.4f}"
-    )
-    print(f"witnesses:    W-fidelity pass={witness['w_witness_pass']}")
-    print(f"              genuine tripartite pass={witness['genuine_tripartite_pass']}")
-    print(f"              GHZ-class pass={witness['ghz_class_pass']}")
+    try:
+        witness, tomo = report["witness"], report["tomography"]
+        summary = [
+            f"state:        {report['config']['state']}",
+            f"probability:  {report['noisy']['probability']:.6f}",
+            f"fidelity:     {tomo['reconstruction']['fidelity']:.4f}"
+            f" +/- {tomo['monte_carlo']['fidelity']['std']:.4f}",
+            f"purity:       {tomo['reconstruction']['purity']:.4f}"
+            f" +/- {tomo['monte_carlo']['purity']['std']:.4f}",
+            f"witnesses:    W-fidelity pass={witness['w_witness_pass']}",
+            f"              genuine tripartite pass={witness['genuine_tripartite_pass']}",
+            f"              GHZ-class pass={witness['ghz_class_pass']}",
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"report is malformed: {type(exc).__name__}: {exc}") from None
+    print("\n".join(summary))
     if args.check:
         config = ExperimentConfig.from_dict(report["config"])
         regenerated, _ = run_generate(config)

@@ -1,6 +1,8 @@
 """Projective Pauli-basis tomography: simulation, likelihood reconstruction, errors.
 
-Counts are simulated per measurement setting with multinomial statistics.
+One cached Born matrix per qubit count serves both sampling and fitting.
+Counts are multinomial draws from each setting's probabilities rounded to a
+2^-40 grid summing to exactly 1, so the last bits of rho change no count.
 Density matrices are reconstructed by accelerated projected gradient on the
 negative log-likelihood (Shang, Zhang & Ng, PRA 95, 062336 (2017)): every
 iterate is a density matrix, the log-likelihood never decreases, and the
@@ -28,6 +30,8 @@ MLE_TOL = 1e-2
 MLE_MAX_ITER = 10_000
 #: step halvings before a likelihood step counts as stalled
 _MAX_HALVINGS = 60
+#: sampled probabilities are multiples of 1 / _GRID
+_GRID = 2.0**40
 
 _SQ2 = np.sqrt(2.0)
 #: columns are the (+1, -1) eigenvectors of each Pauli basis
@@ -47,25 +51,38 @@ def measurement_settings(n: int) -> list[Setting]:
     return list(itertools.product("XYZ", repeat=int(n)))
 
 
-def _setting_vectors(setting: Setting) -> np.ndarray:
-    """Rows: projection vector of each outcome bitstring (bit 0 = +1 eigenstate)."""
-    mat = _BASIS[setting[0]]
-    for label in setting[1:]:
-        mat = np.kron(mat, _BASIS[label])
-    return mat.T  # row o is column o of the basis-change matrix
+@functools.cache
+def _born_matrix(n: int) -> np.ndarray:
+    """Read-only Born rule ``B`` of shape (3^n, 2^n, 4^n): ``p = (B @ rho.ravel()).real``.
+
+    ``B[s, o]`` is ``conj(v_a) v_b`` over ``(a, b)`` for the vector ``v`` of outcome
+    ``o`` (bit 0 = +1 eigenstate) of setting ``s`` in ``measurement_settings`` order.
+    """
+    # row o of each basis-change matrix's transpose is its column o
+    vecs = np.stack([functools.reduce(np.kron, [_BASIS[label] for label in s]).T
+                     for s in measurement_settings(n)])
+    born = (vecs.conj()[..., :, None] * vecs[..., None, :]).reshape(3**n, 2**n, 4**n)
+    born.setflags(write=False)
+    return born
+
+
+def _born_rows(rho: np.ndarray, settings: Sequence[Setting]) -> np.ndarray:
+    """Outcome probabilities of each setting, one row each, from one Born-matrix product."""
+    if not settings:
+        raise ValidationError("no measurement settings supplied")
+    n = len(settings[0])
+    index = {s: i for i, s in enumerate(measurement_settings(n))}
+    if any(s not in index for s in settings):
+        raise ValidationError(f"settings must all be {n}-qubit tuples of Pauli labels X, Y, Z")
+    rho = as_complex_matrix(rho, "rho")
+    if rho.shape != (2**n, 2**n):
+        raise ValidationError(f"dimension mismatch: setting implies {2**n}, rho is {rho.shape}")
+    return (_born_matrix(n)[[index[s] for s in settings]] @ rho.ravel()).real
 
 
 def born_probabilities(rho: np.ndarray, setting: Setting) -> np.ndarray:
     """Outcome probabilities for one measurement setting; sums to 1 within 1e-10."""
-    rho = as_complex_matrix(rho, "rho")
-    setting = tuple(setting)
-    if any(label not in _BASIS for label in setting):
-        raise ValidationError(f"unknown basis labels in setting {setting}")
-    dim = 2 ** len(setting)
-    if rho.shape != (dim, dim):
-        raise ValidationError(f"dimension mismatch: setting implies {dim}, rho is {rho.shape}")
-    vecs = _setting_vectors(setting)
-    return np.einsum("ka,ab,kb->k", vecs.conj(), rho, vecs).real
+    return _born_rows(rho, [tuple(setting)])[0]
 
 
 @dataclass(frozen=True)
@@ -156,18 +173,19 @@ class CountsTable:
 def simulate_counts(
     rho: np.ndarray, settings: Sequence[Setting], shots: int, seed
 ) -> CountsTable:
-    """Multinomial outcome counts per setting; reproducible for a given seed."""
+    """Multinomial outcome counts per setting; reproducible for a given seed.
+
+    Each setting's probabilities are rounded to multiples of 2^-40 with the
+    residual on the largest, so rows sum to exactly 1 and the sampler is exact.
+    """
     if int(shots) < 1:
         raise ValidationError("shots must be positive")
-    settings = [tuple(s) for s in settings]
-    if not settings:
-        raise ValidationError("no measurement settings supplied")
-    rng = np.random.default_rng(seed)
-    counts = np.empty((len(settings), 2 ** len(settings[0])), dtype=np.int64)
-    for i, setting in enumerate(settings):
-        p = np.clip(born_probabilities(rho, setting), 0.0, None)
-        counts[i] = rng.multinomial(int(shots), p / p.sum())
-    return CountsTable(tuple(settings), counts, int(shots))
+    settings = tuple(tuple(s) for s in settings)
+    p = np.clip(_born_rows(rho, settings), 0.0, None)
+    p = np.round(p / p.sum(axis=1, keepdims=True) * _GRID) / _GRID
+    p[np.arange(len(p)), p.argmax(axis=1)] += 1.0 - p.sum(axis=1)
+    counts = np.random.default_rng(seed).multinomial(int(shots), p)
+    return CountsTable(settings, counts, int(shots))
 
 
 @dataclass(frozen=True)
@@ -178,7 +196,6 @@ class ReconstructionResult:
     log_likelihood: float
     iterations: int
     converged: bool
-    log_likelihood_history: tuple[float, ...] = field(repr=False, default=())
 
     def to_json_dict(self) -> dict:
         from .interference import matrix_to_pairs
@@ -189,14 +206,6 @@ class ReconstructionResult:
             "iterations": self.iterations,
             "converged": self.converged,
         }
-
-
-@functools.cache
-def _stacked_setting_vectors(n: int) -> np.ndarray:
-    """Projection vectors of every outcome of every setting, in ``measurement_settings`` order."""
-    vecs = np.vstack([_setting_vectors(s) for s in measurement_settings(n)])
-    vecs.setflags(write=False)
-    return vecs
 
 
 def _project_to_states(m: np.ndarray) -> np.ndarray:
@@ -233,19 +242,10 @@ def reconstruct_mle(
     ``tol`` or a step can no longer be resolved in floating point.
     """
     n = counts.n_qubits
-    expected = measurement_settings(n)
-    if list(counts.settings) != expected:
-        if sorted(set(counts.settings)) == expected and len(counts.settings) == len(expected):
-            order = {s: i for i, s in enumerate(counts.settings)}
-            counts = CountsTable(
-                tuple(expected), counts.counts[[order[s] for s in expected]], counts.shots
-            )
-        else:
-            missing = sorted(set(expected) - set(counts.settings))
-            raise ValidationError(
-                f"counts must cover all {len(expected)} settings; missing "
-                f"{[''.join(s) for s in missing[:5]]}{'...' if len(missing) > 5 else ''}"
-            )
+    index = {s: i for i, s in enumerate(measurement_settings(n))}
+    if sorted(counts.settings) != list(index):
+        missing = ["".join(s) for s in index if s not in counts.settings]
+        raise ValidationError(f"counts must cover each of the {len(index)} settings once; missing {missing[:5]}")
     dim = 2**n
     if (counts.counts.sum(axis=1) == 0).any():
         raise ValidationError("every setting needs at least one recorded count")
@@ -253,18 +253,18 @@ def reconstruct_mle(
     # only observed outcomes enter the likelihood
     flat_counts = counts.counts.reshape(-1).astype(float)
     observed = flat_counts > 0
-    vecs = _stacked_setting_vectors(n)[observed]
-    vecs_conj = vecs.conj()
+    born = _born_matrix(n)[[index[s] for s in counts.settings]].reshape(-1, dim * dim)[observed]
+    born_conj = born.conj()
     flat_counts = flat_counts[observed]
     total = float(flat_counts.sum())
     weights = flat_counts / total
 
     def probabilities(rho: np.ndarray) -> np.ndarray:
-        return ((vecs_conj @ rho) * vecs).sum(axis=1).real
+        return (born @ rho.ravel()).real
 
     def r_operator(p: np.ndarray) -> np.ndarray:
         """Minus the gradient of the objective at a state with probabilities ``p``."""
-        return (vecs.T * (weights / p)) @ vecs_conj
+        return ((weights / p) @ born_conj).reshape(dim, dim)
 
     def change(p_from: np.ndarray, step: np.ndarray) -> float:
         """Objective change ``f(rho + step) - f(rho)`` for ``p_from = p(rho)``, tr(rho) = 1.
@@ -289,7 +289,7 @@ def reconstruct_mle(
     r = r_operator(p)
     gap = shortfall(r)
     # the initial log-likelihood plus each accepted change: never decreases
-    history = [float(flat_counts @ np.log(p))]
+    log_likelihood = float(flat_counts @ np.log(p))
     y, p_y, r_y = rho, p, r  # extrapolated point of the accelerated step
     momentum = 1.0
     step = 1.0
@@ -309,12 +309,12 @@ def reconstruct_mle(
         descent = change(p, z - rho)
         if descent <= 0.0:
             rho, p = z, probabilities(z)
+            log_likelihood -= total * descent
             restart = np.vdot(y - z, z - previous).real > 0.0
         else:
-            descent, restart = 0.0, True
+            restart = True
         r = r_operator(p)
         gap = shortfall(r)
-        history.append(history[-1] - total * descent)
         y, p_y, r_y = rho, p, r
         if restart:
             momentum = 1.0
@@ -334,10 +334,9 @@ def reconstruct_mle(
     rho.setflags(write=False)
     return ReconstructionResult(
         rho=rho,
-        log_likelihood=history[-1],
+        log_likelihood=log_likelihood,
         iterations=iterations,
         converged=bool(gap <= tol),
-        log_likelihood_history=tuple(history),
     )
 
 

@@ -164,7 +164,9 @@ def test_criterion_08_tomography_round_trip():
         counts = simulate_counts(result.rho, settings, 10_000, seed=seed)
         recon = reconstruct_mle(counts)
         assert fidelity(recon.rho, canonical_state(kind)) > 0.98
-        history = np.array(recon.log_likelihood_history)
+        history = np.array(
+            [reconstruct_mle(counts, max_iter=k).log_likelihood for k in range(recon.iterations + 1)]
+        )
         assert np.all(np.diff(history) >= -1e-9 * (1.0 + np.abs(history[:-1])))
 
     # Monte-Carlo spread shrinks with the shot budget (single-qubit probe state)

@@ -201,6 +201,16 @@ class TestGenerate:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
 
+    @pytest.mark.parametrize("flags", [[], ["--shots", str(2**63)]], ids=["config", "flag"])
+    def test_shots_above_int64_exit_2(self, tmp_path, capsys, flags):
+        # numpy's multinomial takes at most 2**63 - 1 trials
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"tomography": {"shots": 1e30}}), encoding="utf-8")
+        rc = main(["generate", "--config", str(cfg_path), *flags, "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("configuration error: tomography.shots: ")
+        assert ExperimentConfig.from_dict({"tomography": {"shots": 2**63 - 1}}).shots == 2**63 - 1
+
     def test_null_field_reads_as_default(self):
         config = ExperimentConfig.from_dict(
             {"state": None, "noise": {"white_noise": None}, "tomography": None}
@@ -383,6 +393,23 @@ class TestReport:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         assert main(["report", "--input", str(bad)]) == 2
+
+    def test_report_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("5\n", encoding="utf-8")
+        assert main(["report", "--input", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("validation error: ")
+
+    def test_report_with_empty_config_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        main(["generate", "--state", "w", "--shots", "300", "--seed", "1",
+              "--resamples", "2", "--out", str(out)])
+        report = _read_json(out)
+        report["config"] = {}
+        out.write_text(json.dumps(report), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--input", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("validation error: ")
 
 
 class TestExperimentConfig:

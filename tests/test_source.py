@@ -25,18 +25,34 @@ def test_no_assert_statements():
     assert offenders == []
 
 
-def test_json_dumps_only_in_report_writer():
-    # one writer keeps key order and indentation identical across every JSON output
-    def owners(node, owner):
+def _owners(match):
+    """``path:function`` of every node that ``match`` accepts, ``<module>`` outside functions."""
+
+    def walk(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        # json.dumps calls, and `from json import dumps`
-        if (isinstance(node, ast.Attribute) and node.attr == "dumps") or (
-            isinstance(node, ast.alias) and node.name == "dumps"
-        ):
+        if match(node):
             yield owner
         for child in ast.iter_child_nodes(node):
-            yield from owners(child, owner)
+            yield from walk(child, owner)
 
-    found = [f"{path}:{owner}" for path, tree in _trees() for owner in owners(tree, "<module>")]
+    return [f"{path}:{owner}" for path, tree in _trees() for owner in walk(tree, "<module>")]
+
+
+def test_json_dumps_only_in_report_writer():
+    # one writer keeps key order and indentation identical across every JSON output
+    found = _owners(
+        # json.dumps calls, and `from json import dumps`
+        lambda node: (isinstance(node, ast.Attribute) and node.attr == "dumps")
+        or (isinstance(node, ast.alias) and node.name == "dumps")
+    )
     assert found == ["tritterlab/cli.py:report_to_json"]
+
+
+def test_pauli_bases_read_only_by_the_born_matrix():
+    # one Born route: sampling and fitting both read tomography._born_matrix
+    found = _owners(
+        lambda node: isinstance(node, ast.Subscript)
+        and ast.unparse(node.value).rpartition(".")[2] == "_BASIS"
+    )
+    assert set(found) == {"tritterlab/tomography.py:_born_matrix"}

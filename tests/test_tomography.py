@@ -24,6 +24,7 @@ from tritterlab import (
     simulate_counts,
 )
 from tritterlab.cli import ExperimentConfig, run_generate
+from tritterlab.interference import matrix_from_pairs
 from tritterlab.tomography import MLE_TOL
 
 #: the README's noisy GHZ' generation config
@@ -107,6 +108,21 @@ class TestBornProbabilities:
         with pytest.raises(ValidationError, match="mismatch"):
             born_probabilities(np.eye(4) / 4, ("Z", "Z", "Z"))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_trace_with_pauli_projectors(self, n):
+        # outcome projectors built independently: tensor products of (I + (-1)^bit sigma) / 2
+        sigma = dict(zip("XYZ", _PAULIS[1:]))
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        for setting in measurement_settings(n):
+            probs = born_probabilities(rho, setting)
+            for outcome, bits in enumerate(itertools.product((0, 1), repeat=n)):
+                projector = functools.reduce(
+                    np.kron, [(np.eye(2) + (-1) ** b * sigma[label]) / 2 for b, label in zip(bits, setting)]
+                )
+                assert abs(probs[outcome] - np.trace(projector @ rho).real) < 1e-14
+
 
 class TestSimulateCounts:
     def test_same_seed_gives_identical_tables(self):
@@ -130,6 +146,20 @@ class TestSimulateCounts:
         rho = np.eye(2) / 2
         with pytest.raises(ValidationError):
             simulate_counts(rho, measurement_settings(1), 0, seed=0)
+
+    def test_last_bits_of_rho_change_no_count(self):
+        # several noisy GHZ' settings have two outcomes of equal probability, where
+        # sampling from unrounded probabilities mirrors its draw on the last bit of rho
+        report, _ = _noisy_ghzprime_run()
+        rho = matrix_from_pairs(report["noisy"]["rho"])
+        settings = measurement_settings(3)
+        reference = simulate_counts(rho, settings, 10_000, seed=7).counts
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+            h = a + a.conj().T
+            perturbed = rho + 1e-17 * h / np.abs(h).max()
+            assert np.array_equal(simulate_counts(perturbed, settings, 10_000, seed=7).counts, reference)
 
 
 class TestReconstructMle:
@@ -173,8 +203,11 @@ class TestReconstructMle:
         rho = np.outer(v, v.conj())
         counts = simulate_counts(rho, measurement_settings(3), 2_000, seed=13)
         result = reconstruct_mle(counts)
-        history = np.array(result.log_likelihood_history)
-        assert history.size == result.iterations + 1
+        # the fit is deterministic: stopping it after k steps replays its first k
+        history = np.array(
+            [reconstruct_mle(counts, max_iter=k).log_likelihood for k in range(result.iterations + 1)]
+        )
+        assert history[-1] == result.log_likelihood
         slack = 1e-9 * (1.0 + np.abs(history[:-1]))
         assert np.all(np.diff(history) >= -slack)
 
@@ -287,7 +320,7 @@ class TestMleCrossChecks:
         result = reconstruct_mle(counts)
         assert not result.converged
         assert result.iterations == 0
-        assert len(result.log_likelihood_history) == 1
+        assert result.log_likelihood == reconstruct_mle(counts, max_iter=0).log_likelihood
 
 
 class TestMonteCarlo:
