@@ -221,9 +221,9 @@ def run_generate(config: ExperimentConfig, stamp: bool = False) -> tuple[dict, C
     counts = simulate_counts(rho_noisy, settings, config.shots, seed_counts)
     recon = reconstruct_mle(counts)
     mc_fid = monte_carlo_uncertainty(
-        counts, config.resamples, lambda r: fidelity(r, target), seed_mc_f
+        counts, config.resamples, lambda r: fidelity(r, target), seed_mc_f, start=recon.rho
     )
-    mc_pur = monte_carlo_uncertainty(counts, config.resamples, purity, seed_mc_p)
+    mc_pur = monte_carlo_uncertainty(counts, config.resamples, purity, seed_mc_p, start=recon.rho)
     witness = witness_report(recon.rho, config.state)
 
     report = {
@@ -259,6 +259,7 @@ def run_generate(config: ExperimentConfig, stamp: bool = False) -> tuple[dict, C
                 "log_likelihood": recon.log_likelihood,
                 "iterations": recon.iterations,
                 "converged": recon.converged,
+                "gap": recon.gap,
             },
             "monte_carlo": {
                 "resamples": config.resamples,
@@ -410,6 +411,8 @@ def cmd_hom(args) -> int:
 
 
 def cmd_tomo(args) -> int:
+    if args.resamples and args.target is None:
+        raise ValidationError("--resamples needs --target: the error bars are on the fidelity to it")
     counts = CountsTable.from_csv(args.counts)
     recon = reconstruct_mle(counts)
     payload = recon.to_json_dict()
@@ -420,7 +423,7 @@ def cmd_tomo(args) -> int:
         payload["purity"] = purity(recon.rho)
         if args.resamples:
             mc = monte_carlo_uncertainty(
-                counts, args.resamples, lambda r: fidelity(r, target), args.seed
+                counts, args.resamples, lambda r: fidelity(r, target), args.seed, start=recon.rho
             )
             payload["fidelity_mc"] = mc.to_json_dict()
     _write_or_print(payload, args.out, f"reconstruction -> {args.out} (converged={recon.converged})")
@@ -510,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     tomo.add_argument("--counts", required=True, help="counts CSV (setting, outcome, count)")
     tomo.add_argument("--target", type=str.lower, choices=[k.value for k in StateKind],
                       help="canonical state for fidelity")
-    tomo.add_argument("--resamples", type=int, default=0, help="Monte-Carlo resamples (0 = skip)")
+    tomo.add_argument("--resamples", type=int, default=0, help="fidelity resamples (0 = skip; needs --target)")
     tomo.add_argument("--seed", type=_seed, default=0)
     tomo.add_argument("--out", help="reconstruction JSON path (default: stdout)")
     tomo.set_defaults(func=cmd_tomo)

@@ -8,6 +8,9 @@ negative log-likelihood (Shang, Zhang & Ng, PRA 95, 062336 (2017)): every
 iterate is a density matrix, the log-likelihood never decreases, and the
 fit stops on a certified bound on its log-likelihood shortfall from the
 optimum (Glancy, Knill & Girard, New J. Phys. 14, 095017 (2012)).
+The certificate does not depend on the start, so resample fits start from
+the main estimate. p is linear in rho, so each iteration derives the new
+and the extrapolated iterate's probabilities from ones already computed.
 Uncertainties are propagated by Poisson resampling of the observed counts;
 resamples whose fit does not converge are counted and left out.
 """
@@ -23,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .validation import ConvergenceError, ValidationError, as_complex_matrix
+from .validation import ConvergenceError, ValidationError, as_complex_matrix, check_density_matrix
 
 #: certified log-likelihood shortfall at which the reconstruction stops
 MLE_TOL = 1e-2
@@ -196,6 +199,8 @@ class ReconstructionResult:
     log_likelihood: float
     iterations: int
     converged: bool
+    #: certified log-likelihood shortfall from the optimum at stop
+    gap: float
 
     def to_json_dict(self) -> dict:
         from .interference import matrix_to_pairs
@@ -205,6 +210,7 @@ class ReconstructionResult:
             "log_likelihood": self.log_likelihood,
             "iterations": self.iterations,
             "converged": self.converged,
+            "gap": self.gap,
         }
 
 
@@ -221,16 +227,26 @@ def _project_to_states(m: np.ndarray) -> np.ndarray:
     return (vecs * lam) @ vecs.conj().T
 
 
+def _checked_start(start, dim: int) -> np.ndarray:
+    """``start`` as a complex array after checking that it is a dim x dim density matrix."""
+    start = as_complex_matrix(start, "start")
+    if start.shape != (dim, dim):
+        raise ValidationError(f"start must be {dim}x{dim}, got {start.shape}")
+    check_density_matrix(start, name="start")
+    return start
+
+
 def reconstruct_mle(
-    counts: CountsTable, tol: float = MLE_TOL, max_iter: int = MLE_MAX_ITER
+    counts: CountsTable, tol: float = MLE_TOL, max_iter: int = MLE_MAX_ITER, start=None
 ) -> ReconstructionResult:
     """Maximum-likelihood density matrix from a complete Pauli counts table.
 
     Minimises the negative log-likelihood per count by accelerated projected
     gradient (FISTA with backtracking, gradient-based momentum restart) from
-    the maximally mixed state. Each step projects onto the density matrices
-    by an eigendecomposition with the eigenvalues projected onto the unit
-    simplex, and is kept only if it does not lower the log-likelihood.
+    ``0.99 * start + 0.01 * I/d``, ``start`` a density matrix (default I/d).
+    Each step projects onto the density matrices by an eigendecomposition
+    with the eigenvalues projected onto the unit simplex, and is kept only if
+    it does not lower the log-likelihood.
 
     Stops once ``N * (lambda_max(R) - 1) <= tol``, where ``N`` is the total
     count and ``R = sum_k (n_k / N) Pi_k / p_k`` (with equal counts per
@@ -249,6 +265,8 @@ def reconstruct_mle(
     dim = 2**n
     if (counts.counts.sum(axis=1) == 0).any():
         raise ValidationError("every setting needs at least one recorded count")
+    mixed = np.eye(dim, dtype=complex) / dim
+    start = mixed if start is None else _checked_start(start, dim)
 
     # only observed outcomes enter the likelihood
     flat_counts = counts.counts.reshape(-1).astype(float)
@@ -266,7 +284,7 @@ def reconstruct_mle(
         """Minus the gradient of the objective at a state with probabilities ``p``."""
         return ((weights / p) @ born_conj).reshape(dim, dim)
 
-    def change(p_from: np.ndarray, step: np.ndarray) -> float:
+    def change(p_from: np.ndarray, step: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective change ``f(rho + step) - f(rho)`` for ``p_from = p(rho)``, tr(rho) = 1.
 
         The objective ``f = -sum_k w_k log(p_k / tr rho)`` is the negative
@@ -275,16 +293,19 @@ def reconstruct_mle(
         and evaluating the change from the step itself keeps its relative
         precision near the optimum, where it falls to ~1e-17 of ``f``. Either
         loss makes the descent stall at a gap near 1e-2 on 10k-shot counts.
+        Also returns ``p(step)``.
         """
-        ratio = probabilities(step) / p_from
+        p_step = probabilities(step)
+        ratio = p_step / p_from
         if (ratio <= -1.0).any():
-            return np.inf
-        return float(np.log1p(np.trace(step).real) - weights @ np.log1p(ratio))
+            return np.inf, p_step
+        return float(np.log1p(np.trace(step).real) - weights @ np.log1p(ratio)), p_step
 
     def shortfall(r: np.ndarray) -> float:
         return float(total * (np.linalg.eigvalsh(r)[-1] - 1.0))
 
-    rho = np.eye(dim, dtype=complex) / dim
+    # from the maximally mixed start this is I/d exactly in float for d = 2, 4, 8, 16
+    rho = 0.99 * start + 0.01 * mixed
     p = probabilities(rho)
     r = r_operator(p)
     gap = shortfall(r)
@@ -299,30 +320,33 @@ def reconstruct_mle(
             z = _project_to_states(y + step * r_y)
             dz = z - y
             model = np.vdot(dz, dz).real / (2.0 * step) - np.vdot(r_y, dz).real + np.trace(dz).real
-            if change(p_y, dz) <= model:
+            trial, p_dz = change(p_y, dz)
+            if trial <= model:
                 break
             step /= 2.0
         else:
             break  # no step resolvable in floating point: stalled
         iterations += 1
-        previous = rho
-        descent = change(p, z - rho)
+        previous, p_previous = rho, p
+        # after a restart the trial step is the step from rho
+        descent = trial if y is rho else change(p, z - rho)[0]
         if descent <= 0.0:
-            rho, p = z, probabilities(z)
+            rho, p = z, p_y + p_dz
             log_likelihood -= total * descent
             restart = np.vdot(y - z, z - previous).real > 0.0
+            r = r_operator(p)
+            gap = shortfall(r)
         else:
-            restart = True
-        r = r_operator(p)
-        gap = shortfall(r)
+            restart = True  # rho, and so r and gap, stay as they are
         y, p_y, r_y = rho, p, r
         if restart:
             momentum = 1.0
         else:
             following = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
-            extrapolated = rho + ((momentum - 1.0) / following) * (rho - previous)
+            weight = (momentum - 1.0) / following
+            extrapolated = rho + weight * (rho - previous)
             momentum = following
-            p_extrapolated = probabilities(extrapolated)
+            p_extrapolated = p + weight * (p - p_previous)
             if (p_extrapolated > 0.0).all():
                 y, p_y, r_y = extrapolated, p_extrapolated, r_operator(p_extrapolated)
             else:
@@ -337,6 +361,7 @@ def reconstruct_mle(
         log_likelihood=log_likelihood,
         iterations=iterations,
         converged=bool(gap <= tol),
+        gap=gap,
     )
 
 
@@ -346,13 +371,16 @@ class MonteCarloResult:
 
     ``values`` holds converged resamples only; ``failures`` counts resamples
     whose reconstruction raised and ``unconverged`` those that stopped short
-    of the likelihood tolerance.
+    of the likelihood tolerance. ``iterations`` (total) and ``iterations_max``
+    run over every reconstruction that returned, converged or not.
     """
 
     mean: float
     std: float
     failures: int
     unconverged: int
+    iterations: int
+    iterations_max: int
     values: tuple[float, ...] = field(repr=False, default=())
 
     def to_json_dict(self) -> dict:
@@ -361,6 +389,8 @@ class MonteCarloResult:
             "std": self.std,
             "failures": self.failures,
             "unconverged": self.unconverged,
+            "iterations": self.iterations,
+            "iterations_max": self.iterations_max,
         }
 
 
@@ -371,16 +401,20 @@ def monte_carlo_uncertainty(
     seed,
     tol: float = MLE_TOL,
     max_iter: int = MLE_MAX_ITER,
+    start=None,
 ) -> MonteCarloResult:
     """Poisson-resample counts, re-reconstruct, and evaluate a functional.
 
     Each resample draws every outcome count Poissonian around the observed
-    value, re-runs the likelihood reconstruction and applies ``functional``
-    to the estimate. Failed and unconverged reconstructions are counted and
-    excluded; fewer than two converged resamples raise ``ConvergenceError``.
+    value, re-runs the likelihood reconstruction from ``start`` (see
+    ``reconstruct_mle``) and applies ``functional`` to the estimate. Failed
+    and unconverged reconstructions are counted and excluded; fewer than two
+    converged resamples raise ``ConvergenceError``.
     """
     if int(resamples) < 2:
         raise ValidationError("resamples must be at least 2")
+    if start is not None:  # a bad start is the caller's error, not a failed resample
+        start = _checked_start(start, 2**counts.n_qubits)
     if isinstance(seed, np.random.SeedSequence):
         seed_seq = seed
     else:
@@ -389,13 +423,15 @@ def monte_carlo_uncertainty(
     values: list[float] = []
     failures = 0
     unconverged = 0
+    iterations: list[int] = []
     for child in children:
         rng = np.random.default_rng(child)
         drawn = rng.poisson(counts.counts)
         shots = max(int(drawn.sum(axis=1).max()), 1)
         try:
             table = CountsTable(counts.settings, drawn, shots)
-            result = reconstruct_mle(table, tol=tol, max_iter=max_iter)
+            result = reconstruct_mle(table, tol=tol, max_iter=max_iter, start=start)
+            iterations.append(result.iterations)
             if not result.converged:
                 unconverged += 1
                 continue
@@ -413,5 +449,7 @@ def monte_carlo_uncertainty(
         std=float(arr.std(ddof=1)),
         failures=failures,
         unconverged=unconverged,
+        iterations=sum(iterations),
+        iterations_max=max(iterations),
         values=tuple(values),
     )

@@ -9,7 +9,7 @@ import pytest
 
 import tritterlab.cli
 from tritterlab.cli import ExperimentConfig, build_parser, main, run_generate
-from tritterlab.tomography import monte_carlo_uncertainty
+from tritterlab.tomography import MLE_TOL, monte_carlo_uncertainty
 
 TABLE1_CSV = (
     "Output 1 (%),Output 2 (%),Output 3 (%),Insertion loss (dB)\n"
@@ -129,10 +129,12 @@ class TestGenerate:
         out = tmp_path / "report.json"
         assert main(["generate", "--state", "w", "--shots", "1000", "--seed", "4",
                      "--resamples", "3", "--out", str(out)]) == 0
-        monte_carlo = _read_json(out)["tomography"]["monte_carlo"]
-        for block in (monte_carlo["fidelity"], monte_carlo["purity"]):
+        tomo = _read_json(out)["tomography"]
+        assert 0.0 <= tomo["reconstruction"]["gap"] <= MLE_TOL
+        for block in (tomo["monte_carlo"]["fidelity"], tomo["monte_carlo"]["purity"]):
             assert block["failures"] == 0
             assert block["unconverged"] == 0
+            assert 1 <= block["iterations_max"] <= block["iterations"] <= 3 * block["iterations_max"]
 
     def test_unconverged_resamples_exit_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(
@@ -319,6 +321,19 @@ class TestTomo:
         assert payload["converged"] is True
         assert "fidelity_mc" in payload
         assert len(payload["rho"]) == 8
+        assert 0.0 <= payload["gap"] <= MLE_TOL
+        mc = payload["fidelity_mc"]
+        assert 1 <= mc["iterations_max"] <= mc["iterations"] <= 4 * mc["iterations_max"]
+
+    def test_resamples_without_target_exits_2(self, tmp_path, capsys):
+        counts = tmp_path / "one-qubit.csv"
+        counts.write_text("setting,outcome,count\nX,0,60\nX,1,40\nY,0,55\nY,1,45\nZ,0,70\nZ,1,30\n",
+                          encoding="utf-8")
+        out = tmp_path / "recon.json"
+        assert main(["tomo", "--counts", str(counts), "--resamples", "5", "--out", str(out)]) == 2
+        assert "--target" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["tomo", "--counts", str(counts), "--out", str(out)]) == 0
 
     def test_monte_carlo_block_counts_unconverged(self, tmp_path):
         main(["generate", "--state", "w", "--shots", "1000", "--seed", "2",

@@ -56,3 +56,13 @@ def test_pauli_bases_read_only_by_the_born_matrix():
         and ast.unparse(node.value).rpartition(".")[2] == "_BASIS"
     )
     assert set(found) == {"tritterlab/tomography.py:_born_matrix"}
+
+
+def test_no_environment_reads():
+    # behaviour comes from arguments and config files alone, never from the environment
+    found = _owners(
+        lambda node: (isinstance(node, ast.Attribute) and ast.unparse(node) in ("os.environ", "os.getenv"))
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name in ("environ", "getenv") for alias in node.names))
+    )
+    assert found == []

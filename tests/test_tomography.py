@@ -254,15 +254,17 @@ def _outcome_projectors(setting):
 
 
 def _certified_shortfall(counts, rho):
-    """Counts * (lambda_max(R) - 1) with R = sum_k (f_k / p_k) Pi_k / S, frequencies per setting."""
+    """N * (lambda_max(R) - 1) with R = sum_k (n_k / N) Pi_k / p_k over observed outcomes, N counts in all.
+
+    With equal counts per setting, n_k / N = f_k / S for frequencies f_k per setting and S settings.
+    """
+    total = counts.counts.sum()
     r_op = np.zeros_like(rho)
     for setting, row in zip(counts.settings, counts.counts):
-        freqs = row / row.sum()
         probs = born_probabilities(rho, setting)
-        seen = freqs > 0
-        r_op += np.einsum("k,kab->ab", freqs[seen] / probs[seen], _outcome_projectors(setting)[seen])
-    r_op /= len(counts.settings)
-    return counts.counts.sum() * (np.linalg.eigvalsh(r_op)[-1] - 1.0)
+        seen = row > 0
+        r_op += np.einsum("k,kab->ab", row[seen] / total / probs[seen], _outcome_projectors(setting)[seen])
+    return total * (np.linalg.eigvalsh(r_op)[-1] - 1.0)
 
 
 class TestMleCrossChecks:
@@ -323,6 +325,86 @@ class TestMleCrossChecks:
         assert result.log_likelihood == reconstruct_mle(counts, max_iter=0).log_likelihood
 
 
+def _source_counts(source):
+    """The ideal W counts (seed 7) or the README noisy GHZ' counts (tomography seed 7)."""
+    if source == "ideal-w":
+        v = canonical_state("w")
+        return simulate_counts(np.outer(v, v.conj()), measurement_settings(3), 10_000, seed=7)
+    return _noisy_ghzprime_run()[1]
+
+
+def _main_and_warm_fits(source, monkeypatch, resamples=5):
+    """(counts, fit) of the main fit and of each resample fit started from its estimate."""
+    counts = _source_counts(source)
+    main = reconstruct_mle(counts)
+    fits = [(counts, main)]
+
+    def recording(table, **kwargs):
+        result = reconstruct_mle(table, **kwargs)
+        fits.append((table, result))
+        return result
+
+    monkeypatch.setattr(tritterlab.tomography, "reconstruct_mle", recording)
+    monte_carlo_uncertainty(counts, resamples, purity, seed=7, start=main.rho)
+    assert len(fits) == resamples + 1
+    return fits
+
+
+@pytest.mark.parametrize("source", ["ideal-w", "noisy-ghzprime"])
+class TestWarmStart:
+    def test_log_likelihood_is_that_of_the_estimate(self, source, monkeypatch):
+        # the fit derives probabilities from earlier ones; the Born rule recomputes them from rho
+        for counts, result in _main_and_warm_fits(source, monkeypatch):
+            flat = counts.counts.reshape(-1)
+            probs = np.concatenate([born_probabilities(result.rho, s) for s in counts.settings])
+            seen = flat > 0
+            assert abs(result.log_likelihood - flat[seen] @ np.log(probs[seen])) <= 1e-6
+
+    def test_warm_fits_meet_independent_certificate(self, source, monkeypatch):
+        for counts, result in _main_and_warm_fits(source, monkeypatch)[1:]:
+            assert result.converged
+            shortfall = _certified_shortfall(counts, result.rho)
+            assert -1e-6 < shortfall <= MLE_TOL
+            assert result.gap == pytest.approx(shortfall, abs=1e-6)
+
+
+class TestStart:
+    def test_default_is_the_maximally_mixed_state(self):
+        counts = _source_counts("ideal-w")
+        default, explicit = reconstruct_mle(counts), reconstruct_mle(counts, start=np.eye(8) / 8)
+        assert np.array_equal(default.rho, explicit.rho)
+        assert (default.iterations, default.gap) == (explicit.iterations, explicit.gap)
+
+    @pytest.mark.parametrize(
+        "start",
+        [np.eye(4) / 4, np.eye(2), np.array([[0.5, 0.1], [0.0, 0.5]])],
+        ids=["wrong-shape", "trace-2", "non-hermitian"],
+    )
+    def test_non_state_rejected(self, start):
+        counts = simulate_counts(np.eye(2) / 2, measurement_settings(1), 200, seed=3)
+        with pytest.raises(ValidationError, match="start"):
+            reconstruct_mle(counts, start=start)
+        with pytest.raises(ValidationError, match="start"):
+            monte_carlo_uncertainty(counts, 2, purity, seed=0, start=start)
+
+    def test_warm_start_keeps_noisy_ghzprime_error_bar(self):
+        counts = _source_counts("noisy-ghzprime")
+        main = reconstruct_mle(counts)
+        target = canonical_state("ghzprime")
+        cold = monte_carlo_uncertainty(counts, 10, lambda r: fidelity(r, target), seed=7)
+        warm = monte_carlo_uncertainty(counts, 10, lambda r: fidelity(r, target), seed=7, start=main.rho)
+        assert warm.std == pytest.approx(cold.std, rel=0.01)
+        assert warm.iterations < cold.iterations
+
+    def test_warm_ideal_w_resamples_take_few_iterations(self):
+        counts = _source_counts("ideal-w")
+        main = reconstruct_mle(counts)
+        mc = monte_carlo_uncertainty(counts, 50, purity, seed=7, start=main.rho)
+        # cold fits take 10 at most on these counts; warm ones took at most 6 over seeds 1, 2 and 7
+        assert mc.unconverged == 0
+        assert mc.iterations_max <= 6
+
+
 class TestMonteCarlo:
     def test_high_shot_counts_concentrate(self):
         v = canonical_state("w")
@@ -377,6 +459,22 @@ class TestMonteCarlo:
         assert mc.unconverged == 3
         assert mc.failures == 0
         assert mc.values == reference.values[::2]
+
+    def test_iterations_cover_every_returned_fit(self, monkeypatch):
+        counts = simulate_counts(np.eye(2) / 2, measurement_settings(1), 500, seed=1)
+        seen = []
+
+        def every_other_unconverged(table, **kwargs):
+            result = reconstruct_mle(table, **kwargs)
+            if len(seen) % 2:
+                result = dataclasses.replace(result, converged=False, iterations=1000 + len(seen))
+            seen.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(tritterlab.tomography, "reconstruct_mle", every_other_unconverged)
+        mc = monte_carlo_uncertainty(counts, 6, purity, seed=4)
+        assert mc.unconverged == 3
+        assert (mc.iterations, mc.iterations_max) == (sum(seen), 1005)
 
     def test_deterministic_for_fixed_seed(self):
         rho = np.eye(2) / 2
