@@ -8,6 +8,11 @@ negative log-likelihood (Shang, Zhang & Ng, PRA 95, 062336 (2017)): every
 iterate is a density matrix, the log-likelihood never decreases, and the
 fit stops on a certified bound on its log-likelihood shortfall from the
 optimum (Glancy, Knill & Girard, New J. Phys. 14, 095017 (2012)).
+Estimates on the boundary of the state space (rank below the dimension)
+make projected gradient crawl, so once its rank holds and the gap falls
+slowly the fit takes Newton steps on the states of that rank, and falls
+back to projected gradient when one fails. A fit that accepts no step for
+20 iterations in a row ends unconverged.
 The certificate does not depend on the start, so resample fits start from
 the main estimate. p is linear in rho, so each iteration derives the new
 and the extrapolated iterate's probabilities from ones already computed.
@@ -33,6 +38,10 @@ MLE_TOL = 1e-2
 MLE_MAX_ITER = 10_000
 #: step halvings before a likelihood step counts as stalled
 _MAX_HALVINGS = 60
+#: iterations in a row that accept no step before a fit counts as stalled
+_MAX_IDLE = 20
+#: accepted steps that keep the rank and the gap above half before a Newton step
+_STEADY_STEPS = 3
 #: sampled probabilities are multiples of 1 / _GRID
 _GRID = 2.0**40
 
@@ -214,8 +223,8 @@ class ReconstructionResult:
         }
 
 
-def _project_to_states(m: np.ndarray) -> np.ndarray:
-    """Nearest density matrix to Hermitian ``m`` in Frobenius norm.
+def _project_to_states(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """Nearest density matrix to Hermitian ``m`` in Frobenius norm, and its rank.
 
     Keeps the eigenvectors and projects the eigenvalues onto the unit simplex.
     """
@@ -224,7 +233,31 @@ def _project_to_states(m: np.ndarray) -> np.ndarray:
     shifts = (np.cumsum(top) - 1.0) / np.arange(1, vals.size + 1)
     kept = np.count_nonzero(top > shifts)  # the condition holds on a prefix
     lam = np.maximum(vals - shifts[kept - 1], 0.0)
-    return (vecs * lam) @ vecs.conj().T
+    return (vecs * lam) @ vecs.conj().T, int(kept)
+
+
+@functools.cache
+def _tangent_basis(dim: int, rank: int) -> np.ndarray:
+    """Columns ``vec(E)`` spanning the directions tangent to rank-``rank`` states in their eigenframe.
+
+    With the support first, each ``E`` is Hermitian: traceless on the support
+    block (``rank**2 - 1`` reals), free between support and kernel
+    (``2 * rank * (dim - rank)`` reals) and zero on the kernel block.
+    """
+    directions = []
+    for a, b in itertools.combinations(range(dim), 2):
+        if a < rank:
+            for entry in (1.0, 1.0j):
+                e = np.zeros((dim, dim), dtype=complex)
+                e[a, b], e[b, a] = entry, np.conj(entry)
+                directions.append(e)
+    for a in range(rank - 1):
+        e = np.zeros((dim, dim), dtype=complex)
+        e[a, a], e[rank - 1, rank - 1] = 1.0, -1.0
+        directions.append(e)
+    basis = np.stack([e.ravel() for e in directions], axis=1)
+    basis.setflags(write=False)
+    return basis
 
 
 def _checked_start(start, dim: int) -> np.ndarray:
@@ -246,7 +279,9 @@ def reconstruct_mle(
     ``0.99 * start + 0.01 * I/d``, ``start`` a density matrix (default I/d).
     Each step projects onto the density matrices by an eigendecomposition
     with the eigenvalues projected onto the unit simplex, and is kept only if
-    it does not lower the log-likelihood.
+    it does not lower the log-likelihood. Once the projection has kept one
+    rank for 3 accepted steps that each left over half the gap, the fit
+    tries Newton steps on the states of that rank (see ``newton``) instead.
 
     Stops once ``N * (lambda_max(R) - 1) <= tol``, where ``N`` is the total
     count and ``R = sum_k (n_k / N) Pi_k / p_k`` (with equal counts per
@@ -255,7 +290,8 @@ def reconstruct_mle(
     ``logL(rho_ml) - logL(rho)`` from above, so ``tol`` is in log-likelihood
     units. The estimate is positive semidefinite with unit trace by
     construction; ``converged`` is False if ``max_iter`` steps end above
-    ``tol`` or a step can no longer be resolved in floating point.
+    ``tol``, or if a step can no longer be resolved in floating point or
+    20 iterations in a row accept none.
     """
     n = counts.n_qubits
     index = {s: i for i, s in enumerate(measurement_settings(n))}
@@ -304,6 +340,54 @@ def reconstruct_mle(
     def shortfall(r: np.ndarray) -> float:
         return float(total * (np.linalg.eigvalsh(r)[-1] - 1.0))
 
+    def newton(rho: np.ndarray, p: np.ndarray, r: np.ndarray, rank: int, gap: float):
+        """Newton step on the rank-``rank`` states through ``rho``, or None if none lowers the gap.
+
+        In the eigenframe ``[V, V_perp]`` of ``rho = V S V^H`` a tangent
+        direction has a traceless support block ``X`` and a support-to-kernel
+        block ``Y``, retracted to the rank-``rank`` state
+        ``[[S + X, Y], [Y^H, Y^H (S + X)^-1 Y]]`` (PSD while ``S + X`` is
+        positive definite). The quadratic model of ``f`` has gradient
+        ``tr((I - R) D)``, Hessian ``J^T diag(w / p^2) J`` for the tangent
+        probabilities ``J``, plus the retraction's kernel-block curvature
+        ``tr((I - R)_kernel Y^H S^-1 Y)``. Tries the full, half and quarter
+        step; returns (rho, p, r, gap, change) of the first that keeps the
+        log-likelihood and lowers the gap.
+        """
+        vals, frame = np.linalg.eigh(rho)
+        frame, support = frame[:, ::-1], vals[::-1][:rank]
+        basis = _tangent_basis(dim, rank)
+        jacobian = (born @ np.kron(frame, frame.conj()) @ basis).real
+        kernel = np.eye(dim - rank) - (frame.conj().T @ r @ frame)[rank:, rank:]
+        y_blocks = basis.T.reshape(-1, dim, dim)[:, :rank, rank:]
+        curvature = y_blocks.conj().reshape(len(y_blocks), -1) @ (
+            (y_blocks / support[:, None]) @ kernel).reshape(len(y_blocks), -1).T
+        hessian = jacobian.T @ (jacobian * (weights / p**2)[:, None]) + 2.0 * curvature.real
+        try:
+            direction = (basis @ np.linalg.solve(hessian, (weights / p) @ jacobian)).reshape(dim, dim)
+        except np.linalg.LinAlgError:
+            return None
+        for scale in (1.0, 0.5, 0.25):
+            shift, coupling = scale * direction[:rank, :rank], scale * direction[:rank, rank:]
+            try:
+                whitened = np.linalg.solve(np.linalg.cholesky(np.diag(support) + shift), coupling)
+            except np.linalg.LinAlgError:
+                continue  # S + X is not positive definite
+            grown = whitened.conj().T @ whitened
+            added = np.trace(grown).real  # tr of the retracted state minus 1, as tr X = 0
+            # the retracted state over its trace minus diag(S, 0), formed without cancellation
+            step = np.block([[shift - added * np.diag(support), coupling], [coupling.conj().T, grown]])
+            step = frame @ (step / (1.0 + added)) @ frame.conj().T
+            step = (step + step.conj().T) / 2.0
+            descent, p_step = change(p, step)
+            if descent <= 0.0:
+                p_moved = p + p_step
+                r_moved = r_operator(p_moved)
+                gap_moved = shortfall(r_moved)
+                if gap_moved < gap:
+                    return rho + step, p_moved, r_moved, gap_moved, descent
+        return None
+
     # from the maximally mixed start this is I/d exactly in float for d = 2, 4, 8, 16
     rho = 0.99 * start + 0.01 * mixed
     p = probabilities(rho)
@@ -315,9 +399,22 @@ def reconstruct_mle(
     momentum = 1.0
     step = 1.0
     iterations = 0
-    while gap > tol and iterations < max_iter:
+    rank, steady = dim, 0  # accepted steps in a row that kept the rank and over half the gap
+    idle = 0  # iterations in a row that accepted no step
+    while gap > tol and iterations < max_iter and idle < _MAX_IDLE:
+        if steady >= _STEADY_STEPS:
+            newton_step = newton(rho, p, r, rank, gap)
+            if newton_step is not None:
+                iterations += 1
+                idle = 0
+                rho, p, r, gap, descent = newton_step
+                log_likelihood -= total * descent
+                y, p_y, r_y = rho, p, r
+                momentum = 1.0
+                continue
+            steady = 0
         for _ in range(_MAX_HALVINGS):
-            z = _project_to_states(y + step * r_y)
+            z, kept = _project_to_states(y + step * r_y)
             dz = z - y
             model = np.vdot(dz, dz).real / (2.0 * step) - np.vdot(r_y, dz).real + np.trace(dz).real
             trial, p_dz = change(p_y, dz)
@@ -335,9 +432,13 @@ def reconstruct_mle(
             log_likelihood -= total * descent
             restart = np.vdot(y - z, z - previous).real > 0.0
             r = r_operator(p)
-            gap = shortfall(r)
+            gap, previous_gap = shortfall(r), gap
+            steady = steady + 1 if kept == rank and gap > previous_gap / 2.0 else 0
+            rank = kept
+            idle = 0
         else:
             restart = True  # rho, and so r and gap, stay as they are
+            idle += 1
         y, p_y, r_y = rho, p, r
         if restart:
             momentum = 1.0
@@ -371,8 +472,9 @@ class MonteCarloResult:
 
     ``values`` holds converged resamples only; ``failures`` counts resamples
     whose reconstruction raised and ``unconverged`` those that stopped short
-    of the likelihood tolerance. ``iterations`` (total) and ``iterations_max``
-    run over every reconstruction that returned, converged or not.
+    of the likelihood tolerance. ``iterations`` (total), ``iterations_max``
+    and ``gap_max`` (the largest certified gap) run over every
+    reconstruction that returned, converged or not.
     """
 
     mean: float
@@ -381,6 +483,7 @@ class MonteCarloResult:
     unconverged: int
     iterations: int
     iterations_max: int
+    gap_max: float
     values: tuple[float, ...] = field(repr=False, default=())
 
     def to_json_dict(self) -> dict:
@@ -391,6 +494,7 @@ class MonteCarloResult:
             "unconverged": self.unconverged,
             "iterations": self.iterations,
             "iterations_max": self.iterations_max,
+            "gap_max": self.gap_max,
         }
 
 
@@ -424,6 +528,7 @@ def monte_carlo_uncertainty(
     failures = 0
     unconverged = 0
     iterations: list[int] = []
+    gaps: list[float] = []
     for child in children:
         rng = np.random.default_rng(child)
         drawn = rng.poisson(counts.counts)
@@ -432,6 +537,7 @@ def monte_carlo_uncertainty(
             table = CountsTable(counts.settings, drawn, shots)
             result = reconstruct_mle(table, tol=tol, max_iter=max_iter, start=start)
             iterations.append(result.iterations)
+            gaps.append(result.gap)
             if not result.converged:
                 unconverged += 1
                 continue
@@ -451,5 +557,6 @@ def monte_carlo_uncertainty(
         unconverged=unconverged,
         iterations=sum(iterations),
         iterations_max=max(iterations),
+        gap_max=max(gaps),
         values=tuple(values),
     )

@@ -135,6 +135,7 @@ class TestGenerate:
             assert block["failures"] == 0
             assert block["unconverged"] == 0
             assert 1 <= block["iterations_max"] <= block["iterations"] <= 3 * block["iterations_max"]
+            assert 0.0 <= block["gap_max"] <= MLE_TOL
 
     def test_unconverged_resamples_exit_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(
@@ -324,6 +325,7 @@ class TestTomo:
         assert 0.0 <= payload["gap"] <= MLE_TOL
         mc = payload["fidelity_mc"]
         assert 1 <= mc["iterations_max"] <= mc["iterations"] <= 4 * mc["iterations_max"]
+        assert 0.0 <= mc["gap_max"] <= MLE_TOL
 
     def test_resamples_without_target_exits_2(self, tmp_path, capsys):
         counts = tmp_path / "one-qubit.csv"

@@ -1,7 +1,10 @@
 """Static checks on the package source."""
 
 import ast
+import inspect
 from pathlib import Path
+
+from tritterlab import reconstruct_mle
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tritterlab"
 
@@ -66,3 +69,8 @@ def test_no_environment_reads():
             and any(alias.name in ("environ", "getenv") for alias in node.names))
     )
     assert found == []
+
+
+def test_fit_signature_has_no_knobs():
+    # the Newton finish and the stall stop are part of the one solver, not options
+    assert list(inspect.signature(reconstruct_mle).parameters) == ["counts", "tol", "max_iter", "start"]

@@ -238,8 +238,8 @@ class TestReconstructMle:
         assert np.abs(a.rho - b.rho).max() < 1e-9
 
 
-def _noisy_ghzprime_run(resamples: int = 2):
-    config = dict(NOISY_GHZPRIME, tomography={"shots": 10_000, "resamples": resamples, "seed": 7})
+def _noisy_ghzprime_run(resamples: int = 2, seed: int = 7):
+    config = dict(NOISY_GHZPRIME, tomography={"shots": 10_000, "resamples": resamples, "seed": seed})
     return run_generate(ExperimentConfig.from_dict(config))
 
 
@@ -317,12 +317,66 @@ class TestMleCrossChecks:
     def test_stalled_step_ends_unconverged(self, monkeypatch):
         # a projection that always lands on a state the counts rule out
         pure = np.diag([1.0, 0.0]).astype(complex)
-        monkeypatch.setattr(tritterlab.tomography, "_project_to_states", lambda m: pure)
+        monkeypatch.setattr(tritterlab.tomography, "_project_to_states", lambda m: (pure, 1))
         counts = simulate_counts(np.eye(2) / 2, measurement_settings(1), 500, seed=4)
         result = reconstruct_mle(counts)
         assert not result.converged
         assert result.iterations == 0
         assert result.log_likelihood == reconstruct_mle(counts, max_iter=0).log_likelihood
+
+
+def _is_density_matrix(rho):
+    return (np.abs(rho - rho.conj().T).max() < 1e-12 and abs(np.trace(rho).real - 1.0) < 1e-12
+            and np.linalg.eigvalsh(rho).min() >= -1e-12)
+
+
+class TestBoundaryFinish:
+    """The README noisy GHZ' estimate has rank 7 of 8; Newton steps on the fixed-rank states finish it."""
+
+    def test_main_fit_finishes_quickly(self):
+        result = reconstruct_mle(_noisy_ghzprime_run()[1])
+        # projected gradient alone takes 90 iterations and stops at a gap of 0.0095
+        assert result.converged
+        assert result.iterations <= 40
+        assert result.gap <= 1e-3
+
+    def test_replay_through_newton_steps_never_lowers_log_likelihood(self, monkeypatch):
+        counts = _noisy_ghzprime_run()[1]
+        ranks = []
+        basis = tritterlab.tomography._tangent_basis
+        monkeypatch.setattr(tritterlab.tomography, "_tangent_basis", lambda d, r: ranks.append(r) or basis(d, r))
+        result = reconstruct_mle(counts)
+        assert ranks  # the fit took Newton steps
+        fits = [reconstruct_mle(counts, max_iter=k) for k in range(result.iterations + 1)]
+        history = np.array([fit.log_likelihood for fit in fits])
+        assert history[-1] == result.log_likelihood
+        slack = 1e-9 * (1.0 + np.abs(history[:-1]))
+        assert np.all(np.diff(history) >= -slack)
+        assert all(_is_density_matrix(fit.rho) for fit in fits)
+
+    @pytest.mark.parametrize("seed", [7, 1])
+    def test_tight_tolerance_fits_converge(self, seed, monkeypatch):
+        counts = _noisy_ghzprime_run(seed=seed)[1]
+        fits = [reconstruct_mle(counts, tol=1e-5, max_iter=150)]
+
+        def recording(table, **kwargs):
+            result = reconstruct_mle(table, **kwargs)
+            fits.append(result)
+            return result
+
+        monkeypatch.setattr(tritterlab.tomography, "reconstruct_mle", recording)
+        monte_carlo_uncertainty(counts, 20, purity, seed=seed, tol=1e-5, max_iter=150)
+        assert len(fits) == 21
+        assert all(fit.converged for fit in fits)
+
+    def test_stalled_fit_ends_unconverged(self):
+        # below the certificate's float resolution: N * 2^-52 is 6e-11 on these 270k counts
+        counts = _noisy_ghzprime_run()[1]
+        result = reconstruct_mle(counts, tol=1e-12)
+        assert not result.converged
+        assert result.iterations <= 100
+        assert result.gap < 1e-6
+        assert result.log_likelihood >= reconstruct_mle(counts).log_likelihood
 
 
 def _source_counts(source):
@@ -475,6 +529,22 @@ class TestMonteCarlo:
         mc = monte_carlo_uncertainty(counts, 6, purity, seed=4)
         assert mc.unconverged == 3
         assert (mc.iterations, mc.iterations_max) == (sum(seen), 1005)
+
+    def test_gap_max_is_the_largest_gap_of_every_returned_fit(self, monkeypatch):
+        counts = simulate_counts(np.eye(2) / 2, measurement_settings(1), 500, seed=1)
+        gaps = []
+
+        def every_other_unconverged(table, **kwargs):
+            result = reconstruct_mle(table, **kwargs)
+            if len(gaps) % 2:
+                result = dataclasses.replace(result, converged=False, gap=1.0 + len(gaps))
+            gaps.append(result.gap)
+            return result
+
+        monkeypatch.setattr(tritterlab.tomography, "reconstruct_mle", every_other_unconverged)
+        mc = monte_carlo_uncertainty(counts, 6, purity, seed=4)
+        assert mc.gap_max == max(gaps) == 6.0
+        assert mc.to_json_dict()["gap_max"] == mc.gap_max
 
     def test_deterministic_for_fixed_seed(self):
         rho = np.eye(2) / 2
