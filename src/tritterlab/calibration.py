@@ -97,6 +97,8 @@ def sinkhorn_magnitudes(
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
+    if int(max_iter) < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     frac = table.fractions if isinstance(table, IntensityTable) else np.array(table, dtype=float)
     if frac.ndim != 2 or frac.shape[0] != frac.shape[1]:
         raise ValidationError(f"need a square ratio matrix, got shape {frac.shape}")

@@ -3,19 +3,19 @@
 One cached Born matrix per qubit count serves both sampling and fitting.
 Counts are multinomial draws from each setting's probabilities rounded to a
 2^-40 grid summing to exactly 1, so the last bits of rho change no count.
-Density matrices are reconstructed by accelerated projected gradient on the
-negative log-likelihood (Shang, Zhang & Ng, PRA 95, 062336 (2017)): every
-iterate is a density matrix, the log-likelihood never decreases, and the
-fit stops on a certified bound on its log-likelihood shortfall from the
-optimum (Glancy, Knill & Girard, New J. Phys. 14, 095017 (2012)).
+Density matrices are reconstructed by projected gradient on the negative
+log-likelihood (Shang, Zhang & Ng, PRA 95, 062336 (2017)): every iterate is
+a density matrix, the log-likelihood never decreases, and the fit stops on a
+certified bound on its log-likelihood shortfall from the optimum (Glancy,
+Knill & Girard, New J. Phys. 14, 095017 (2012)).
 Estimates on the boundary of the state space (rank below the dimension)
 make projected gradient crawl, so once its rank holds and the gap falls
 slowly the fit takes Newton steps on the states of that rank, and falls
 back to projected gradient when one fails. A fit that accepts no step for
 20 iterations in a row ends unconverged.
 The certificate does not depend on the start, so resample fits start from
-the main estimate. p is linear in rho, so each iteration derives the new
-and the extrapolated iterate's probabilities from ones already computed.
+the main estimate. p is linear in rho, so each accepted step adds the
+step's probabilities to the current ones.
 Uncertainties are propagated by Poisson resampling of the observed counts;
 resamples whose fit does not converge are counted and left out.
 """
@@ -170,7 +170,10 @@ class CountsTable:
                     raise ValidationError(f"{path.name}: line {lineno}: bad outcome or count")
                 if len(outcome) != n or not 0 <= idx < 2**n:
                     raise ValidationError(f"{path.name}: line {lineno}: outcome '{outcome}' invalid")
-                per_setting.setdefault(setting, {})[idx] = count
+                row_counts = per_setting.setdefault(setting, {})
+                if idx in row_counts:
+                    raise ValidationError(f"{path.name}: line {lineno}: repeats setting {label} outcome {outcome}")
+                row_counts[idx] = count
         if not per_setting or n is None:
             raise ValidationError(f"{path.name}: no count rows found")
         settings = sorted(per_setting)
@@ -274,10 +277,10 @@ def reconstruct_mle(
 ) -> ReconstructionResult:
     """Maximum-likelihood density matrix from a complete Pauli counts table.
 
-    Minimises the negative log-likelihood per count by accelerated projected
-    gradient (FISTA with backtracking, gradient-based momentum restart) from
-    ``0.99 * start + 0.01 * I/d``, ``start`` a density matrix (default I/d).
-    Each step projects onto the density matrices by an eigendecomposition
+    Minimises the negative log-likelihood per count by projected gradient
+    with backtracking from ``0.99 * start + 0.01 * I/d``, ``start`` a density
+    matrix (default I/d). Each step moves along ``R`` from the current
+    estimate, projects onto the density matrices by an eigendecomposition
     with the eigenvalues projected onto the unit simplex, and is kept only if
     it does not lower the log-likelihood. Once the projection has kept one
     rank for 3 accepted steps that each left over half the gap, the fit
@@ -308,7 +311,6 @@ def reconstruct_mle(
     flat_counts = counts.counts.reshape(-1).astype(float)
     observed = flat_counts > 0
     born = _born_matrix(n)[[index[s] for s in counts.settings]].reshape(-1, dim * dim)[observed]
-    born_conj = born.conj()
     flat_counts = flat_counts[observed]
     total = float(flat_counts.sum())
     weights = flat_counts / total
@@ -318,7 +320,7 @@ def reconstruct_mle(
 
     def r_operator(p: np.ndarray) -> np.ndarray:
         """Minus the gradient of the objective at a state with probabilities ``p``."""
-        return ((weights / p) @ born_conj).reshape(dim, dim)
+        return ((weights / p) @ born).conj().reshape(dim, dim)
 
     def change(p_from: np.ndarray, step: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective change ``f(rho + step) - f(rho)`` for ``p_from = p(rho)``, tr(rho) = 1.
@@ -395,8 +397,6 @@ def reconstruct_mle(
     gap = shortfall(r)
     # the initial log-likelihood plus each accepted change: never decreases
     log_likelihood = float(flat_counts @ np.log(p))
-    y, p_y, r_y = rho, p, r  # extrapolated point of the accelerated step
-    momentum = 1.0
     step = 1.0
     iterations = 0
     rank, steady = dim, 0  # accepted steps in a row that kept the rank and over half the gap
@@ -409,49 +409,29 @@ def reconstruct_mle(
                 idle = 0
                 rho, p, r, gap, descent = newton_step
                 log_likelihood -= total * descent
-                y, p_y, r_y = rho, p, r
-                momentum = 1.0
                 continue
             steady = 0
         for _ in range(_MAX_HALVINGS):
-            z, kept = _project_to_states(y + step * r_y)
-            dz = z - y
-            model = np.vdot(dz, dz).real / (2.0 * step) - np.vdot(r_y, dz).real + np.trace(dz).real
-            trial, p_dz = change(p_y, dz)
-            if trial <= model:
+            z, kept = _project_to_states(rho + step * r)
+            dz = z - rho
+            model = np.vdot(dz, dz).real / (2.0 * step) - np.vdot(r, dz).real + np.trace(dz).real
+            descent, p_dz = change(p, dz)
+            if descent <= model:
                 break
             step /= 2.0
         else:
             break  # no step resolvable in floating point: stalled
         iterations += 1
-        previous, p_previous = rho, p
-        # after a restart the trial step is the step from rho
-        descent = trial if y is rho else change(p, z - rho)[0]
         if descent <= 0.0:
-            rho, p = z, p_y + p_dz
+            rho, p = z, p + p_dz
             log_likelihood -= total * descent
-            restart = np.vdot(y - z, z - previous).real > 0.0
             r = r_operator(p)
             gap, previous_gap = shortfall(r), gap
             steady = steady + 1 if kept == rank and gap > previous_gap / 2.0 else 0
             rank = kept
             idle = 0
         else:
-            restart = True  # rho, and so r and gap, stay as they are
-            idle += 1
-        y, p_y, r_y = rho, p, r
-        if restart:
-            momentum = 1.0
-        else:
-            following = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
-            weight = (momentum - 1.0) / following
-            extrapolated = rho + weight * (rho - previous)
-            momentum = following
-            p_extrapolated = p + weight * (p - p_previous)
-            if (p_extrapolated > 0.0).all():
-                y, p_y, r_y = extrapolated, p_extrapolated, r_operator(p_extrapolated)
-            else:
-                momentum = 1.0
+            idle += 1  # rho, and so r and gap, stay as they are
         step *= 1.5
 
     rho = (rho + rho.conj().T) / 2

@@ -73,6 +73,11 @@ class TestSinkhorn:
         with pytest.raises(ValidationError, match="cannot scale"):
             sinkhorn_magnitudes(IntensityTable(bad))
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_no_sweeps_rejected(self, max_iter):
+        with pytest.raises(ValidationError, match="max_iter"):
+            sinkhorn_magnitudes(IntensityTable(RATIOS), max_iter=max_iter)
+
     def test_non_convergence_reports_residual(self):
         with pytest.raises(ConvergenceError) as err:
             sinkhorn_magnitudes(IntensityTable(RATIOS), max_iter=1)

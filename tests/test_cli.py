@@ -271,6 +271,13 @@ class TestCalibrate:
         csv_path.write_text(TABLE1_CSV, encoding="utf-8")
         assert main(["calibrate", "--input", str(csv_path), "--max-iter", "1"]) == 3
 
+    @pytest.mark.parametrize("max_iter", ["0", "-1"])
+    def test_no_sweeps_exits_2(self, tmp_path, capsys, max_iter):
+        csv_path = tmp_path / "table1.csv"
+        csv_path.write_text(TABLE1_CSV, encoding="utf-8")
+        assert main(["calibrate", "--input", str(csv_path), "--max-iter", max_iter]) == 2
+        assert "max_iter" in capsys.readouterr().err
+
 
 class TestHom:
     def test_full_overlap_visibility_near_half(self, tmp_path):
@@ -344,6 +351,15 @@ class TestTomo:
         assert main(["tomo", "--counts", str(tmp_path / "report.counts.csv"),
                      "--target", "w", "--resamples", "3", "--out", str(recon_out)]) == 0
         assert _read_json(recon_out)["fidelity_mc"]["unconverged"] == 0
+
+    def test_repeated_counts_row_exits_2(self, tmp_path, capsys):
+        counts = _small_counts_csv(tmp_path)
+        with open(counts, "a", encoding="utf-8") as fh:
+            fh.write("XXX,000,99999\n")
+        out = tmp_path / "recon.json"
+        assert main(["tomo", "--counts", counts, "--target", "w", "--out", str(out)]) == 2
+        assert "line 218" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_counts_file_exits_2(self, tmp_path):
         assert main(["tomo", "--counts", str(tmp_path / "nope.csv")]) == 2
