@@ -78,6 +78,18 @@ def _born_matrix(n: int) -> np.ndarray:
     return born
 
 
+@functools.cache
+def _outcome_vectors(n: int) -> np.ndarray:
+    """Unit ``v``, up to phase, of each Born row ``conj(v_a) v_b``: its row of largest ``|v_a|`` over ``|v_a|``."""
+    born = _born_matrix(n).reshape(3**n, 2**n, 2**n, 2**n)
+    diagonal = np.diagonal(born, axis1=2, axis2=3).real
+    top = diagonal.argmax(axis=2)[..., None]
+    vectors = np.take_along_axis(born, top[..., None], axis=2)[:, :, 0] / np.sqrt(
+        np.take_along_axis(diagonal, top, axis=2))
+    vectors.setflags(write=False)
+    return vectors
+
+
 def _born_rows(rho: np.ndarray, settings: Sequence[Setting]) -> np.ndarray:
     """Outcome probabilities of each setting, one row each, from one Born-matrix product."""
     if not settings:
@@ -163,13 +175,11 @@ class CountsTable:
                     n = len(setting)
                 elif len(setting) != n:
                     raise ValidationError(f"{path.name}: line {lineno}: inconsistent qubit count")
-                try:
-                    idx = int(outcome, 2)
-                    count = int(value)
-                except ValueError:
-                    raise ValidationError(f"{path.name}: line {lineno}: bad outcome or count")
-                if len(outcome) != n or not 0 <= idx < 2**n:
+                if len(outcome) != n or set(outcome) - {"0", "1"}:
                     raise ValidationError(f"{path.name}: line {lineno}: outcome '{outcome}' invalid")
+                if not (value.isascii() and value.isdigit()):
+                    raise ValidationError(f"{path.name}: line {lineno}: count '{value}' invalid")
+                idx, count = int(outcome, 2), int(value)
                 row_counts = per_setting.setdefault(setting, {})
                 if idx in row_counts:
                     raise ValidationError(f"{path.name}: line {lineno}: repeats setting {label} outcome {outcome}")
@@ -240,20 +250,28 @@ def _project_to_states(m: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 @functools.cache
+def _tangent_pairs(dim: int, rank: int) -> np.ndarray:
+    """Read-only rows ``(a, b)``, ``a < b`` and ``a < rank``: the off-diagonal tangent directions, in order."""
+    pairs = np.array([(a, b) for a, b in itertools.combinations(range(dim), 2) if a < rank])
+    pairs.setflags(write=False)
+    return pairs
+
+
+@functools.cache
 def _tangent_basis(dim: int, rank: int) -> np.ndarray:
     """Columns ``vec(E)`` spanning the directions tangent to rank-``rank`` states in their eigenframe.
 
     With the support first, each ``E`` is Hermitian: traceless on the support
     block (``rank**2 - 1`` reals), free between support and kernel
-    (``2 * rank * (dim - rank)`` reals) and zero on the kernel block.
+    (``2 * rank * (dim - rank)`` reals) and zero on the kernel block. Each of
+    ``_tangent_pairs`` gives a real then an imaginary direction; diagonal ones follow.
     """
     directions = []
-    for a, b in itertools.combinations(range(dim), 2):
-        if a < rank:
-            for entry in (1.0, 1.0j):
-                e = np.zeros((dim, dim), dtype=complex)
-                e[a, b], e[b, a] = entry, np.conj(entry)
-                directions.append(e)
+    for a, b in _tangent_pairs(dim, rank):
+        for entry in (1.0, 1.0j):
+            e = np.zeros((dim, dim), dtype=complex)
+            e[a, b], e[b, a] = entry, np.conj(entry)
+            directions.append(e)
     for a in range(rank - 1):
         e = np.zeros((dim, dim), dtype=complex)
         e[a, a], e[rank - 1, rank - 1] = 1.0, -1.0
@@ -261,6 +279,20 @@ def _tangent_basis(dim: int, rank: int) -> np.ndarray:
     basis = np.stack([e.ravel() for e in directions], axis=1)
     basis.setflags(write=False)
     return basis
+
+
+def _tangent_jacobian(vectors: np.ndarray, frame: np.ndarray, rank: int) -> np.ndarray:
+    """``(B @ kron(frame, frame.conj()) @ _tangent_basis(d, rank)).real`` for the Born rows ``B`` of ``vectors``.
+
+    With ``u = frame^H v``: ``2 Re(conj(u_a) u_b)`` and ``-2 Im(conj(u_a) u_b)`` per pair,
+    ``|u_a|^2 - |u_(rank-1)|^2`` per diagonal direction.
+    """
+    u = vectors @ frame.conj()
+    first, second = _tangent_pairs(len(frame), rank).T
+    # 2 u_a conj(u_b) read as floats interleaves the real and imaginary columns of each pair
+    pair = 2.0 * u.take(first, axis=1) * u.take(second, axis=1).conj()
+    weight = u[:, :rank].real ** 2 + u[:, :rank].imag ** 2
+    return np.hstack([pair.view(float), weight[:, :-1] - weight[:, -1:]])
 
 
 def _checked_start(start, dim: int) -> np.ndarray:
@@ -310,7 +342,9 @@ def reconstruct_mle(
     # only observed outcomes enter the likelihood
     flat_counts = counts.counts.reshape(-1).astype(float)
     observed = flat_counts > 0
-    born = _born_matrix(n)[[index[s] for s in counts.settings]].reshape(-1, dim * dim)[observed]
+    rows = [index[s] for s in counts.settings]
+    born = _born_matrix(n)[rows].reshape(-1, dim * dim)[observed]
+    vectors = _outcome_vectors(n)[rows].reshape(-1, dim)[observed]
     flat_counts = flat_counts[observed]
     total = float(flat_counts.sum())
     weights = flat_counts / total
@@ -350,21 +384,22 @@ def reconstruct_mle(
         block ``Y``, retracted to the rank-``rank`` state
         ``[[S + X, Y], [Y^H, Y^H (S + X)^-1 Y]]`` (PSD while ``S + X`` is
         positive definite). The quadratic model of ``f`` has gradient
-        ``tr((I - R) D)``, Hessian ``J^T diag(w / p^2) J`` for the tangent
-        probabilities ``J``, plus the retraction's kernel-block curvature
-        ``tr((I - R)_kernel Y^H S^-1 Y)``. Tries the full, half and quarter
-        step; returns (rho, p, r, gap, change) of the first that keeps the
+        ``tr((I - R) D)``, Hessian ``K^T K``, ``K = diag(sqrt(w) / p) J`` for the tangent
+        probabilities ``J`` from the outcome vectors in the eigenframe, plus the retraction's
+        kernel-block curvature ``tr((I - R)_kernel Y^H S^-1 Y)``. Tries the full, half and
+        quarter step; returns (rho, p, r, gap, change) of the first that keeps the
         log-likelihood and lowers the gap.
         """
         vals, frame = np.linalg.eigh(rho)
         frame, support = frame[:, ::-1], vals[::-1][:rank]
         basis = _tangent_basis(dim, rank)
-        jacobian = (born @ np.kron(frame, frame.conj()) @ basis).real
+        jacobian = _tangent_jacobian(vectors, frame, rank)
         kernel = np.eye(dim - rank) - (frame.conj().T @ r @ frame)[rank:, rank:]
         y_blocks = basis.T.reshape(-1, dim, dim)[:, :rank, rank:]
         curvature = y_blocks.conj().reshape(len(y_blocks), -1) @ (
             (y_blocks / support[:, None]) @ kernel).reshape(len(y_blocks), -1).T
-        hessian = jacobian.T @ (jacobian * (weights / p**2)[:, None]) + 2.0 * curvature.real
+        scaled = jacobian * (np.sqrt(weights) / p)[:, None]
+        hessian = scaled.T @ scaled + 2.0 * curvature.real
         try:
             direction = (basis @ np.linalg.solve(hessian, (weights / p) @ jacobian)).reshape(dim, dim)
         except np.linalg.LinAlgError:
@@ -442,7 +477,7 @@ def reconstruct_mle(
         log_likelihood=log_likelihood,
         iterations=iterations,
         converged=bool(gap <= tol),
-        gap=gap,
+        gap=max(gap, 0.0),  # N * (lambda_max(R) - 1) can round below 0 at N * 2^-52
     )
 
 

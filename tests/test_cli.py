@@ -361,6 +361,15 @@ class TestTomo:
         assert "line 218" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_digit_count_exits_2(self, tmp_path, capsys):
+        counts = tmp_path / "one-qubit.csv"
+        counts.write_text("setting,outcome,count\nX,0,6_0\nX,1,40\nY,0,55\nY,1,45\nZ,0,70\nZ,1,30\n",
+                          encoding="utf-8")
+        out = tmp_path / "recon.json"
+        assert main(["tomo", "--counts", str(counts), "--out", str(out)]) == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_counts_file_exits_2(self, tmp_path):
         assert main(["tomo", "--counts", str(tmp_path / "nope.csv")]) == 2
 

@@ -61,6 +61,18 @@ def test_pauli_bases_read_only_by_the_born_matrix():
     assert set(found) == {"tritterlab/tomography.py:_born_matrix"}
 
 
+def test_kronecker_products_only_in_the_born_matrix():
+    # the Newton step's Jacobian comes from the outcome vectors, not from a d^2 x d^2 Kronecker product
+    found = _owners(
+        lambda node: (isinstance(node, ast.Attribute) and node.attr == "kron")
+        or (isinstance(node, ast.Name) and node.id == "kron")
+        or (isinstance(node, ast.alias) and node.name == "kron")
+    )
+    assert {owner for owner in found if owner.startswith("tritterlab/tomography.py:")} == {
+        "tritterlab/tomography.py:_born_matrix"
+    }
+
+
 def test_no_environment_reads():
     # behaviour comes from arguments and config files alone, never from the environment
     found = _owners(
