@@ -7,7 +7,7 @@ chain: splitter calibration, coincidence-dip visibilities, state tomography
 with Monte-Carlo error bars, and entanglement witnesses.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .calibration import (
     DipScan,
@@ -44,10 +44,8 @@ from .states import (
     WitnessReport,
     apply_local_unitary,
     canonical_state,
-    dominant_eigenvector,
     fidelity,
     local_transform,
-    phase_normalized,
     purity,
     recipe,
     state_overlap,
@@ -90,7 +88,6 @@ __all__ = [
     "apply_local_unitary",
     "born_probabilities",
     "canonical_state",
-    "dominant_eigenvector",
     "fidelity",
     "fit_gaussian",
     "fourier_unitary",
@@ -105,7 +102,6 @@ __all__ = [
     "output_distribution",
     "pair_coincidence_probability",
     "permanent",
-    "phase_normalized",
     "postselect_coincidence",
     "purity",
     "recipe",

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from .interference import Interferometer, fourier_unitary, pair_coincidence_probability
-from .validation import ConvergenceError, ValidationError
+from .validation import POISSON_MAX, ConvergenceError, ValidationError
 
 SINKHORN_TOL = 1e-9
 SINKHORN_MAX_ITER = 10_000
@@ -211,21 +211,23 @@ def hom_scan(
     and counts are drawn Poissonian around rate * probability (seeded, so the
     scan is reproducible); ``poisson=False`` returns the expected counts.
     """
-    if coherence <= 0:
-        raise ValidationError("coherence scale must be positive")
-    if rate <= 0:
-        raise ValidationError("count rate must be positive")
+    if not 0 < coherence < np.inf:
+        raise ValidationError(f"coherence scale must be positive and finite, got {coherence}")
+    if not 0 < rate < np.inf:
+        raise ValidationError(f"count rate must be positive and finite, got {rate}")
     if not 0.0 <= peak_overlap <= 1.0:
         raise ValidationError(f"peak overlap {peak_overlap} outside [0, 1]")
     delays = np.array(delays, dtype=float).reshape(-1)
-    if delays.size == 0:
-        raise ValidationError("empty delay grid")
+    if delays.size == 0 or not np.isfinite(delays).all():
+        raise ValidationError("delay grid must be non-empty and finite")
     # the coincidence probability is affine in |overlap|^2, so its two ends give every delay
     ceiling = rate * pair_coincidence_probability(u, pair, outs, 0.0)
     slope = rate * pair_coincidence_probability(u, pair, outs, 1.0) - ceiling
     overlaps_sq = peak_overlap**2 * np.exp(-(delays**2) / coherence**2)
     expected = ceiling + slope * overlaps_sq
     if poisson:
+        if expected.max() > POISSON_MAX:
+            raise ValidationError(f"expected counts above {POISSON_MAX:.4e} exceed numpy's Poisson sampler")
         rng = np.random.default_rng(seed)
         counts = rng.poisson(expected).astype(float)
     else:

@@ -140,7 +140,8 @@ class ExperimentConfig:
         gram.setflags(write=False)
         extinction = _read(noise, "noise.extinction_ratio",
                            lambda r: tuple(float(v) for v in ([r] * 3 if np.isscalar(r) else r)), None,
-                           lambda r: len(r) == 3 and min(r) > 1, "is not one ratio or three, each above 1")
+                           lambda r: len(r) == 3 and all(1 < v < np.inf for v in r),
+                           "is not one ratio or three, each finite and above 1")
         lam = _read(noise, "noise.white_noise", float, 0.0,
                     lambda x: 0.0 <= x <= 1.0, "lies outside [0, 1]")
 
@@ -377,6 +378,9 @@ def cmd_hom(args) -> int:
         raise ValidationError(f"--overlap is a squared overlap and must lie in [0, 1], got {args.overlap}")
     if args.points < 5:
         raise ValidationError("need at least 5 scan points")
+    for flag, value in (("--rate", args.rate), ("--coherence", args.coherence), ("--span", args.span)):
+        if not np.isfinite(value):
+            raise ValidationError(f"{flag} must be finite, got {value}")
     u = fourier_unitary(3)
     delays = np.linspace(-args.span * args.coherence, args.span * args.coherence, args.points)
     scan = hom_scan(

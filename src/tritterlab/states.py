@@ -146,29 +146,6 @@ def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
-def phase_normalized(vec: np.ndarray) -> np.ndarray:
-    """Fix the global phase so the first largest-magnitude amplitude is real positive.
-
-    Magnitudes within a relative 1e-9 of the maximum count as ties and the
-    earliest index wins, keeping the convention deterministic under rounding.
-    """
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    mags = np.abs(v)
-    top = float(mags.max())
-    if top == 0.0:
-        return v.copy()
-    idx = int(np.flatnonzero(mags >= top * (1.0 - 1e-9))[0])
-    ref = v[idx]
-    return v * (abs(ref) / ref)
-
-
-def dominant_eigenvector(rho: np.ndarray) -> np.ndarray:
-    """Phase-normalized eigenvector of the largest eigenvalue."""
-    rho = as_complex_matrix(rho, "rho")
-    w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
-    return phase_normalized(v[:, -1])
-
-
 @dataclass(frozen=True)
 class WitnessReport:
     """Witness values and strict-threshold verdicts for a 3-qubit state.

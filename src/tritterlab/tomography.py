@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .validation import ConvergenceError, ValidationError, as_complex_matrix, check_density_matrix
+from .validation import POISSON_MAX, ConvergenceError, ValidationError, as_complex_matrix, check_density_matrix
 
 #: certified log-likelihood shortfall at which the reconstruction stops
 MLE_TOL = 1e-2
@@ -64,30 +64,29 @@ def measurement_settings(n: int) -> list[Setting]:
 
 
 @functools.cache
-def _born_matrix(n: int) -> np.ndarray:
-    """Read-only Born rule ``B`` of shape (3^n, 2^n, 4^n): ``p = (B @ rho.ravel()).real``.
+def _outcome_vectors(n: int) -> np.ndarray:
+    """Read-only unit vectors ``v`` of shape (3^n, 2^n, 2^n), one per outcome of each setting.
 
-    ``B[s, o]`` is ``conj(v_a) v_b`` over ``(a, b)`` for the vector ``v`` of outcome
-    ``o`` (bit 0 = +1 eigenstate) of setting ``s`` in ``measurement_settings`` order.
+    ``v[s, o]`` is the joint eigenvector of outcome ``o`` (bit 0 = +1 eigenstate)
+    of setting ``s`` in ``measurement_settings`` order.
     """
     # row o of each basis-change matrix's transpose is its column o
-    vecs = np.stack([functools.reduce(np.kron, [_BASIS[label] for label in s]).T
-                     for s in measurement_settings(n)])
-    born = (vecs.conj()[..., :, None] * vecs[..., None, :]).reshape(3**n, 2**n, 4**n)
-    born.setflags(write=False)
-    return born
+    vectors = np.stack([functools.reduce(np.kron, [_BASIS[label] for label in s]).T
+                        for s in measurement_settings(n)])
+    vectors.setflags(write=False)
+    return vectors
 
 
 @functools.cache
-def _outcome_vectors(n: int) -> np.ndarray:
-    """Unit ``v``, up to phase, of each Born row ``conj(v_a) v_b``: its row of largest ``|v_a|`` over ``|v_a|``."""
-    born = _born_matrix(n).reshape(3**n, 2**n, 2**n, 2**n)
-    diagonal = np.diagonal(born, axis1=2, axis2=3).real
-    top = diagonal.argmax(axis=2)[..., None]
-    vectors = np.take_along_axis(born, top[..., None], axis=2)[:, :, 0] / np.sqrt(
-        np.take_along_axis(diagonal, top, axis=2))
-    vectors.setflags(write=False)
-    return vectors
+def _born_matrix(n: int) -> np.ndarray:
+    """Read-only Born rule ``B`` of shape (3^n, 2^n, 4^n): ``p = (B @ rho.ravel()).real``.
+
+    ``B[s, o]`` is ``conj(v_a) v_b`` over ``(a, b)`` for ``v = _outcome_vectors(n)[s, o]``.
+    """
+    vectors = _outcome_vectors(n)
+    born = (vectors.conj()[..., :, None] * vectors[..., None, :]).reshape(3**n, 2**n, 4**n)
+    born.setflags(write=False)
+    return born
 
 
 def _born_rows(rho: np.ndarray, settings: Sequence[Setting]) -> np.ndarray:
@@ -111,11 +110,10 @@ def born_probabilities(rho: np.ndarray, setting: Setting) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CountsTable:
-    """Outcome counts per measurement setting with a fixed per-setting shot budget."""
+    """Non-negative outcome counts, one row of ``2^n`` per measurement setting."""
 
     settings: tuple[Setting, ...]
     counts: np.ndarray
-    shots: int
 
     def __post_init__(self):
         settings = tuple(tuple(s) for s in self.settings)
@@ -131,14 +129,9 @@ class CountsTable:
             )
         if (counts < 0).any():
             raise ValidationError("counts must be non-negative")
-        if int(self.shots) < 1:
-            raise ValidationError("shots must be positive")
-        if (counts.sum(axis=1) > int(self.shots)).any():
-            raise ValidationError("per-setting counts exceed the shot budget")
         counts.setflags(write=False)
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "shots", int(self.shots))
 
     @property
     def n_qubits(self) -> int:
@@ -177,22 +170,18 @@ class CountsTable:
                     raise ValidationError(f"{path.name}: line {lineno}: inconsistent qubit count")
                 if len(outcome) != n or set(outcome) - {"0", "1"}:
                     raise ValidationError(f"{path.name}: line {lineno}: outcome '{outcome}' invalid")
-                if not (value.isascii() and value.isdigit()):
-                    raise ValidationError(f"{path.name}: line {lineno}: count '{value}' invalid")
-                idx, count = int(outcome, 2), int(value)
+                digits = value.lstrip("0") or "0"
+                if not (value.isascii() and value.isdigit()) or len(digits) > 19 or int(digits) >= 2**63:
+                    raise ValidationError(f"{path.name}: line {lineno}: count '{value}' is not an integer in [0, 2^63)")
+                idx, count = int(outcome, 2), int(digits)
                 row_counts = per_setting.setdefault(setting, {})
                 if idx in row_counts:
                     raise ValidationError(f"{path.name}: line {lineno}: repeats setting {label} outcome {outcome}")
                 row_counts[idx] = count
         if not per_setting or n is None:
             raise ValidationError(f"{path.name}: no count rows found")
-        settings = sorted(per_setting)
-        counts = np.zeros((len(settings), 2**n), dtype=np.int64)
-        for i, setting in enumerate(settings):
-            for idx, count in per_setting[setting].items():
-                counts[i, idx] = count
-        shots = int(counts.sum(axis=1).max())
-        return cls(tuple(settings), counts, shots)
+        settings = tuple(sorted(per_setting))
+        return cls(settings, [[per_setting[s].get(idx, 0) for idx in range(2**n)] for s in settings])
 
 
 def simulate_counts(
@@ -210,7 +199,7 @@ def simulate_counts(
     p = np.round(p / p.sum(axis=1, keepdims=True) * _GRID) / _GRID
     p[np.arange(len(p)), p.argmax(axis=1)] += 1.0 - p.sum(axis=1)
     counts = np.random.default_rng(seed).multinomial(int(shots), p)
-    return CountsTable(settings, counts, int(shots))
+    return CountsTable(settings, counts)
 
 
 @dataclass(frozen=True)
@@ -524,32 +513,27 @@ def monte_carlo_uncertainty(
 ) -> MonteCarloResult:
     """Poisson-resample counts, re-reconstruct, and evaluate a functional.
 
-    Each resample draws every outcome count Poissonian around the observed
-    value, re-runs the likelihood reconstruction from ``start`` (see
+    Resample ``i`` draws every outcome count Poissonian around the observed
+    value with the ``i``-th generator of ``np.random.default_rng(seed).spawn``,
+    re-runs the likelihood reconstruction from ``start`` (see
     ``reconstruct_mle``) and applies ``functional`` to the estimate. Failed
     and unconverged reconstructions are counted and excluded; fewer than two
     converged resamples raise ``ConvergenceError``.
     """
     if int(resamples) < 2:
         raise ValidationError("resamples must be at least 2")
+    if counts.counts.max() > POISSON_MAX:
+        raise ValidationError(f"counts above {POISSON_MAX:.4e} exceed numpy's Poisson sampler")
     if start is not None:  # a bad start is the caller's error, not a failed resample
         start = _checked_start(start, 2**counts.n_qubits)
-    if isinstance(seed, np.random.SeedSequence):
-        seed_seq = seed
-    else:
-        seed_seq = np.random.SeedSequence(seed)
-    children = seed_seq.spawn(int(resamples))
     values: list[float] = []
     failures = 0
     unconverged = 0
     iterations: list[int] = []
     gaps: list[float] = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        drawn = rng.poisson(counts.counts)
-        shots = max(int(drawn.sum(axis=1).max()), 1)
+    for rng in np.random.default_rng(seed).spawn(int(resamples)):
         try:
-            table = CountsTable(counts.settings, drawn, shots)
+            table = CountsTable(counts.settings, rng.poisson(counts.counts))
             result = reconstruct_mle(table, tol=tol, max_iter=max_iter, start=start)
             iterations.append(result.iterations)
             gaps.append(result.gap)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+#: the largest mean that numpy's Poisson sampler takes
+POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
+
 
 class ValidationError(ValueError):
     """An input violates a documented precondition or invariant."""

@@ -175,6 +175,15 @@ class TestHomScan:
         with pytest.raises(ValidationError):
             hom_scan(tritter, (1, 2), (1, 2), [0.0, 1.0], -1.0, 1e4, seed=0)
 
+    @pytest.mark.parametrize(
+        "delays, coherence, rate",
+        [([0.0, np.nan], 1.0, 1e4), ([0.0, 1.0], np.inf, 1e4), ([0.0, 1.0], 1.0, np.nan), ([0.0, 1.0], 1.0, 1e20)],
+        ids=["nan-delay", "inf-coherence", "nan-rate", "counts-beyond-poisson"],
+    )
+    def test_non_finite_or_oversized_inputs_rejected(self, tritter, delays, coherence, rate):
+        with pytest.raises(ValidationError):
+            hom_scan(tritter, (1, 2), (1, 2), delays, coherence, rate, seed=0)
+
 
 class TestGaussianFit:
     def test_noiseless_recovery_is_exact(self, tritter):

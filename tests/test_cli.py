@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +169,19 @@ class TestGenerate:
         assert "noise.extinction_ratio" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "config, flags",
+        [("{}", ["--extinction-ratio", "inf"]), ('{"noise": {"extinction_ratio": 1e309}}', []),
+         ('{"noise": {"extinction_ratio": [2, NaN, 3]}}', [])],
+        ids=["flag-inf", "config-1e309", "config-nan"],
+    )
+    def test_non_finite_extinction_ratio_exits_2_naming_field(self, tmp_path, capsys, config, flags):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(config, encoding="utf-8")
+        rc = main(["generate", "--config", str(cfg_path), *flags, "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("configuration error: noise.extinction_ratio: ")
+
+    @pytest.mark.parametrize(
         "section, key", [("noise", "white_nosie"), ("tomography", "shot"), ("interferometer", "dim")]
     )
     def test_unknown_field_exits_2_naming_it(self, tmp_path, capsys, section, key):
@@ -314,6 +328,17 @@ class TestHom:
         assert main(["hom", "--overlap", "1.5", "--rate", "100",
                      "--out", str(tmp_path / "z")]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--rate", "nan"], ["--rate", "inf"], ["--rate", "1e20"], ["--rate", "1", "--coherence", "inf"],
+         ["--rate", "1", "--span", "nan"], ["--rate", "nan", "--no-poisson"]],
+        ids=["rate-nan", "rate-inf", "rate-beyond-poisson", "coherence-inf", "span-nan", "rate-nan-expected"],
+    )
+    def test_non_finite_or_oversized_arguments_exit_2(self, tmp_path, capsys, flags):
+        assert main(["hom", *flags, "--out", str(tmp_path / "z")]) == 2
+        assert capsys.readouterr().err.startswith("validation error: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTomo:
     def test_reconstruct_from_counts_csv(self, tmp_path):
@@ -368,6 +393,19 @@ class TestTomo:
         out = tmp_path / "recon.json"
         assert main(["tomo", "--counts", str(counts), "--out", str(out)]) == 2
         assert "line 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "count, message", [(10**23, "line 2: count"), (2**63 - 1, "Poisson")], ids=["above-int64", "beyond-poisson"]
+    )
+    def test_oversized_count_exits_2(self, tmp_path, capsys, count, message):
+        counts = _small_counts_csv(tmp_path)
+        lines = Path(counts).read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].rpartition(",")[0] + f",{count}"
+        Path(counts).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "recon.json"
+        assert main(["tomo", "--counts", counts, "--target", "w", "--resamples", "3", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_counts_file_exits_2(self, tmp_path):

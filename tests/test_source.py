@@ -2,9 +2,10 @@
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
-from tritterlab import reconstruct_mle
+from tritterlab import __version__, reconstruct_mle
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tritterlab"
 
@@ -53,23 +54,25 @@ def test_json_dumps_only_in_report_writer():
 
 
 def test_pauli_bases_read_only_by_the_born_matrix():
-    # one Born route: sampling and fitting both read tomography._born_matrix
+    # one Born route: sampling and fitting read tomography._born_matrix, which is built
+    # from tomography._outcome_vectors, the one reader of the Pauli bases
     found = _owners(
         lambda node: isinstance(node, ast.Subscript)
         and ast.unparse(node.value).rpartition(".")[2] == "_BASIS"
     )
-    assert set(found) == {"tritterlab/tomography.py:_born_matrix"}
+    assert set(found) == {"tritterlab/tomography.py:_outcome_vectors"}
 
 
 def test_kronecker_products_only_in_the_born_matrix():
-    # the Newton step's Jacobian comes from the outcome vectors, not from a d^2 x d^2 Kronecker product
+    # the Born matrix's outcome vectors are the one Kronecker product: the Newton step's
+    # Jacobian comes from them, not from a d^2 x d^2 Kronecker product
     found = _owners(
         lambda node: (isinstance(node, ast.Attribute) and node.attr == "kron")
         or (isinstance(node, ast.Name) and node.id == "kron")
         or (isinstance(node, ast.alias) and node.name == "kron")
     )
     assert {owner for owner in found if owner.startswith("tritterlab/tomography.py:")} == {
-        "tritterlab/tomography.py:_born_matrix"
+        "tritterlab/tomography.py:_outcome_vectors"
     }
 
 
@@ -86,3 +89,9 @@ def test_no_environment_reads():
 def test_fit_signature_has_no_knobs():
     # the Newton finish and the stall stop are part of the one solver, not options
     assert list(inspect.signature(reconstruct_mle).parameters) == ["counts", "tol", "max_iter", "start"]
+
+
+def test_pyproject_version_is_the_package_version():
+    # the version lives in two files; reports stamp __version__, installs read pyproject.toml
+    text = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version = "([^"]+)"$', text, flags=re.MULTILINE) == [__version__]
