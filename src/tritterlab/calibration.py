@@ -86,9 +86,9 @@ class IntensityTable:
 
 
 def sinkhorn_magnitudes(
-    table, tol: float = SINKHORN_TOL, max_iter: int = SINKHORN_MAX_ITER
+    table: IntensityTable, tol: float = SINKHORN_TOL, max_iter: int = SINKHORN_MAX_ITER
 ) -> np.ndarray:
-    """Transfer-matrix magnitudes from splitting ratios.
+    """Transfer-matrix magnitudes from the splitting ratios of a checked table.
 
     The row-normalized power matrix (losses drop out) is rescaled alternately
     along rows and columns until doubly stochastic within ``tol``; the
@@ -99,9 +99,7 @@ def sinkhorn_magnitudes(
         raise ValidationError("tol must be positive")
     if int(max_iter) < 1:
         raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
-    frac = table.fractions if isinstance(table, IntensityTable) else np.array(table, dtype=float)
-    if frac.ndim != 2 or frac.shape[0] != frac.shape[1]:
-        raise ValidationError(f"need a square ratio matrix, got shape {frac.shape}")
+    frac = table.fractions
     if (frac <= 0).any():
         raise ValidationError("cannot scale: ratio matrix has a non-positive entry")
     s = frac / frac.sum(axis=1, keepdims=True)
@@ -158,6 +156,8 @@ class DipScan:
             raise ValidationError("empty delay grid")
         if delays.size != counts.size:
             raise ValidationError(f"{delays.size} delays but {counts.size} count values")
+        if not (np.isfinite(delays).all() and np.isfinite(counts).all()):
+            raise ValidationError("delays and counts must be finite")
         if not np.all(np.diff(delays) > 0):
             raise ValidationError("delays must be strictly increasing")
         if (counts < 0).any():
@@ -173,25 +173,6 @@ class DipScan:
             writer.writerow(["delay", "counts"])
             for d, c in zip(self.delays, self.counts):
                 writer.writerow([repr(float(d)), repr(float(c))])
-
-    @classmethod
-    def from_csv(cls, path) -> "DipScan":
-        path = Path(path)
-        delays, counts = [], []
-        with path.open(newline="", encoding="utf-8") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                cells = [c.strip() for c in row if c.strip() != ""]
-                if not cells:
-                    continue
-                try:
-                    d, c = float(cells[0]), float(cells[1])
-                except (ValueError, IndexError):
-                    if lineno == 1 and not delays:
-                        continue  # header
-                    raise ValidationError(f"{path.name}: line {lineno}: expected 'delay,counts'")
-                delays.append(d)
-                counts.append(c)
-        return cls(np.array(delays), np.array(counts))
 
 
 def hom_scan(

@@ -80,10 +80,38 @@ def _read(section: dict, field: str, convert, default, valid=lambda value: True,
     return value
 
 
+def _integer(raw) -> int:
+    """int(raw) for a whole number; a boolean or a fractional number is rejected, not rounded."""
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError(f"{raw!r} is not an integer")
+    return int(raw)
+
+
+def _number(raw) -> float:
+    """float(raw); a boolean is rejected, not read as 0 or 1."""
+    if isinstance(raw, bool):
+        raise ValueError(f"{raw!r} is not a number")
+    return float(raw)
+
+
 def _gram(raw) -> np.ndarray:
-    gram = np.array(raw, dtype=float)
+    gram = np.array([[_number(v) for v in row] for row in raw], dtype=float)
     check_gram(gram.astype(complex), name="Gram matrix")
     return gram
+
+
+def _resolved_from(raw) -> dict:
+    """The record ``generate`` keeps of a csv source; any other shape is a ConfigError naming the field."""
+    name = "interferometer.resolved_from"
+    raw = _fields(raw, name, ("source", "path", "max_adjustment"))
+    if raw.get("source") != "csv":
+        raise ConfigError(f"{name}.source", f"{raw.get('source')!r} is not 'csv'")
+    if not isinstance(raw.get("path"), str):
+        raise ConfigError(f"{name}.path", f"{raw.get('path')!r} is not a file path")
+    adjustment = raw.get("max_adjustment")
+    if isinstance(adjustment, bool) or not isinstance(adjustment, (int, float)) or not 0 <= adjustment < np.inf:
+        raise ConfigError(f"{name}.max_adjustment", f"{adjustment!r} is not a finite number >= 0")
+    return {"source": "csv", "path": raw["path"], "max_adjustment": float(adjustment)}
 
 
 @dataclass(frozen=True)
@@ -131,25 +159,25 @@ class ExperimentConfig:
                            lambda m: m.shape == (3, 3), "is not a 3x3 matrix")
             if matrix is None:
                 raise ConfigError("interferometer.matrix", "matrix source needs matrix data")
-            resolved_from = _read(interf, "interferometer.resolved_from", lambda v: v, None,
-                                  lambda v: isinstance(v, dict), "is not an object")
+            if interf.get("resolved_from") is not None:
+                resolved_from = _resolved_from(interf["resolved_from"])
 
         noise = _fields(raw.get("noise"), "noise", ("gram", "extinction_ratio", "white_noise"))
         gram = _read(noise, "noise.gram", _gram, np.ones((3, 3)),
                      lambda g: g.shape == (3, 3), "is not 3x3")
         gram.setflags(write=False)
         extinction = _read(noise, "noise.extinction_ratio",
-                           lambda r: tuple(float(v) for v in ([r] * 3 if np.isscalar(r) else r)), None,
+                           lambda r: tuple(_number(v) for v in ([r] * 3 if np.isscalar(r) else r)), None,
                            lambda r: len(r) == 3 and all(1 < v < np.inf for v in r),
                            "is not one ratio or three, each finite and above 1")
-        lam = _read(noise, "noise.white_noise", float, 0.0,
+        lam = _read(noise, "noise.white_noise", _number, 0.0,
                     lambda x: 0.0 <= x <= 1.0, "lies outside [0, 1]")
 
         tomo = _fields(raw.get("tomography"), "tomography", ("shots", "resamples", "seed"))
         most = int(np.iinfo(np.int64).max)  # the largest trial count numpy's multinomial takes
-        shots = _read(tomo, "tomography.shots", int, 10_000, lambda n: 1 <= n <= most, f"lies outside [1, {most}]")
-        resamples = _read(tomo, "tomography.resamples", int, 50, lambda n: n >= 2, "is below 2")
-        seed = _read(tomo, "tomography.seed", int, 0, lambda n: n >= 0, "is negative")
+        shots = _read(tomo, "tomography.shots", _integer, 10_000, lambda n: 1 <= n <= most, f"lies outside [1, {most}]")
+        resamples = _read(tomo, "tomography.resamples", _integer, 50, lambda n: n >= 2, "is below 2")
+        seed = _read(tomo, "tomography.seed", _integer, 0, lambda n: n >= 0, "is negative")
 
         return cls(
             state=state,

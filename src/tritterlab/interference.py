@@ -37,7 +37,6 @@ from .validation import (
     check_unitary,
 )
 
-UNITARITY_TOL = 1e-10
 STATE_NORM_TOL = 1e-12
 
 #: hard bound on permanent dimension and photon number so desk-scale runs
@@ -93,7 +92,7 @@ class Interferometer:
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix, "interferometer matrix")
-        check_unitary(m, UNITARITY_TOL, "interferometer matrix")
+        check_unitary(m, "interferometer matrix")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -328,15 +327,16 @@ def pair_coincidence_probability(
     return float(abs(a) ** 2 + abs(b) ** 2 + 2.0 * (a * b.conjugate()).real * abs(overlap) ** 2)
 
 
-def spectral_vectors_from_gram(gram, tol: float = 1e-9) -> list[np.ndarray]:
+def spectral_vectors_from_gram(gram) -> list[np.ndarray]:
     """Unit spectral vectors realizing a given pairwise-overlap Gram matrix.
 
     The Gram matrix must be Hermitian, positive semidefinite and have a unit
-    diagonal; vector i reproduces <v_i|v_j> = gram[i, j] up to the validation
-    tolerance. The vectors live in a basis of dimension = number of photons.
+    diagonal within ``check_gram``'s tolerance of 1e-9; vector i reproduces
+    <v_i|v_j> = gram[i, j] to that tolerance. The vectors live in a basis of
+    dimension = number of photons.
     """
     g = as_complex_matrix(gram, "gram")
-    check_gram(g, tol, "gram")
+    check_gram(g)
     w, v = np.linalg.eigh((g + g.conj().T) / 2)
     w = np.clip(w, 0.0, None)
     factors = np.sqrt(w)[None, :] * v.conj()  # row i is photon i's vector

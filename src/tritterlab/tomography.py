@@ -36,6 +36,9 @@ from .validation import POISSON_MAX, ConvergenceError, ValidationError, as_compl
 #: certified log-likelihood shortfall at which the reconstruction stops
 MLE_TOL = 1e-2
 MLE_MAX_ITER = 10_000
+#: hard bound on the qubit count: the Born matrix has 3^n * 8^n complex entries
+#: (5.3 MB at 4 qubits, 127 MB at 5)
+TOMOGRAPHY_MAX_QUBITS = 4
 #: step halvings before a likelihood step counts as stalled
 _MAX_HALVINGS = 60
 #: iterations in a row that accept no step before a fit counts as stalled
@@ -57,9 +60,15 @@ Setting = tuple[str, ...]
 
 
 def measurement_settings(n: int) -> list[Setting]:
-    """All 3^n Pauli basis-label tuples in lexicographic order (XX..X first)."""
+    """All 3^n Pauli basis-label tuples in lexicographic order (XX..X first).
+
+    Every tomography path starts here, so ``n`` above ``TOMOGRAPHY_MAX_QUBITS``
+    is rejected before any Born or outcome-vector array is built.
+    """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"qubit count must be a positive integer, got {n!r}")
+    if n > TOMOGRAPHY_MAX_QUBITS:
+        raise ValidationError(f"qubit count {n} exceeds bound {TOMOGRAPHY_MAX_QUBITS}")
     return list(itertools.product("XYZ", repeat=int(n)))
 
 
@@ -323,7 +332,7 @@ def reconstruct_mle(
         missing = ["".join(s) for s in index if s not in counts.settings]
         raise ValidationError(f"counts must cover each of the {len(index)} settings once; missing {missing[:5]}")
     dim = 2**n
-    if (counts.counts.sum(axis=1) == 0).any():
+    if (counts.counts == 0).all(axis=1).any():  # an int64 row sum can wrap to 0
         raise ValidationError("every setting needs at least one recorded count")
     mixed = np.eye(dim, dtype=complex) / dim
     start = mixed if start is None else _checked_start(start, dim)
@@ -507,18 +516,17 @@ def monte_carlo_uncertainty(
     resamples: int,
     functional: Callable[[np.ndarray], float],
     seed,
-    tol: float = MLE_TOL,
-    max_iter: int = MLE_MAX_ITER,
     start=None,
 ) -> MonteCarloResult:
     """Poisson-resample counts, re-reconstruct, and evaluate a functional.
 
     Resample ``i`` draws every outcome count Poissonian around the observed
     value with the ``i``-th generator of ``np.random.default_rng(seed).spawn``,
-    re-runs the likelihood reconstruction from ``start`` (see
-    ``reconstruct_mle``) and applies ``functional`` to the estimate. Failed
-    and unconverged reconstructions are counted and excluded; fewer than two
-    converged resamples raise ``ConvergenceError``.
+    re-runs the likelihood reconstruction from ``start`` at its default
+    tolerance and iteration limit (see ``reconstruct_mle``) and applies
+    ``functional`` to the estimate. Failed and unconverged reconstructions
+    are counted and excluded; fewer than two converged resamples raise
+    ``ConvergenceError``.
     """
     if int(resamples) < 2:
         raise ValidationError("resamples must be at least 2")
@@ -534,7 +542,7 @@ def monte_carlo_uncertainty(
     for rng in np.random.default_rng(seed).spawn(int(resamples)):
         try:
             table = CountsTable(counts.settings, rng.poisson(counts.counts))
-            result = reconstruct_mle(table, tol=tol, max_iter=max_iter, start=start)
+            result = reconstruct_mle(table, start=start)
             iterations.append(result.iterations)
             gaps.append(result.gap)
             if not result.converged:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import json
 from pathlib import Path
 
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 import tritterlab.cli
+import tritterlab.tomography
 from tritterlab.cli import ExperimentConfig, build_parser, main, run_generate
-from tritterlab.tomography import MLE_TOL, monte_carlo_uncertainty
+from tritterlab.interference import fourier_unitary, matrix_to_pairs
+from tritterlab.tomography import MLE_TOL, reconstruct_mle
 
 TABLE1_CSV = (
     "Output 1 (%),Output 2 (%),Output 3 (%),Insertion loss (dB)\n"
@@ -18,6 +21,16 @@ TABLE1_CSV = (
     "33.05,29.18,29.75,0.363\n"
     "32.97,27.92,29.94,0.409\n"
 )
+
+RESOLVED = "interferometer.resolved_from"
+#: the record generate writes there for a csv source
+RESOLVED_FROM = {"source": "csv", "path": "table1.csv", "max_adjustment": 0.01}
+
+
+def _matrix_source(resolved_from) -> dict:
+    """A config whose splitter is the ideal tritter's matrix, echoed with ``resolved_from``."""
+    matrix = matrix_to_pairs(fourier_unitary(3).matrix)
+    return {"interferometer": {"source": "matrix", "matrix": matrix, "resolved_from": resolved_from}}
 
 
 def _read_json(path):
@@ -139,10 +152,11 @@ class TestGenerate:
             assert 0.0 <= block["gap_max"] <= MLE_TOL
 
     def test_unconverged_resamples_exit_3(self, tmp_path, monkeypatch, capsys):
+        # only the resample fits: cli holds its own reference for the main fit
         monkeypatch.setattr(
-            tritterlab.cli,
-            "monte_carlo_uncertainty",
-            functools.partial(monte_carlo_uncertainty, max_iter=2),
+            tritterlab.tomography,
+            "reconstruct_mle",
+            functools.partial(reconstruct_mle, max_iter=2),
         )
         rc = main(["generate", "--state", "w", "--shots", "1000", "--seed", "4",
                    "--resamples", "3", "--out", str(tmp_path / "x.json")])
@@ -208,8 +222,29 @@ class TestGenerate:
             ({"noise": 5}, [], "noise"),
             ({"noise": {"gram": [[1, 1, "a"], [1, 1, 1], ["a", 1, 1]]}}, [], "noise.gram"),
             ({"tomography": {"seed": -1}}, [], "tomography.seed"),
+            ({"tomography": {"shots": 200.7}}, [], "tomography.shots"),
+            ({"tomography": {"resamples": 2.9}}, [], "tomography.resamples"),
+            ({"tomography": {"seed": 7.5}}, [], "tomography.seed"),
+            ({"tomography": {"shots": True}}, [], "tomography.shots"),
+            ({"tomography": {"seed": False}}, [], "tomography.seed"),
+            ({"noise": {"white_noise": True}}, [], "noise.white_noise"),
+            ({"noise": {"gram": [[1, 1, 1], [1, True, 1], [1, 1, 1]]}}, [], "noise.gram"),
+            (_matrix_source(dict(RESOLVED_FROM, max_adjustment="abc")), [], f"{RESOLVED}.max_adjustment"),
+            (_matrix_source(dict(RESOLVED_FROM, max_adjustment=[1])), [], f"{RESOLVED}.max_adjustment"),
+            (_matrix_source(dict(RESOLVED_FROM, max_adjustment=None)), [], f"{RESOLVED}.max_adjustment"),
+            (_matrix_source(dict(RESOLVED_FROM, max_adjustment=-1.0)), [], f"{RESOLVED}.max_adjustment"),
+            (_matrix_source(dict(RESOLVED_FROM, max_adjustment=True)), [], f"{RESOLVED}.max_adjustment"),
+            (_matrix_source(dict(RESOLVED_FROM, source=5)), [], f"{RESOLVED}.source"),
+            (_matrix_source({"source": "csv", "max_adjustment": 0.01}), [], f"{RESOLVED}.path"),
+            (_matrix_source(dict(RESOLVED_FROM, tag=1)), [], f"{RESOLVED}.tag"),
         ],
-        ids=["white_noise", "shots", "array", "array-with-state", "noise", "gram", "seed"],
+        ids=["white_noise", "shots", "array", "array-with-state", "noise", "gram", "seed",
+             # whole-number fields take no fractions or booleans, number fields no booleans
+             "fractional-shots", "fractional-resamples", "fractional-seed", "bool-shots", "bool-seed",
+             "bool-white-noise", "bool-gram",
+             # a matrix source's resolved_from is only the record generate writes for a csv source
+             "text-adjustment", "list-adjustment", "null-adjustment", "negative-adjustment",
+             "bool-adjustment", "resolved-source", "resolved-no-path", "resolved-unknown-key"],
     )
     def test_malformed_config_exits_2_naming_field(self, tmp_path, capsys, config, flags, field):
         cfg_path = tmp_path / "config.json"
@@ -227,6 +262,7 @@ class TestGenerate:
         assert rc == 2
         assert capsys.readouterr().err.startswith("configuration error: tomography.shots: ")
         assert ExperimentConfig.from_dict({"tomography": {"shots": 2**63 - 1}}).shots == 2**63 - 1
+        assert type(ExperimentConfig.from_dict({"tomography": {"shots": 1e4}}).shots) is int
 
     def test_null_field_reads_as_default(self):
         config = ExperimentConfig.from_dict(
@@ -406,6 +442,15 @@ class TestTomo:
         out = tmp_path / "recon.json"
         assert main(["tomo", "--counts", counts, "--target", "w", "--resamples", "3", "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_counts_above_the_qubit_bound_exit_2(self, tmp_path, capsys):
+        counts = tmp_path / "five-qubit.csv"
+        rows = [f"{''.join(s)},{o:05b},1" for s in itertools.product("XYZ", repeat=5) for o in range(32)]
+        counts.write_text("setting,outcome,count\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "recon.json"
+        assert main(["tomo", "--counts", str(counts), "--out", str(out)]) == 2
+        assert "qubit count 5 exceeds bound 4" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_counts_file_exits_2(self, tmp_path):

@@ -5,7 +5,7 @@ import inspect
 import re
 from pathlib import Path
 
-from tritterlab import __version__, reconstruct_mle
+from tritterlab import __version__, monte_carlo_uncertainty, reconstruct_mle, spectral_vectors_from_gram
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tritterlab"
 
@@ -87,8 +87,13 @@ def test_no_environment_reads():
 
 
 def test_fit_signature_has_no_knobs():
-    # the Newton finish and the stall stop are part of the one solver, not options
+    # the Newton finish and the stall stop are part of the one solver, not options; resample
+    # fits run at its defaults, and the Gram tolerance is the validation module's
     assert list(inspect.signature(reconstruct_mle).parameters) == ["counts", "tol", "max_iter", "start"]
+    assert list(inspect.signature(monte_carlo_uncertainty).parameters) == [
+        "counts", "resamples", "functional", "seed", "start"
+    ]
+    assert list(inspect.signature(spectral_vectors_from_gram).parameters) == ["gram"]
 
 
 def test_pyproject_version_is_the_package_version():

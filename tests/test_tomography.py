@@ -67,6 +67,17 @@ class TestMeasurementSettings:
         with pytest.raises(ValidationError):
             measurement_settings(0)
 
+    def test_qubit_count_above_bound_rejected(self):
+        # at the bound + 1 a missing check builds a 127 MB Born matrix, not 2.85 GiB as at 6 qubits
+        assert len(measurement_settings(4)) == 81
+        with pytest.raises(ValidationError, match="qubit count 5 exceeds bound 4"):
+            measurement_settings(5)
+        settings = list(itertools.product("XYZ", repeat=5))
+        with pytest.raises(ValidationError, match="qubit count 5 exceeds bound 4"):
+            reconstruct_mle(CountsTable(settings, np.ones((len(settings), 32), dtype=int)))
+        with pytest.raises(ValidationError, match="qubit count 5 exceeds bound 4"):
+            simulate_counts(np.eye(32) / 32, settings, 10, seed=0)
+
 
 class TestBornProbabilities:
     def test_computational_basis_state(self):
@@ -249,6 +260,15 @@ class TestReconstructMle:
         with pytest.raises(ValidationError, match="cover"):
             reconstruct_mle(counts)
 
+    def test_row_whose_int64_sum_wraps_still_fits(self):
+        # four cells of 2^62 sum to 2^64, which wraps to 0 in int64
+        settings = measurement_settings(2)
+        counts = np.full((len(settings), 4), 2**60, dtype=np.int64)
+        counts[settings.index(("Z", "Z"))] = 2**62
+        result = reconstruct_mle(CountsTable(settings, counts))
+        assert result.converged
+        assert np.allclose(result.rho, np.eye(4) / 4)
+
     def test_unconverged_flagged(self):
         v = canonical_state("w")
         counts = simulate_counts(np.outer(v, v.conj()), measurement_settings(3), 1000, seed=5)
@@ -391,12 +411,13 @@ class TestBoundaryFinish:
         fits = [reconstruct_mle(counts, tol=1e-5, max_iter=150)]
 
         def recording(table, **kwargs):
-            result = reconstruct_mle(table, **kwargs)
+            # the resample fits take the main fit's tolerance and limit
+            result = reconstruct_mle(table, **kwargs, tol=1e-5, max_iter=150)
             fits.append(result)
             return result
 
         monkeypatch.setattr(tritterlab.tomography, "reconstruct_mle", recording)
-        monte_carlo_uncertainty(counts, 20, purity, seed=seed, tol=1e-5, max_iter=150)
+        monte_carlo_uncertainty(counts, 20, purity, seed=seed)
         assert len(fits) == 21
         assert all(fit.converged for fit in fits)
 
@@ -411,12 +432,12 @@ class TestBoundaryFinish:
         fits = []
 
         def recording(table, **kwargs):
-            result = reconstruct_mle(table, **kwargs)
+            result = reconstruct_mle(table, **kwargs, tol=1e-12)
             fits.append((table, result))
             return result
 
         monkeypatch.setattr(tritterlab.tomography, "reconstruct_mle", recording)
-        monte_carlo_uncertainty(counts, 20, purity, seed=7, tol=1e-12)
+        monte_carlo_uncertainty(counts, 20, purity, seed=7)
         assert len(fits) == 20
         assert max(fit.iterations for _, fit in fits) <= 150
         # N * (lambda_max(R) - 1) rounds below 0 on some of these fits; the reported gap does not
@@ -545,11 +566,13 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError, match="at least 2"):
             monte_carlo_uncertainty(counts, 1, purity, seed=0)
 
-    def test_unconverged_resamples_raise(self):
+    def test_unconverged_resamples_raise(self, monkeypatch):
         v = canonical_state("w")
         counts = simulate_counts(np.outer(v, v.conj()), measurement_settings(3), 1000, seed=5)
+        capped = functools.partial(reconstruct_mle, max_iter=2)
+        monkeypatch.setattr(tritterlab.tomography, "reconstruct_mle", capped)
         with pytest.raises(ConvergenceError, match="4 unconverged"):
-            monte_carlo_uncertainty(counts, 4, purity, seed=3, max_iter=2)
+            monte_carlo_uncertainty(counts, 4, purity, seed=3)
 
     def test_unconverged_resamples_excluded_and_counted(self, monkeypatch):
         counts = simulate_counts(np.eye(2) / 2, measurement_settings(1), 500, seed=1)
