@@ -81,15 +81,15 @@ def _read(section: dict, field: str, convert, default, valid=lambda value: True,
 
 
 def _integer(raw) -> int:
-    """int(raw) for a whole number; a boolean or a fractional number is rejected, not rounded."""
-    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+    """A whole JSON number as an int; a string, a boolean or a fraction is rejected, not converted or rounded."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or raw != int(raw):
         raise ValueError(f"{raw!r} is not an integer")
     return int(raw)
 
 
 def _number(raw) -> float:
-    """float(raw); a boolean is rejected, not read as 0 or 1."""
-    if isinstance(raw, bool):
+    """A JSON number as a float; a string or a boolean is rejected, not converted."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValueError(f"{raw!r} is not a number")
     return float(raw)
 

@@ -175,6 +175,9 @@ class CountsTable:
                     raise ValidationError(f"{path.name}: line {lineno}: bad setting '{label}'")
                 if n is None:
                     n = len(setting)
+                    if n > TOMOGRAPHY_MAX_QUBITS:  # before any row of 2^n counts is built
+                        raise ValidationError(
+                            f"{path.name}: line {lineno}: qubit count {n} exceeds bound {TOMOGRAPHY_MAX_QUBITS}")
                 elif len(setting) != n:
                     raise ValidationError(f"{path.name}: line {lineno}: inconsistent qubit count")
                 if len(outcome) != n or set(outcome) - {"0", "1"}:
@@ -255,32 +258,27 @@ def _tangent_pairs(dim: int, rank: int) -> np.ndarray:
     return pairs
 
 
-@functools.cache
-def _tangent_basis(dim: int, rank: int) -> np.ndarray:
-    """Columns ``vec(E)`` spanning the directions tangent to rank-``rank`` states in their eigenframe.
+def _tangent_step(x: np.ndarray, dim: int, rank: int) -> np.ndarray:
+    """Hermitian direction of tangent coordinates ``x``: (re, im) per ``_tangent_pairs`` entry, then the traceless diagonal."""
+    above, diagonal = x[:x.size - rank + 1], x[x.size - rank + 1:]
+    step = np.zeros((dim, dim), dtype=complex)
+    step[tuple(_tangent_pairs(dim, rank).T)] = above.view(complex)
+    step[np.diag_indices(rank)] = np.concatenate((diagonal, [-diagonal.sum()])) / 2.0  # the Hermitian sum doubles it
+    return step + step.conj().T
 
-    With the support first, each ``E`` is Hermitian: traceless on the support
-    block (``rank**2 - 1`` reals), free between support and kernel
-    (``2 * rank * (dim - rank)`` reals) and zero on the kernel block. Each of
-    ``_tangent_pairs`` gives a real then an imaginary direction; diagonal ones follow.
-    """
-    directions = []
-    for a, b in _tangent_pairs(dim, rank):
-        for entry in (1.0, 1.0j):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[a, b], e[b, a] = entry, np.conj(entry)
-            directions.append(e)
-    for a in range(rank - 1):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[a, a], e[rank - 1, rank - 1] = 1.0, -1.0
-        directions.append(e)
-    basis = np.stack([e.ravel() for e in directions], axis=1)
-    basis.setflags(write=False)
-    return basis
+
+def _kernel_curvature(kernel: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Hessian of ``tr(K Y^H S^-1 Y)`` in tangent coordinates: the real 2x2 form of ``2 K^T / s_a`` on row ``a`` of ``Y``."""
+    rank, width = len(support), 2 * len(kernel)
+    rows = np.flatnonzero(np.repeat(_tangent_pairs(rank + len(kernel), rank)[:, 1] >= rank, 2)).reshape(rank, width)
+    real_form = (kernel.T[:, None, :, None] * np.array([[1, 1j], [-1j, 1]])[:, None]).real.reshape(width, width)
+    curvature = np.zeros((rank**2 - 1 + rank * width,) * 2)
+    curvature[rows[:, :, None], rows[:, None, :]] = (2.0 / support)[:, None, None] * real_form
+    return curvature
 
 
 def _tangent_jacobian(vectors: np.ndarray, frame: np.ndarray, rank: int) -> np.ndarray:
-    """``(B @ kron(frame, frame.conj()) @ _tangent_basis(d, rank)).real`` for the Born rows ``B`` of ``vectors``.
+    """Column ``i``: the Born rows of ``vectors`` applied to ``frame @ _tangent_step(e_i, d, rank) @ frame^H``.
 
     With ``u = frame^H v``: ``2 Re(conj(u_a) u_b)`` and ``-2 Im(conj(u_a) u_b)`` per pair,
     ``|u_a|^2 - |u_(rank-1)|^2`` per diagonal direction.
@@ -382,24 +380,20 @@ def reconstruct_mle(
         block ``Y``, retracted to the rank-``rank`` state
         ``[[S + X, Y], [Y^H, Y^H (S + X)^-1 Y]]`` (PSD while ``S + X`` is
         positive definite). The quadratic model of ``f`` has gradient
-        ``tr((I - R) D)``, Hessian ``K^T K``, ``K = diag(sqrt(w) / p) J`` for the tangent
+        ``tr((I - R) D)``, Hessian ``G^T G``, ``G = diag(sqrt(w) / p) J`` for the tangent
         probabilities ``J`` from the outcome vectors in the eigenframe, plus the retraction's
-        kernel-block curvature ``tr((I - R)_kernel Y^H S^-1 Y)``. Tries the full, half and
-        quarter step; returns (rho, p, r, gap, change) of the first that keeps the
+        curvature ``tr(K Y^H S^-1 Y)``, ``K = (I - R)_kernel``, in closed form. Tries the full,
+        half and quarter step; returns (rho, p, r, gap, change) of the first that keeps the
         log-likelihood and lowers the gap.
         """
         vals, frame = np.linalg.eigh(rho)
         frame, support = frame[:, ::-1], vals[::-1][:rank]
-        basis = _tangent_basis(dim, rank)
         jacobian = _tangent_jacobian(vectors, frame, rank)
         kernel = np.eye(dim - rank) - (frame.conj().T @ r @ frame)[rank:, rank:]
-        y_blocks = basis.T.reshape(-1, dim, dim)[:, :rank, rank:]
-        curvature = y_blocks.conj().reshape(len(y_blocks), -1) @ (
-            (y_blocks / support[:, None]) @ kernel).reshape(len(y_blocks), -1).T
         scaled = jacobian * (np.sqrt(weights) / p)[:, None]
-        hessian = scaled.T @ scaled + 2.0 * curvature.real
+        hessian = scaled.T @ scaled + _kernel_curvature(kernel, support)
         try:
-            direction = (basis @ np.linalg.solve(hessian, (weights / p) @ jacobian)).reshape(dim, dim)
+            direction = _tangent_step(np.linalg.solve(hessian, (weights / p) @ jacobian), dim, rank)
         except np.linalg.LinAlgError:
             return None
         for scale in (1.0, 0.5, 0.25):

@@ -229,6 +229,12 @@ class TestGenerate:
             ({"tomography": {"seed": False}}, [], "tomography.seed"),
             ({"noise": {"white_noise": True}}, [], "noise.white_noise"),
             ({"noise": {"gram": [[1, 1, 1], [1, True, 1], [1, 1, 1]]}}, [], "noise.gram"),
+            ({"tomography": {"shots": "200"}}, [], "tomography.shots"),
+            ({"tomography": {"resamples": "2"}}, [], "tomography.resamples"),
+            ({"tomography": {"seed": "3"}}, [], "tomography.seed"),
+            ({"noise": {"white_noise": "0.5"}}, [], "noise.white_noise"),
+            ({"noise": {"extinction_ratio": "335"}}, [], "noise.extinction_ratio"),
+            ({"noise": {"gram": [[1, 1, 1], [1, "1", 1], [1, 1, 1]]}}, [], "noise.gram"),
             (_matrix_source(dict(RESOLVED_FROM, max_adjustment="abc")), [], f"{RESOLVED}.max_adjustment"),
             (_matrix_source(dict(RESOLVED_FROM, max_adjustment=[1])), [], f"{RESOLVED}.max_adjustment"),
             (_matrix_source(dict(RESOLVED_FROM, max_adjustment=None)), [], f"{RESOLVED}.max_adjustment"),
@@ -242,6 +248,9 @@ class TestGenerate:
              # whole-number fields take no fractions or booleans, number fields no booleans
              "fractional-shots", "fractional-resamples", "fractional-seed", "bool-shots", "bool-seed",
              "bool-white-noise", "bool-gram",
+             # number fields take JSON numbers only, not numeric strings
+             "text-shots", "text-resamples", "text-seed", "text-white-noise", "text-extinction-ratio",
+             "text-gram",
              # a matrix source's resolved_from is only the record generate writes for a csv source
              "text-adjustment", "list-adjustment", "null-adjustment", "negative-adjustment",
              "bool-adjustment", "resolved-source", "resolved-no-path", "resolved-unknown-key"],

@@ -156,16 +156,76 @@ class TestOutcomeVectors:
         n = dim.bit_length() - 1
         born = tritterlab.tomography._born_matrix(n).reshape(-1, dim * dim)
         vectors = tritterlab.tomography._outcome_vectors(n).reshape(-1, dim)
-        basis = tritterlab.tomography._tangent_basis(dim, rank)
-        rng = np.random.default_rng(dim + rank)
-        for _ in range(5):
-            a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-            rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
-            frame = np.linalg.eigh(rho)[1][:, ::-1]  # support first, as in the Newton step
+        basis = _reference_tangent_basis(dim, rank)
+        for frame in _random_frames(dim, rank, seed=dim + rank):
             reference = (born @ np.kron(frame, frame.conj()) @ basis).real
             jacobian = tritterlab.tomography._tangent_jacobian(vectors, frame, rank)
             assert jacobian.shape == reference.shape == (len(born), rank**2 - 1 + 2 * rank * (dim - rank))
             assert np.abs(jacobian - reference).max() <= 1e-12
+
+
+def _reference_tangent_basis(dim, rank):
+    """Columns vec(E) of the tangent directions in the eigenframe, built one direction at a time.
+
+    Each (a, b) of _tangent_pairs gives E[a, b] = 1 then E[a, b] = i (with E[b, a] its
+    conjugate); the traceless diagonal ones E[a, a] = 1, E[rank-1, rank-1] = -1 follow.
+    """
+    directions = []
+    for a, b in tritterlab.tomography._tangent_pairs(dim, rank):
+        for entry in (1.0, 1.0j):
+            e = np.zeros((dim, dim), dtype=complex)
+            e[a, b], e[b, a] = entry, np.conj(entry)
+            directions.append(e)
+    for a in range(rank - 1):
+        e = np.zeros((dim, dim), dtype=complex)
+        e[a, a], e[rank - 1, rank - 1] = 1.0, -1.0
+        directions.append(e)
+    return np.stack([e.ravel() for e in directions], axis=1)
+
+
+def _random_frames(dim, rank, seed, count=5):
+    """Eigenframes, support first as in the Newton step, of random rank-``rank`` states."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+        yield np.linalg.eigh(a @ a.conj().T)[1][:, ::-1]
+
+
+_NEWTON_SHAPES = [(2, 1), (4, 3), (4, 4), (8, 1), (8, 6), (8, 7)]
+
+
+class TestNewtonClosedForms:
+    """The Newton step's scatter and kernel curvature against direct evaluations."""
+
+    @pytest.mark.parametrize("dim, rank", _NEWTON_SHAPES)
+    def test_step_has_the_jacobians_born_rows(self, dim, rank):
+        n = dim.bit_length() - 1
+        born = tritterlab.tomography._born_matrix(n).reshape(-1, dim * dim)
+        vectors = tritterlab.tomography._outcome_vectors(n).reshape(-1, dim)
+        basis = _reference_tangent_basis(dim, rank)
+        rng = np.random.default_rng(dim * rank)
+        for frame in _random_frames(dim, rank, seed=dim - rank):
+            x = rng.normal(size=basis.shape[1])
+            step = tritterlab.tomography._tangent_step(x, dim, rank)
+            assert np.abs(step.ravel() - basis @ x).max() <= 1e-14
+            rows = (born @ (frame @ step @ frame.conj().T).ravel()).real
+            assert np.abs(rows - tritterlab.tomography._tangent_jacobian(vectors, frame, rank) @ x).max() <= 1e-12
+
+    @pytest.mark.parametrize("dim, rank", _NEWTON_SHAPES)
+    def test_kernel_curvature_is_the_quadratic_form(self, dim, rank):
+        basis = _reference_tangent_basis(dim, rank)
+        rng = np.random.default_rng(dim + 10 * rank)
+        for _ in range(5):
+            support = np.sort(rng.uniform(0.01, 1.0, size=rank))[::-1]
+            a = rng.normal(size=(dim - rank,) * 2) + 1j * rng.normal(size=(dim - rank,) * 2)
+            kernel = np.eye(dim - rank) - (a + a.conj().T) / 4.0  # Hermitian, as (I - R) on the kernel
+            curvature = tritterlab.tomography._kernel_curvature(kernel, support)
+            assert curvature.shape == (basis.shape[1],) * 2
+            for _ in range(5):
+                x = rng.normal(size=basis.shape[1])
+                y = (basis @ x).reshape(dim, dim)[:rank, rank:]
+                direct = 2.0 * np.trace(kernel @ y.conj().T @ np.diag(1.0 / support) @ y).real
+                assert abs(x @ curvature @ x - direct) <= 1e-12 * max(1.0, abs(direct))
 
 
 class TestSimulateCounts:
@@ -394,8 +454,9 @@ class TestBoundaryFinish:
     def test_replay_through_newton_steps_never_lowers_log_likelihood(self, monkeypatch):
         counts = _noisy_ghzprime_run()[1]
         ranks = []
-        basis = tritterlab.tomography._tangent_basis
-        monkeypatch.setattr(tritterlab.tomography, "_tangent_basis", lambda d, r: ranks.append(r) or basis(d, r))
+        jacobian = tritterlab.tomography._tangent_jacobian
+        monkeypatch.setattr(tritterlab.tomography, "_tangent_jacobian",
+                            lambda v, frame, r: ranks.append(r) or jacobian(v, frame, r))
         result = reconstruct_mle(counts)
         assert ranks  # the fit took Newton steps
         fits = [reconstruct_mle(counts, max_iter=k) for k in range(result.iterations + 1)]
@@ -693,6 +754,13 @@ class TestCountsTableCsv:
                 CountsTable.from_csv(path)
         path.write_text(f"setting,outcome,count\nZ,0,{'0' * 5000}\nZ,1,000{2**63 - 1}\n", encoding="utf-8")
         assert CountsTable.from_csv(path).counts.tolist() == [[0, 2**63 - 1]]
+
+    def test_qubit_count_above_bound_names_first_row(self, tmp_path):
+        # one 5-qubit row would otherwise load as a (1, 32) table; a 40-qubit one would ask for 2^40 counts
+        path = tmp_path / "wide.csv"
+        path.write_text("setting,outcome,count\nZZZZZ,00000,5\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="line 2: qubit count 5 exceeds bound 4"):
+            CountsTable.from_csv(path)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValidationError):
