@@ -70,6 +70,9 @@ class IntensityTable:
                     if lineno == 1 and not rows:
                         continue  # header row
                     raise ValidationError(f"{path.name}: line {lineno}: non-numeric cell in {cells}")
+                # float() also reads 3_3 as 33 and takes non-ASCII digits
+                if not all(c.isascii() and "_" not in c for c in cells):
+                    raise ValidationError(f"{path.name}: line {lineno}: cells must be plain ASCII numbers, got {cells}")
         if not rows:
             raise ValidationError(f"{path.name}: no data rows")
         widths = {len(r) for r in rows}

@@ -39,13 +39,7 @@ from .interference import (
     spectral_vectors_from_gram,
 )
 from .states import GENERATED_KINDS, StateKind, canonical_state, fidelity, purity, recipe, witness_report
-from .tomography import (
-    CountsTable,
-    measurement_settings,
-    monte_carlo_uncertainty,
-    reconstruct_mle,
-    simulate_counts,
-)
+from .tomography import CountsTable, monte_carlo_uncertainty, reconstruct_mle, simulate_counts
 from .validation import ConfigError, ConvergenceError, ValidationError, check_gram
 
 
@@ -245,9 +239,8 @@ def run_generate(config: ExperimentConfig, stamp: bool = False) -> tuple[dict, C
     lam = config.white_noise
     rho_noisy = (1.0 - lam) * noisy.rho + lam * np.eye(8) / 8.0
 
-    settings = measurement_settings(3)
     seed_counts, seed_mc_f, seed_mc_p = np.random.SeedSequence(config.seed).spawn(3)
-    counts = simulate_counts(rho_noisy, settings, config.shots, seed_counts)
+    counts = simulate_counts(rho_noisy, config.shots, seed_counts)
     recon = reconstruct_mle(counts)
     mc_fid = monte_carlo_uncertainty(
         counts, config.resamples, lambda r: fidelity(r, target), seed_mc_f, start=recon.rho
@@ -281,7 +274,7 @@ def run_generate(config: ExperimentConfig, stamp: bool = False) -> tuple[dict, C
         },
         "tomography": {
             "shots": config.shots,
-            "n_settings": len(settings),
+            "n_settings": len(counts.counts),
             "reconstruction": {
                 "fidelity": fidelity(recon.rho, target),
                 "purity": purity(recon.rho),

@@ -132,7 +132,7 @@ class InternalState:
             raise ValidationError("spectral vector must have dimension >= 1")
         for name, v in (("polarisation", pol), ("spectral vector", spectral)):
             norm = float(np.linalg.norm(v))
-            if abs(norm - 1.0) > STATE_NORM_TOL:
+            if not abs(norm - 1.0) <= STATE_NORM_TOL:  # a NaN norm fails too
                 raise ValidationError(f"{name} is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         pol.setflags(write=False)
         spectral.setflags(write=False)
@@ -309,8 +309,8 @@ def pair_coincidence_probability(
     pair and any output pair.
     """
     overlap = complex(overlap)
-    if abs(overlap) > 1.0 + 1e-12:
-        raise ValidationError(f"invalid overlap: magnitude {abs(overlap):.6f} exceeds 1")
+    if not abs(overlap) <= 1.0 + 1e-12:  # a NaN overlap fails too
+        raise ValidationError(f"invalid overlap {overlap}: magnitude must be at most 1")
     j, k = int(ports[0]), int(ports[1])
     x, y = int(outs[0]), int(outs[1])
     if j == k:

@@ -27,7 +27,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -98,68 +98,68 @@ def _born_matrix(n: int) -> np.ndarray:
     return born
 
 
-def _born_rows(rho: np.ndarray, settings: Sequence[Setting]) -> np.ndarray:
-    """Outcome probabilities of each setting, one row each, from one Born-matrix product."""
-    if not settings:
-        raise ValidationError("no measurement settings supplied")
-    n = len(settings[0])
-    index = {s: i for i, s in enumerate(measurement_settings(n))}
-    if any(s not in index for s in settings):
-        raise ValidationError(f"settings must all be {n}-qubit tuples of Pauli labels X, Y, Z")
+def _born_rows(rho: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of every setting for n-qubit ``rho``, one row each in ``measurement_settings`` order."""
     rho = as_complex_matrix(rho, "rho")
+    n = len(rho).bit_length() - 1
     if rho.shape != (2**n, 2**n):
-        raise ValidationError(f"dimension mismatch: setting implies {2**n}, rho is {rho.shape}")
-    return (_born_matrix(n)[[index[s] for s in settings]] @ rho.ravel()).real
+        raise ValidationError(f"rho must be 2^n x 2^n, got {rho.shape}")
+    return (_born_matrix(n) @ rho.ravel()).real
 
 
 def born_probabilities(rho: np.ndarray, setting: Setting) -> np.ndarray:
     """Outcome probabilities for one measurement setting; sums to 1 within 1e-10."""
-    return _born_rows(rho, [tuple(setting)])[0]
+    setting = tuple(setting)
+    settings = measurement_settings(len(setting))
+    if setting not in settings:
+        raise ValidationError(f"setting must be a tuple of Pauli labels X, Y, Z, got {setting!r}")
+    rows = _born_rows(rho)
+    if len(rows) != len(settings):
+        raise ValidationError(f"dimension mismatch: setting implies {2 ** len(setting)}, rho is {np.shape(rho)}")
+    return rows[settings.index(setting)]
 
 
 @dataclass(frozen=True)
 class CountsTable:
-    """Non-negative outcome counts, one row of ``2^n`` per measurement setting."""
+    """Non-negative outcome counts of shape (3^n, 2^n); row ``s`` is setting ``measurement_settings(n)[s]``."""
 
-    settings: tuple[Setting, ...]
     counts: np.ndarray
 
     def __post_init__(self):
-        settings = tuple(tuple(s) for s in self.settings)
-        if not settings:
-            raise ValidationError("counts table has no settings")
-        n = len(settings[0])
-        if any(len(s) != n for s in settings):
-            raise ValidationError("all settings must address the same qubit count")
-        counts = np.array(self.counts, dtype=np.int64)
-        if counts.shape != (len(settings), 2**n):
-            raise ValidationError(
-                f"counts must have shape ({len(settings)}, {2 ** n}), got {counts.shape}"
-            )
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iu":  # floats, NaN included, would truncate or wrap
+            raise ValidationError(f"counts must be an integer array, got dtype {counts.dtype}")
+        counts = counts.astype(np.int64)  # a copy; uint64 counts of 2^63 and more wrap below 0
+        n = counts.shape[-1].bit_length() - 1 if counts.ndim == 2 else 0
+        if n < 1 or counts.shape != (3**n, 2**n):
+            raise ValidationError(f"counts must have shape (3^n, 2^n) for n >= 1 qubits, got {counts.shape}")
+        if n > TOMOGRAPHY_MAX_QUBITS:
+            raise ValidationError(f"qubit count {n} exceeds bound {TOMOGRAPHY_MAX_QUBITS}")
         if (counts < 0).any():
-            raise ValidationError("counts must be non-negative")
+            raise ValidationError("counts must lie in [0, 2^63)")
         counts.setflags(write=False)
-        object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", counts)
 
     @property
     def n_qubits(self) -> int:
-        return len(self.settings[0])
+        return self.counts.shape[1].bit_length() - 1
 
     def to_csv(self, path) -> None:
         n = self.n_qubits
         with Path(path).open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["setting", "outcome", "count"])
-            for setting, row in zip(self.settings, self.counts):
+            for setting, row in zip(measurement_settings(n), self.counts):
                 for outcome, value in enumerate(row):
                     writer.writerow(["".join(setting), format(outcome, f"0{n}b"), int(value)])
 
     @classmethod
     def from_csv(cls, path) -> "CountsTable":
+        """Rows in any order; a setting or outcome the file leaves out reads as 0."""
         path = Path(path)
-        per_setting: dict[Setting, dict[int, int]] = {}
-        n: int | None = None
+        index: dict[str, int] = {}
+        table: np.ndarray | None = None
+        seen: set[tuple[int, int]] = set()
         with path.open(newline="", encoding="utf-8") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 cells = [c.strip() for c in row if c.strip() != ""]
@@ -170,48 +170,46 @@ class CountsTable:
                 if len(cells) != 3:
                     raise ValidationError(f"{path.name}: line {lineno}: expected 3 columns")
                 label, outcome, value = cells
-                setting = tuple(label.upper())
+                setting = label.upper()
                 if any(ch not in _BASIS for ch in setting):
                     raise ValidationError(f"{path.name}: line {lineno}: bad setting '{label}'")
-                if n is None:
-                    n = len(setting)
-                    if n > TOMOGRAPHY_MAX_QUBITS:  # before any row of 2^n counts is built
+                n = len(setting)
+                if table is None:
+                    if n > TOMOGRAPHY_MAX_QUBITS:  # before the 6^n table is built
                         raise ValidationError(
                             f"{path.name}: line {lineno}: qubit count {n} exceeds bound {TOMOGRAPHY_MAX_QUBITS}")
-                elif len(setting) != n:
+                    index = {"".join(s): i for i, s in enumerate(measurement_settings(n))}
+                    table = np.zeros((3**n, 2**n), dtype=np.int64)
+                elif setting not in index:
                     raise ValidationError(f"{path.name}: line {lineno}: inconsistent qubit count")
                 if len(outcome) != n or set(outcome) - {"0", "1"}:
                     raise ValidationError(f"{path.name}: line {lineno}: outcome '{outcome}' invalid")
                 digits = value.lstrip("0") or "0"
                 if not (value.isascii() and value.isdigit()) or len(digits) > 19 or int(digits) >= 2**63:
                     raise ValidationError(f"{path.name}: line {lineno}: count '{value}' is not an integer in [0, 2^63)")
-                idx, count = int(outcome, 2), int(digits)
-                row_counts = per_setting.setdefault(setting, {})
-                if idx in row_counts:
+                cell = (index[setting], int(outcome, 2))
+                if cell in seen:
                     raise ValidationError(f"{path.name}: line {lineno}: repeats setting {label} outcome {outcome}")
-                row_counts[idx] = count
-        if not per_setting or n is None:
+                seen.add(cell)
+                table[cell] = int(digits)
+        if table is None:
             raise ValidationError(f"{path.name}: no count rows found")
-        settings = tuple(sorted(per_setting))
-        return cls(settings, [[per_setting[s].get(idx, 0) for idx in range(2**n)] for s in settings])
+        return cls(table)
 
 
-def simulate_counts(
-    rho: np.ndarray, settings: Sequence[Setting], shots: int, seed
-) -> CountsTable:
-    """Multinomial outcome counts per setting; reproducible for a given seed.
+def simulate_counts(rho: np.ndarray, shots: int, seed) -> CountsTable:
+    """Multinomial outcome counts of every setting; reproducible for a given seed.
 
     Each setting's probabilities are rounded to multiples of 2^-40 with the
     residual on the largest, so rows sum to exactly 1 and the sampler is exact.
     """
     if int(shots) < 1:
         raise ValidationError("shots must be positive")
-    settings = tuple(tuple(s) for s in settings)
-    p = np.clip(_born_rows(rho, settings), 0.0, None)
+    p = np.clip(_born_rows(rho), 0.0, None)
     p = np.round(p / p.sum(axis=1, keepdims=True) * _GRID) / _GRID
     p[np.arange(len(p)), p.argmax(axis=1)] += 1.0 - p.sum(axis=1)
     counts = np.random.default_rng(seed).multinomial(int(shots), p)
-    return CountsTable(settings, counts)
+    return CountsTable(counts)
 
 
 @dataclass(frozen=True)
@@ -325,22 +323,20 @@ def reconstruct_mle(
     20 iterations in a row accept none.
     """
     n = counts.n_qubits
-    index = {s: i for i, s in enumerate(measurement_settings(n))}
-    if sorted(counts.settings) != list(index):
-        missing = ["".join(s) for s in index if s not in counts.settings]
-        raise ValidationError(f"counts must cover each of the {len(index)} settings once; missing {missing[:5]}")
     dim = 2**n
-    if (counts.counts == 0).all(axis=1).any():  # an int64 row sum can wrap to 0
-        raise ValidationError("every setting needs at least one recorded count")
+    empty = np.flatnonzero((counts.counts == 0).all(axis=1))  # an int64 row sum can wrap to 0
+    if empty.size:
+        settings = measurement_settings(n)
+        names = ["".join(settings[i]) for i in empty[:5]]
+        raise ValidationError(f"every setting needs a recorded count; {empty.size} have none: {names}")
     mixed = np.eye(dim, dtype=complex) / dim
     start = mixed if start is None else _checked_start(start, dim)
 
     # only observed outcomes enter the likelihood
     flat_counts = counts.counts.reshape(-1).astype(float)
     observed = flat_counts > 0
-    rows = [index[s] for s in counts.settings]
-    born = _born_matrix(n)[rows].reshape(-1, dim * dim)[observed]
-    vectors = _outcome_vectors(n)[rows].reshape(-1, dim)[observed]
+    born = _born_matrix(n).reshape(-1, dim * dim)[observed]
+    vectors = _outcome_vectors(n).reshape(-1, dim)[observed]
     flat_counts = flat_counts[observed]
     total = float(flat_counts.sum())
     weights = flat_counts / total
@@ -535,8 +531,7 @@ def monte_carlo_uncertainty(
     gaps: list[float] = []
     for rng in np.random.default_rng(seed).spawn(int(resamples)):
         try:
-            table = CountsTable(counts.settings, rng.poisson(counts.counts))
-            result = reconstruct_mle(table, start=start)
+            result = reconstruct_mle(CountsTable(rng.poisson(counts.counts)), start=start)
             iterations.append(result.iterations)
             gaps.append(result.gap)
             if not result.converged:

@@ -23,7 +23,6 @@ from tritterlab import (
     fourier_unitary,
     insertion_loss_db,
     local_transform,
-    measurement_settings,
     monte_carlo_uncertainty,
     pair_coincidence_probability,
     postselect_coincidence,
@@ -158,10 +157,9 @@ def test_criterion_07_witness_logic():
 @criterion(8, "tomography round trips > 0.98, monotone likelihood, shrinking MC std, < 60 s")
 def test_criterion_08_tomography_round_trip():
     start = time.perf_counter()
-    settings = measurement_settings(3)
     for seed, kind in enumerate(GENERATED_KINDS, start=101):
         result = _generate(kind)
-        counts = simulate_counts(result.rho, settings, 10_000, seed=seed)
+        counts = simulate_counts(result.rho, 10_000, seed=seed)
         recon = reconstruct_mle(counts)
         assert fidelity(recon.rho, canonical_state(kind)) > 0.98
         history = np.array(
@@ -174,7 +172,7 @@ def test_criterion_08_tomography_round_trip():
     rho1 = 0.7 * np.outer(probe, probe.conj()) + 0.3 * np.eye(2) / 2
     stds = []
     for shots in (100, 1_000, 10_000):
-        counts1 = simulate_counts(rho1, measurement_settings(1), shots, seed=2024)
+        counts1 = simulate_counts(rho1, shots, seed=2024)
         mc = monte_carlo_uncertainty(counts1, 60, lambda r: fidelity(r, probe), seed=99)
         stds.append(mc.std)
     assert stds[0] > stds[1] > stds[2]

@@ -273,6 +273,16 @@ class TestIntensityTableCsv:
         with pytest.raises(ValidationError, match="line 2"):
             IntensityTable.from_csv(path)
 
+    @pytest.mark.parametrize(
+        "cell", ["3_3", "\uff13\uff13", "\u0663\u0663"], ids=["underscore", "fullwidth", "arabic-indic"]
+    )
+    def test_non_ascii_number_names_line(self, tmp_path, cell):
+        # float() reads each of these as 33.0
+        path = tmp_path / "odd.csv"
+        path.write_text(f"Output 1,Output 2,Output 3\n33,33,33\n33,{cell},33\n33,33,33\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="line 3"):
+            IntensityTable.from_csv(path)
+
     def test_wrong_row_count_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
         # a 3-port table with a loss column that lost a row

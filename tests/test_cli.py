@@ -431,6 +431,14 @@ class TestTomo:
         assert "line 218" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_setting_without_counts_exits_2_naming_it(self, tmp_path, capsys):
+        counts = tmp_path / "one-qubit.csv"
+        counts.write_text("setting,outcome,count\nZ,1,30\nX,0,60\n", encoding="utf-8")
+        out = tmp_path / "recon.json"
+        assert main(["tomo", "--counts", str(counts), "--out", str(out)]) == 2
+        assert "1 have none: ['Y']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_digit_count_exits_2(self, tmp_path, capsys):
         counts = tmp_path / "one-qubit.csv"
         counts.write_text("setting,outcome,count\nX,0,6_0\nX,1,40\nY,0,55\nY,1,45\nZ,0,70\nZ,1,30\n",

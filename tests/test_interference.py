@@ -130,6 +130,16 @@ class TestInputValidation:
         with pytest.raises(ValidationError):
             InternalState(H, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize(
+        "pol, spectral",
+        [([np.nan, 0.0], None), ([1.0, complex(0.0, np.nan)], None), ([1.0, 0.0], [np.nan])],
+        ids=["pol", "pol-imaginary", "spectral"],
+    )
+    def test_nan_amplitudes_rejected(self, pol, spectral):
+        # a NaN norm passes |norm - 1| > tol, and post-selection then returns a NaN rho
+        with pytest.raises(ValidationError, match="not normalized"):
+            InternalState(pol, spectral)
+
     def test_mismatched_spectral_dims_rejected(self):
         with pytest.raises(ValidationError):
             InputConfiguration(
@@ -364,6 +374,11 @@ class TestPairCoincidence:
     def test_overlap_magnitude_above_one_rejected(self, tritter):
         with pytest.raises(ValidationError, match="overlap"):
             pair_coincidence_probability(tritter, (1, 2), (1, 2), 1.2)
+
+    @pytest.mark.parametrize("overlap", [np.nan, complex(0.5, np.nan)], ids=["nan", "nan-imaginary"])
+    def test_nan_overlap_rejected(self, tritter, overlap):
+        with pytest.raises(ValidationError, match="overlap"):
+            pair_coincidence_probability(tritter, (1, 2), (1, 2), overlap)
 
     def test_identical_ports_rejected(self, tritter):
         with pytest.raises(ValidationError):

@@ -1,11 +1,19 @@
 """Static checks on the package source."""
 
 import ast
+import dataclasses
 import inspect
 import re
 from pathlib import Path
 
-from tritterlab import __version__, monte_carlo_uncertainty, reconstruct_mle, spectral_vectors_from_gram
+from tritterlab import (
+    CountsTable,
+    __version__,
+    monte_carlo_uncertainty,
+    reconstruct_mle,
+    simulate_counts,
+    spectral_vectors_from_gram,
+)
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tritterlab"
 
@@ -94,6 +102,13 @@ def test_fit_signature_has_no_knobs():
         "counts", "resamples", "functional", "seed", "start"
     ]
     assert list(inspect.signature(spectral_vectors_from_gram).parameters) == ["gram"]
+
+
+def test_one_counts_layout():
+    # a counts table is the complete Pauli table in measurement_settings order, so neither
+    # the table nor the sampler takes a settings list that fits would have to index again
+    assert [f.name for f in dataclasses.fields(CountsTable)] == ["counts"]
+    assert list(inspect.signature(simulate_counts).parameters) == ["rho", "shots", "seed"]
 
 
 def test_pyproject_version_is_the_package_version():
