@@ -12,8 +12,12 @@ over the 2D internal modes, and the output amplitude tensor is the sum over
 photon-to-slot assignments of the tensor product of these vectors (Tichy,
 PRA 91, 022316 (2015)). The kernel evaluates that sum with Glynn's formula
 (Eur. J. Combin. 31, 1887 (2010)) over the 2^(p-1) sign vectors, in a
-working array of 2^(p-1) * (2D)^p complex entries; a permanent is the case
-of one internal mode. Post-selected states and output-port probabilities
+working array of 2^(p-1) * (2D)^p complex entries per slot list; a permanent
+is the case of one internal mode. The photons' internal vectors are built
+once per call, and the kernel takes a batch of slot lists at once:
+``output_distribution`` evaluates its patterns in chunks whose working
+array stays within 2^16 complex entries (1 MiB), unless a single pattern
+needs more. Post-selected states and output-port probabilities
 are read off the tensor, and tracing over the unobserved spectral labels is
 what turns partial distinguishability into decoherence.
 
@@ -46,23 +50,27 @@ PERMANENT_MAX_DIM = 12
 #: squared-amplitude totals below this are reported as zero-probability events
 _ZERO_PROBABILITY = 1e-24
 
+#: bound on one batched kernel call's working array in complex entries (1 MiB)
+_KERNEL_ENTRIES = 1 << 16
+
 
 def _symmetrized(v: np.ndarray) -> np.ndarray:
-    """Sum over permutations s of the tensor products (x)_k v[s(k), k], flattened.
+    """Sum over permutations s of the tensor products (x)_k v[..., s(k), k], flattened.
 
-    ``v`` has shape (p, p, m); the result has length m**p with slot 0 most
-    significant. Glynn's formula: with sign vectors d in {+1, -1}^p, d_0 = +1,
-    the sum is 2^-(p-1) sum_d (prod_i d_i) (x)_k (sum_i d_i v[i, k]), because
-    averaging prod_i d_i prod_k d_(i_k) over the signs keeps exactly the index
-    tuples (i_k) that are permutations.
+    ``v`` has shape (..., p, p, m), any leading axes being a batch; the result
+    has shape (..., m**p) with slot 0 most significant. Glynn's formula: with
+    sign vectors d in {+1, -1}^p, d_0 = +1, the sum is
+    2^-(p-1) sum_d (prod_i d_i) (x)_k (sum_i d_i v[i, k]), because averaging
+    prod_i d_i prod_k d_(i_k) over the signs keeps exactly the index tuples
+    (i_k) that are permutations.
     """
-    p, _, m = v.shape
+    *batch, p, _, m = v.shape
     bits = (np.arange(1 << (p - 1))[:, None] >> np.arange(p - 1)) & 1
     signs = np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits])
-    sums = np.einsum("bi,ikm->bkm", signs, v)
-    out = sums[:, 0]
+    sums = np.einsum("bi,...ikm->...bkm", signs, v)
+    out = sums[..., 0, :]
     for k in range(1, p):
-        out = (out[:, :, None] * sums[:, k, None, :]).reshape(len(signs), -1)
+        out = (out[..., :, None] * sums[..., k, None, :]).reshape(*batch, len(signs), -1)
     return signs.prod(axis=1) @ out / (1 << (p - 1))
 
 
@@ -211,16 +219,23 @@ def _check_config(config: InputConfiguration, n: int) -> None:
         raise ValidationError(f"{len(config)} photons exceed bound {PERMANENT_MAX_DIM}")
 
 
-def _amplitudes(u: Interferometer, config: InputConfiguration, outs: Sequence[int]) -> np.ndarray:
-    """Amplitude tensor for one photon in each slot of ``outs`` (1-based, may repeat).
+def _internal(config: InputConfiguration) -> np.ndarray:
+    """(p, 2D) array whose row j is photon j's pol (x) spectral vector."""
+    pols = np.array([s.pol for s in config.states])
+    specs = np.array([s.spectral for s in config.states])
+    return (pols[:, :, None] * specs[:, None, :]).reshape(len(config), -1)
 
-    Flattened slot-major, each slot indexed by (polarisation, spectral label),
-    so its length is (2D)**p.
+
+def _amplitudes(u: Interferometer, config: InputConfiguration, outs: Sequence) -> np.ndarray:
+    """Amplitude tensors for one photon in each slot of ``outs`` (1-based, may repeat).
+
+    ``outs`` has shape (p,) or (T, p); each tensor is flattened slot-major,
+    each slot indexed by (polarisation, spectral label), so the result has
+    shape (..., (2D)**p).
     """
-    rows = np.array(config.ports) - 1
-    cols = np.array(outs) - 1
-    internal = np.stack([np.kron(s.pol, s.spectral) for s in config.states])
-    v = u.matrix[np.ix_(rows, cols)][:, :, None] * internal[:, None, :]
+    rows = np.array(config.ports)[:, None] - 1
+    cols = np.asarray(outs)[..., None, :] - 1
+    v = u.matrix[rows, cols][..., None] * _internal(config)[:, None, :]
     return _symmetrized(v)
 
 
@@ -230,22 +245,28 @@ def output_distribution(
     """Probability of every output-port occupation pattern.
 
     For each multiset of output ports the kernel gives the amplitude tensor A
-    over the internal modes of the ordered slots, in a working array of
-    2^(p-1) * (2D)^p entries; the pattern's probability is
-    ||A||^2 / prod_j n_j!, which marginalizes over the internal modes. The
-    returned map covers every port pattern of the right photon number and
-    sums to 1 within 1e-9. More than ``PERMANENT_MAX_DIM`` photons are
-    rejected.
+    over the internal modes of the ordered slots; the pattern's probability
+    is ||A||^2 / prod_j n_j!, which marginalizes over the internal modes.
+    Patterns are evaluated in chunks, so that each kernel call's working
+    array holds at most 2^16 complex entries (1 MiB); a pattern whose own
+    2^(p-1) * (2D)^p entries exceed that runs alone. The returned map covers
+    every port pattern of the right photon number and sums to 1 within 1e-9.
+    More than ``PERMANENT_MAX_DIM`` photons are rejected.
     """
     n = u.dim
     _check_config(config, n)
+    p = len(config)
     ports = range(1, n + 1)
+    patterns = list(itertools.combinations_with_replacement(ports, p))
+    chunk = max(1, _KERNEL_ENTRIES // ((1 << (p - 1)) * (2 * config.spectral_dim) ** p))
+    weights = []
+    for start in range(0, len(patterns), chunk):
+        amps = _amplitudes(u, config, patterns[start : start + chunk])
+        weights.extend((np.abs(amps) ** 2).sum(axis=1))
     result: dict[tuple[int, ...], float] = {}
-    for outs in itertools.combinations_with_replacement(ports, len(config)):
+    for outs, weight in zip(patterns, weights):
         counts = tuple(outs.count(j) for j in ports)
-        amps = _amplitudes(u, config, outs)
-        weight = float(np.vdot(amps, amps).real)
-        result[counts] = weight / math.prod(math.factorial(c) for c in counts)
+        result[counts] = float(weight) / math.prod(math.factorial(c) for c in counts)
     return result
 
 

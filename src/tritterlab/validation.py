@@ -51,7 +51,7 @@ def check_unitary(m: np.ndarray, name: str = "matrix") -> None:
     """Element-wise max deviation of m @ m^dagger from the identity at most 1e-10."""
     check_square(m, name)
     dev = np.abs(m @ m.conj().T - np.eye(m.shape[0])).max()
-    if dev > _STATE_TOL:
+    if not dev <= _STATE_TOL:  # a NaN entry fails too
         raise ValidationError(f"{name} is not unitary: max |U U^dag - I| = {dev:.3e} > {_STATE_TOL:.0e}")
 
 
@@ -59,23 +59,23 @@ def check_density_matrix(rho: np.ndarray, name: str = "rho") -> None:
     """Hermitian, unit trace and positive semidefinite within 1e-10."""
     check_square(rho, name)
     herm = np.abs(rho - rho.conj().T).max()
-    if herm > _STATE_TOL:
+    if not herm <= _STATE_TOL:  # a NaN entry fails too
         raise ValidationError(f"{name} is not Hermitian: max |rho - rho^dag| = {herm:.3e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > _STATE_TOL:
+    if not abs(tr - 1.0) <= _STATE_TOL:
         raise ValidationError(f"{name} trace deviates from 1 by {abs(tr - 1.0):.3e}")
     lo = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
-    if lo < -_STATE_TOL:
+    if not -lo <= _STATE_TOL:
         raise ValidationError(f"{name} is not positive semidefinite: min eigenvalue = {lo:.3e}")
 
 
 def check_gram(g: np.ndarray, name: str = "gram") -> None:
     """Hermitian, unit diagonal, positive semidefinite within 1e-9."""
     check_square(g, name)
-    if np.abs(g - g.conj().T).max() > _GRAM_TOL:
+    if not np.abs(g - g.conj().T).max() <= _GRAM_TOL:  # a NaN entry fails too
         raise ValidationError(f"{name} must be Hermitian")
-    if np.abs(np.diagonal(g) - 1.0).max() > _GRAM_TOL:
+    if not np.abs(np.diagonal(g) - 1.0).max() <= _GRAM_TOL:
         raise ValidationError(f"{name} must have unit diagonal")
     lo = float(np.linalg.eigvalsh((g + g.conj().T) / 2).min())
-    if lo < -_GRAM_TOL:
+    if not -lo <= _GRAM_TOL:
         raise ValidationError(f"{name} is not positive semidefinite: min eigenvalue = {lo:.3e}")

@@ -176,6 +176,15 @@ class TestGenerate:
         assert rc == 2
         assert "noise.gram" in capsys.readouterr().err
 
+    def test_nan_gram_exits_2_naming_the_failed_check(self, tmp_path, capsys):
+        # json reads NaN; it used to pass every Gram check and stall the eigensolver
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"state": "w", "noise": {"gram": [[1, NaN, 1], [NaN, 1, 1], [1, 1, 1]]}}',
+                            encoding="utf-8")
+        rc = main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("configuration error: noise.gram: Gram matrix must be Hermitian")
+
     def test_extinction_ratio_below_one_exits_2(self, tmp_path, capsys):
         rc = main(["generate", "--state", "w", "--extinction-ratio", "0.5",
                    "--out", str(tmp_path / "x.json")])

@@ -22,6 +22,7 @@ from tritterlab import (
     spectral_vectors_from_gram,
     witness_report,
 )
+from tritterlab.interference import _KERNEL_ENTRIES
 from conftest import (
     exact_integer_permanent,
     oracle_coincidence,
@@ -196,6 +197,27 @@ class TestOutputDistribution:
             )
             dist = output_distribution(u, config)
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "p, d, n, chunked",
+        [(2, 1, 3, False), (3, 2, 3, False), (4, 1, 4, False), (2, 2, 4, False), (3, 2, 11, True)],
+    )
+    def test_every_pattern_matches_oracle(self, p, d, n, chunked):
+        # bunched patterns included; 3 photons with D = 2 on 11 ports give 286 patterns,
+        # more than one batched kernel call holds
+        rng = np.random.default_rng(100 * n + 10 * p + d)
+        u = random_unitary(n, rng)
+        ports = tuple(int(x) + 1 for x in rng.choice(n, size=p, replace=False))
+        states = [random_internal(rng, d) for _ in ports]
+        dist = output_distribution(Interferometer(u), InputConfiguration(list(zip(ports, states))))
+        assert len(dist) == math.comb(n + p - 1, p)
+        assert (len(dist) * 2 ** (p - 1) * (2 * d) ** p > _KERNEL_ENTRIES) == chunked
+        pols, specs = [s.pol for s in states], [s.spectral for s in states]
+        for counts, prob in dist.items():
+            outs = tuple(j + 1 for j, c in enumerate(counts) for _ in range(c))
+            weight = oracle_coincidence(u, ports, pols, specs, outs)[2]
+            expected = weight / math.prod(math.factorial(c) for c in counts)
+            assert prob == pytest.approx(expected, rel=1e-10, abs=1e-15)
 
     def test_four_photons_normalized(self):
         rng = np.random.default_rng(424)

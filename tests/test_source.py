@@ -73,13 +73,15 @@ def test_pauli_bases_read_only_by_the_born_matrix():
 
 def test_kronecker_products_only_in_the_born_matrix():
     # the Born matrix's outcome vectors are the one Kronecker product: the Newton step's
-    # Jacobian comes from them, not from a d^2 x d^2 Kronecker product
+    # Jacobian comes from them, not from a d^2 x d^2 Kronecker product; interference builds
+    # every photon's internal vector at once, in one broadcast product, not one kron each
     found = _owners(
         lambda node: (isinstance(node, ast.Attribute) and node.attr == "kron")
         or (isinstance(node, ast.Name) and node.id == "kron")
         or (isinstance(node, ast.alias) and node.name == "kron")
     )
-    assert {owner for owner in found if owner.startswith("tritterlab/tomography.py:")} == {
+    modules = ("tritterlab/tomography.py:", "tritterlab/interference.py:")
+    assert {owner for owner in found if owner.startswith(modules)} == {
         "tritterlab/tomography.py:_outcome_vectors"
     }
 
