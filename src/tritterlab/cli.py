@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .calibration import (
@@ -294,7 +293,6 @@ def run_generate(config: ExperimentConfig, stamp: bool = False) -> tuple[dict, C
             "seed": config.seed,
             "package_version": __version__,
             "numpy_version": np.__version__,
-            "scipy_version": scipy.__version__,
             "timestamp_utc": (
                 datetime.datetime.now(datetime.timezone.utc).isoformat() if stamp else None
             ),

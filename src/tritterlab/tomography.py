@@ -79,8 +79,8 @@ def _outcome_vectors(n: int) -> np.ndarray:
     ``v[s, o]`` is the joint eigenvector of outcome ``o`` (bit 0 = +1 eigenstate)
     of setting ``s`` in ``measurement_settings`` order.
     """
-    # row o of each basis-change matrix's transpose is its column o
-    vectors = np.stack([functools.reduce(np.kron, [_BASIS[label] for label in s]).T
+    # row o of each transpose is basis column o; np.array stores them C-contiguous, so flat reshapes are views
+    vectors = np.array([functools.reduce(np.kron, [_BASIS[label] for label in s]).T
                         for s in measurement_settings(n)])
     vectors.setflags(write=False)
     return vectors
@@ -332,21 +332,23 @@ def reconstruct_mle(
     mixed = np.eye(dim, dtype=complex) / dim
     start = mixed if start is None else _checked_start(start, dim)
 
-    # only observed outcomes enter the likelihood
+    # only observed outcomes enter the likelihood; the shared Born matrix is read, not copied
     flat_counts = counts.counts.reshape(-1).astype(float)
     observed = flat_counts > 0
-    born = _born_matrix(n).reshape(-1, dim * dim)[observed]
+    born = _born_matrix(n).reshape(-1, dim * dim)
     vectors = _outcome_vectors(n).reshape(-1, dim)[observed]
     flat_counts = flat_counts[observed]
     total = float(flat_counts.sum())
     weights = flat_counts / total
+    scattered = np.zeros(len(born))  # weights / p at the observed outcomes, 0 elsewhere
 
     def probabilities(rho: np.ndarray) -> np.ndarray:
-        return (born @ rho.ravel()).real
+        return (born @ rho.ravel()).real[observed]
 
     def r_operator(p: np.ndarray) -> np.ndarray:
         """Minus the gradient of the objective at a state with probabilities ``p``."""
-        return ((weights / p) @ born).conj().reshape(dim, dim)
+        scattered[observed] = weights / p
+        return (scattered @ born).conj().reshape(dim, dim)
 
     def change(p_from: np.ndarray, step: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective change ``f(rho + step) - f(rho)`` for ``p_from = p(rho)``, tr(rho) = 1.

@@ -2,10 +2,12 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import tritterlab.cli
 from tritterlab import (
     ConvergenceError,
     DipScan,
@@ -237,6 +239,70 @@ class TestGaussianFit:
     def test_unphysical_fit_parameters_rejected(self):
         with pytest.raises(ValidationError):
             GaussianFit(amplitude=1.0, center=0.0, width=-1.0, offset=2.0, residual_norm=0.0)
+
+
+def _dip_scans(poisson: bool):
+    """120 seeded dip scans over point counts, coherences, rates and peak overlaps, each with
+    its generating parameters (amplitude, center, width, offset)."""
+    tritter = fourier_unitary(3)
+    for seed in range(120):
+        points, coherence = (21, 41, 101)[seed % 3], (0.5, 1.0, 2.0)[seed // 3 % 3]
+        rate, overlap_sq = (1e3, 4.5e4, 1e6)[seed // 9 % 3], (1.0, 0.956, 0.8, 0.5)[seed % 4]
+        delays = np.linspace(-4.0, 4.0, points)
+        scan = hom_scan(tritter, (1, 2), (1, 2), delays, coherence, rate, seed=seed,
+                        peak_overlap=math.sqrt(overlap_sq), poisson=poisson)
+        # expected counts fall as exp(-d^2 / coherence^2): a Gaussian of width coherence / sqrt(2)
+        truth = (scan.ceiling_rate - scan.floor_rate, 0.0, coherence / math.sqrt(2.0), scan.ceiling_rate)
+        yield scan, np.array(truth)
+
+
+def _residual_norm(scan, params) -> float:
+    amplitude, center, width, offset = params
+    model = offset - amplitude * np.exp(-((scan.delays - center) ** 2) / (2.0 * width**2))
+    return float(np.linalg.norm(model - scan.counts))
+
+
+class TestGaussianFitOptimality:
+    @pytest.mark.parametrize("poisson", [True, False], ids=["poisson", "noiseless"])
+    def test_residual_at_most_that_of_the_generating_parameters(self, poisson):
+        for scan, truth in _dip_scans(poisson):
+            fit = fit_gaussian(scan)
+            fitted = _residual_norm(scan, (fit.amplitude, fit.center, fit.width, fit.offset))
+            assert fitted <= _residual_norm(scan, truth) + 1e-12 * np.linalg.norm(scan.counts)
+            assert fit.residual_norm == pytest.approx(fitted, rel=1e-9, abs=1e-9)
+
+    def test_noiseless_scans_recover_the_generating_parameters(self):
+        for scan, truth in _dip_scans(poisson=False):
+            fit = fit_gaussian(scan)
+            fitted = np.array([fit.amplitude, fit.center, fit.width, fit.offset])
+            assert np.all(np.abs(fitted - truth) <= 1e-9 * np.maximum(np.abs(truth), 1.0))
+
+
+#: counts with no dip to fit, over evenly spaced delays from -4 to 4
+DEGENERATE_SCANS = {
+    "single-point-spike": np.where(np.arange(9) == 4, 50.0, 5.0),
+    "single-low-point": np.where(np.arange(9) == 4, 5.0, 50.0),
+    "linear-ramp": np.linspace(10.0, 50.0, 9),
+    "step": np.where(np.arange(9) < 4, 10.0, 50.0),
+    # undamped, its normal equations turn singular
+    "poisson-noise": np.random.default_rng(3).poisson(10.0, 101).astype(float),
+}
+
+
+@pytest.mark.parametrize("counts", DEGENERATE_SCANS.values(), ids=DEGENERATE_SCANS.keys())
+def test_degenerate_scan_fits_or_raises_cleanly(counts, tmp_path, monkeypatch):
+    scan = DipScan(np.linspace(-4.0, 4.0, counts.size), counts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow in the width step would warn
+        try:
+            fit = fit_gaussian(scan)
+        except ConvergenceError:
+            fit = None
+    if fit is not None:
+        assert fit.width > 0 and math.isfinite(fit.residual_norm)
+    monkeypatch.setattr(tritterlab.cli, "hom_scan", lambda *args, **kwargs: scan)
+    rc = tritterlab.cli.main(["hom", "--rate", "100", "--out", str(tmp_path / "dip")])
+    assert rc == (3 if fit is None else 0)
 
 
 class TestIntensityTableCsv:

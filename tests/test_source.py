@@ -3,7 +3,10 @@
 import ast
 import dataclasses
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from tritterlab import (
@@ -94,6 +97,24 @@ def test_no_environment_reads():
             and any(alias.name in ("environ", "getenv") for alias in node.names))
     )
     assert found == []
+
+
+def test_no_scipy_imports():
+    # numpy is the one dependency: importing scipy.optimize cost every process ~0.5 s and ~42 MB
+    found = _owners(
+        lambda node: (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
+    )
+    assert found == []
+
+
+def test_importing_the_package_loads_no_scipy():
+    # a fresh interpreter: another test module may have imported scipy into this one
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, tritterlab, tritterlab.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_fit_signature_has_no_knobs():

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,29 @@ class TestOutcomeVectors:
                     ops[qubit] = sigma[label]
                     pauli = functools.reduce(np.kron, ops)
                     assert np.abs(pauli @ v - (-1) ** bit * v).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_flat_reshapes_are_views(self, n):
+        # every fit reads the cached arrays flat; a non-contiguous layout copies them per fit
+        vectors, born = tritterlab.tomography._outcome_vectors(n), tritterlab.tomography._born_matrix(n)
+        assert vectors.flags.c_contiguous and born.flags.c_contiguous
+        assert np.shares_memory(vectors.reshape(-1, 2**n), vectors)
+        assert np.shares_memory(born.reshape(-1, 4**n), born)
+
+    def test_warm_resample_fit_allocates_no_large_temporaries(self):
+        # glibc serves blocks above 128 KiB by mmap once scipy's import no longer raises its
+        # threshold, so every such per-fit temporary is mapped and page-faulted afresh
+        counts = _source_counts("ideal-w")
+        start = reconstruct_mle(counts).rho
+        resample = CountsTable(np.random.default_rng(7).poisson(counts.counts))
+        reconstruct_mle(resample, start=start)  # fills the caches
+        tracemalloc.start()
+        try:
+            reconstruct_mle(resample, start=start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024
 
     @pytest.mark.parametrize("dim, rank", [(2, 1), (4, 1), (4, 3), (8, 1), (8, 6), (8, 7)])
     def test_tangent_jacobian_equals_the_kronecker_route(self, dim, rank):
