@@ -11,15 +11,17 @@ reaching slot k carries the vector ``U[in_j, out_k] * (pol_j (x) spec_j)``
 over the 2D internal modes, and the output amplitude tensor is the sum over
 photon-to-slot assignments of the tensor product of these vectors (Tichy,
 PRA 91, 022316 (2015)). The kernel evaluates that sum with Glynn's formula
-(Eur. J. Combin. 31, 1887 (2010)) over the 2^(p-1) sign vectors, in a
-working array of 2^(p-1) * (2D)^p complex entries per slot list; a permanent
-is the case of one internal mode. The photons' internal vectors are built
-once per call, and the kernel takes a batch of slot lists at once:
-``output_distribution`` evaluates its patterns in chunks whose working
-array stays within 2^16 complex entries (1 MiB), unless a single pattern
-needs more. Post-selected states and output-port probabilities
-are read off the tensor, and tracing over the unobserved spectral labels is
-what turns partial distinguishability into decoherence.
+(Eur. J. Combin. 31, 1887 (2010)): the tensor products over the first
+floor(p/2) and the last ceil(p/2) slots, per sign vector, are contracted over
+the 2^(p-1) sign vectors in one matrix product, in a working array of
+2^(p-1) * ((2D)^floor(p/2) + (2D)^ceil(p/2)) + (2D)^p complex entries per
+slot list; a permanent is the case of one internal mode. The photons'
+internal vectors are built once per call, and the kernel takes a batch of
+slot lists at once: ``output_distribution`` evaluates its patterns in chunks
+whose working array stays within 2^16 complex entries (1 MiB), unless a
+single pattern needs more. Post-selected states and output-port
+probabilities are read off the tensor, and tracing over the unobserved
+spectral labels is what turns partial distinguishability into decoherence.
 
 Conventions: ports are 1-based; ``matrix[k-1, j-1]`` is the amplitude from
 input port k to output port j; polarisation index 0 is H and 1 is V.
@@ -62,16 +64,24 @@ def _symmetrized(v: np.ndarray) -> np.ndarray:
     sign vectors d in {+1, -1}^p, d_0 = +1, the sum is
     2^-(p-1) sum_d (prod_i d_i) (x)_k (sum_i d_i v[i, k]), because averaging
     prod_i d_i prod_k d_(i_k) over the signs keeps exactly the index tuples
-    (i_k) that are permutations.
+    (i_k) that are permutations. Per sign vector, ``left`` is the weighted
+    tensor product over slots k < p//2 and ``right`` the one over the rest, so
+    the sum over d is one matrix product left^T @ right; the working array
+    has 2^(p-1) * (m^(p//2) + m^(p - p//2)) entries plus the m^p result.
     """
     *batch, p, _, m = v.shape
     bits = (np.arange(1 << (p - 1))[:, None] >> np.arange(p - 1)) & 1
     signs = np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits])
     sums = np.einsum("bi,...ikm->...bkm", signs, v)
-    out = sums[..., 0, :]
-    for k in range(1, p):
-        out = (out[..., :, None] * sums[..., k, None, :]).reshape(*batch, len(signs), -1)
-    return signs.prod(axis=1) @ out / (1 << (p - 1))
+
+    def tensor(out, slots):
+        for k in slots:
+            out = (out[..., :, None] * sums[..., k, None, :]).reshape(*batch, len(signs), -1)
+        return out
+
+    left = tensor((signs.prod(axis=1) / (1 << (p - 1)))[:, None], range(p // 2))
+    right = tensor(sums[..., p // 2, :], range(p // 2 + 1, p))
+    return (left.swapaxes(-1, -2) @ right).reshape(*batch, -1)
 
 
 def permanent(m) -> complex:
@@ -249,7 +259,8 @@ def output_distribution(
     is ||A||^2 / prod_j n_j!, which marginalizes over the internal modes.
     Patterns are evaluated in chunks, so that each kernel call's working
     array holds at most 2^16 complex entries (1 MiB); a pattern whose own
-    2^(p-1) * (2D)^p entries exceed that runs alone. The returned map covers
+    2^(p-1) * ((2D)^floor(p/2) + (2D)^ceil(p/2)) + (2D)^p entries exceed
+    that runs alone. The returned map covers
     every port pattern of the right photon number and sums to 1 within 1e-9.
     More than ``PERMANENT_MAX_DIM`` photons are rejected.
     """
@@ -258,7 +269,9 @@ def output_distribution(
     p = len(config)
     ports = range(1, n + 1)
     patterns = list(itertools.combinations_with_replacement(ports, p))
-    chunk = max(1, _KERNEL_ENTRIES // ((1 << (p - 1)) * (2 * config.spectral_dim) ** p))
+    m = 2 * config.spectral_dim
+    entries = (1 << (p - 1)) * (m ** (p // 2) + m ** (p - p // 2)) + m**p
+    chunk = max(1, _KERNEL_ENTRIES // entries)
     weights = []
     for start in range(0, len(patterns), chunk):
         amps = _amplitudes(u, config, patterns[start : start + chunk])
@@ -279,10 +292,11 @@ def postselect_coincidence(
     one photon in as many ports as there are input photons (bunched patterns
     are not supported here; their probabilities are available through
     ``output_distribution``). Qubits are ordered by increasing output port.
-    The kernel's amplitude tensor, reshaped to a (2^p x D^p) matrix of
-    polarisation by spectral patterns, gives the unnormalized state
-    ``A A^dagger`` with the spectral labels traced out; its working array has
-    2^(p-1) * (2D)^p entries. More than ``PERMANENT_MAX_DIM`` photons are
+    The kernel's amplitude tensor, reshaped to a (2^p x D^p) matrix A of
+    polarisation by spectral patterns, gives the probability ||A||^2 and,
+    scaled to unit norm, the state ``A A^dagger`` with the spectral labels
+    traced out, formed in one product; at D = 1 the 4^p-entry state outgrows
+    the kernel's working array. More than ``PERMANENT_MAX_DIM`` photons are
     rejected.
     """
     n = u.dim
@@ -305,11 +319,11 @@ def postselect_coincidence(
     amps = _amplitudes(u, config, outs).reshape((2, d) * p)
     amps = amps.transpose(np.r_[0 : 2 * p : 2, 1 : 2 * p : 2]).reshape(2**p, d**p)
 
-    rho = amps @ amps.conj().T
-    prob = float(np.real(np.trace(rho)))
+    prob = float(np.vdot(amps, amps).real)
     if prob < _ZERO_PROBABILITY:
         return PostSelectionResult(rho=None, probability=0.0, ports=outs)
-    rho = (rho + rho.conj().T) / (2.0 * prob)
+    amps /= math.sqrt(prob)
+    rho = amps @ amps.conj().T
     rho.setflags(write=False)
     return PostSelectionResult(rho=rho, probability=prob, ports=outs)
 

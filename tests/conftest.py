@@ -1,11 +1,14 @@
 """Shared fixtures and independent brute-force oracles.
 
 The oracles below recompute interference amplitudes by direct enumeration of
-photon-to-output assignments (and permanents by exact rational arithmetic),
-deliberately avoiding the package's own permanent/post-selection code paths.
+photon-to-output assignments, probabilities from the photons' Gram matrix,
+and permanents by exact rational arithmetic, deliberately avoiding the
+package's own permanent/post-selection code paths.
 """
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -96,3 +99,31 @@ def oracle_coincidence(u, ports, pols, specs, outs):
     if prob > 0:
         rho /= prob
     return amps, rho, prob
+
+
+def gram_probabilities(u, ports, gram, slot_lists):
+    """Probability of one photon in each slot of every slot list, from the photons' Gram matrix.
+
+    Photon j enters port a_j = ports[j] with internal state phi_j, and
+    gram[i, j] = <phi_i|phi_j>. For a slot list b (1-based output ports,
+    repeats allowed) the probability is the partial-distinguishability sum
+    over pairs of photon-to-slot assignments s, t (Shchesnovich, PRA 91,
+    013844 (2015)),
+
+        sum_{s,t} prod_j U[a_j, b_s(j)] conj(U[a_j, b_t(j)]) gram[t^-1(s(j)), j],
+
+    divided by prod_k n_k! for the multiplicities n_k of the output ports.
+    No internal vector is built: the cost is (p!)^2 terms per slot list
+    whatever their dimension, vectorised over the assignment pairs.
+    """
+    p = len(ports)
+    perms = np.array(list(itertools.permutations(range(p))))
+    inverse = np.argsort(perms, axis=1)
+    composed = inverse[np.arange(len(perms))[None, :, None], perms[:, None, :]]
+    overlaps = np.asarray(gram)[composed, np.arange(p)].prod(axis=-1)  # (p!, p!)
+    slots = np.asarray(slot_lists)
+    amp = np.asarray(u)[np.subtract(ports, 1)[:, None], slots[:, None, :] - 1]  # U[a_j, b_k]
+    terms = amp[:, np.arange(p), perms].prod(axis=-1)  # (lists, p!)
+    total = np.einsum("ls,st,lt->l", terms, overlaps, terms.conj()).real
+    divisors = [math.prod(math.factorial(c) for c in Counter(b).values()) for b in slots.tolist()]
+    return total / divisors

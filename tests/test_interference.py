@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ from tritterlab import (
     spectral_vectors_from_gram,
     witness_report,
 )
-from tritterlab.interference import _KERNEL_ENTRIES
+from tritterlab import interference
 from conftest import (
     exact_integer_permanent,
+    gram_probabilities,
     oracle_coincidence,
     random_internal,
     random_unitary,
@@ -33,6 +35,21 @@ from conftest import (
 H = np.array([1.0, 0.0], dtype=complex)
 V = np.array([0.0, 1.0], dtype=complex)
 DISTRIBUTION_NORM_TOL = 1e-9
+
+
+def gram_of(states):
+    """Gram matrix <phi_i|phi_j> of the photons' pol (x) spectral states."""
+    pols = np.array([s.pol for s in states])
+    specs = np.array([s.spectral for s in states])
+    return (pols.conj() @ pols.T) * (specs.conj() @ specs.T)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Shapes of the arguments of every symmetrisation-kernel call made in the test."""
+    kernel, calls = interference._symmetrized, []
+    monkeypatch.setattr(interference, "_symmetrized", lambda v: calls.append(v.shape) or kernel(v))
+    return calls
 
 
 class TestFourierUnitary:
@@ -112,6 +129,39 @@ class TestPermanent:
     def test_dimension_bound(self):
         with pytest.raises(ValidationError):
             permanent(np.eye(13))
+
+
+def brute_symmetrized(v):
+    """Sum over permutations s of (x)_k v[..., s(k), k], flattened slot-major, by enumeration."""
+    *batch, p, _, m = v.shape
+    perms = np.array(list(itertools.permutations(range(p))))
+    rows = v[..., perms, np.arange(p), :]  # (..., p!, p, m): row k is v[s(k), k]
+    out = rows[..., 0, :]
+    for k in range(1, p):
+        out = (out[..., :, None] * rows[..., k, None, :]).reshape(*batch, len(perms), -1)
+    return out.sum(axis=-2)
+
+
+class TestSymmetrized:
+    """The split Glynn contraction against the enumerated permutation sum."""
+
+    @pytest.mark.parametrize(
+        "p, m", [(p, 2) for p in range(1, 8)] + [(p, 6) for p in range(1, 6)]
+    )
+    def test_matches_permutation_sum(self, p, m):
+        rng = np.random.default_rng(10 * p + m)
+        v = rng.normal(size=(p, p, m)) + 1j * rng.normal(size=(p, p, m))
+        got, want = interference._symmetrized(v), brute_symmetrized(v)
+        assert got.shape == (m**p,)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("p, m", [(3, 6), (4, 2), (5, 2)])
+    def test_batch_of_slot_lists(self, p, m):
+        rng = np.random.default_rng(p + m)
+        v = rng.normal(size=(2, 3, p, p, m)) + 1j * rng.normal(size=(2, 3, p, p, m))
+        got, want = interference._symmetrized(v), brute_symmetrized(v)
+        assert got.shape == (2, 3, m**p)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestInputValidation:
@@ -202,22 +252,57 @@ class TestOutputDistribution:
         "p, d, n, chunked",
         [(2, 1, 3, False), (3, 2, 3, False), (4, 1, 4, False), (2, 2, 4, False), (3, 2, 11, True)],
     )
-    def test_every_pattern_matches_oracle(self, p, d, n, chunked):
+    def test_every_pattern_matches_oracle(self, p, d, n, chunked, kernel_calls, monkeypatch):
         # bunched patterns included; 3 photons with D = 2 on 11 ports give 286 patterns,
-        # more than one batched kernel call holds
+        # more than one batched kernel call holds once the bound is lowered to 2^13
+        # entries (about 41k are needed); the oracle is too slow for a case that
+        # outgrows the shipped bound, which test_five_photons_match_gram_oracle covers
         rng = np.random.default_rng(100 * n + 10 * p + d)
         u = random_unitary(n, rng)
         ports = tuple(int(x) + 1 for x in rng.choice(n, size=p, replace=False))
         states = [random_internal(rng, d) for _ in ports]
+        monkeypatch.setattr(interference, "_KERNEL_ENTRIES", 1 << 13)
         dist = output_distribution(Interferometer(u), InputConfiguration(list(zip(ports, states))))
         assert len(dist) == math.comb(n + p - 1, p)
-        assert (len(dist) * 2 ** (p - 1) * (2 * d) ** p > _KERNEL_ENTRIES) == chunked
+        assert (len(kernel_calls) >= 2) == chunked
         pols, specs = [s.pol for s in states], [s.spectral for s in states]
         for counts, prob in dist.items():
             outs = tuple(j + 1 for j, c in enumerate(counts) for _ in range(c))
             weight = oracle_coincidence(u, ports, pols, specs, outs)[2]
             expected = weight / math.prod(math.factorial(c) for c in counts)
             assert prob == pytest.approx(expected, rel=1e-10, abs=1e-15)
+
+    def test_gram_oracle_matches_vector_oracle(self):
+        # the two oracles share nothing but the unitary, on every pattern of 3 photons
+        rng = np.random.default_rng(33)
+        u = random_unitary(3, rng)
+        states = [random_internal(rng, 2) for _ in range(3)]
+        pols, specs = [s.pol for s in states], [s.spectral for s in states]
+        slot_lists = list(itertools.combinations_with_replacement((1, 2, 3), 3))
+        got = gram_probabilities(u, (1, 2, 3), gram_of(states), slot_lists)
+        for outs, prob in zip(slot_lists, got):
+            weight = oracle_coincidence(u, (1, 2, 3), pols, specs, outs)[2]
+            expected = weight / math.prod(math.factorial(outs.count(j)) for j in (1, 2, 3))
+            assert prob == pytest.approx(expected, rel=1e-10, abs=1e-15)
+
+    @pytest.mark.parametrize("d, chunked", [(1, False), (2, True), (3, True)])
+    def test_five_photons_match_gram_oracle(self, d, chunked, kernel_calls):
+        # every pattern of 5 photons on 5 ports, bunched ones included: 126 patterns,
+        # which outgrow one kernel call's bound from D = 2 on
+        rng = np.random.default_rng(500 + d)
+        states = [random_internal(rng, d) for _ in range(5)]
+        ports = (1, 2, 3, 4, 5)
+        config = InputConfiguration(list(zip(ports, states)))
+        gram = gram_of(states)
+        for u in (random_unitary(5, rng), fourier_unitary(5).matrix):
+            kernel_calls.clear()
+            dist = output_distribution(Interferometer(u), config)
+            assert len(dist) == math.comb(9, 5)
+            assert (len(kernel_calls) >= 2) == chunked
+            slot_lists = [[j + 1 for j, c in enumerate(counts) for _ in range(c)] for counts in dist]
+            expected = gram_probabilities(u, ports, gram, slot_lists)
+            for prob, want in zip(dist.values(), expected):
+                assert prob == pytest.approx(want, rel=1e-10, abs=1e-15)
 
     def test_four_photons_normalized(self):
         rng = np.random.default_rng(424)
@@ -334,6 +419,66 @@ class TestPostselectCoincidence:
         )
         assert result.probability == pytest.approx(prob_oracle, rel=1e-10)
         assert np.abs(result.rho - rho_oracle).max() < 1e-10
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_five_photons_match_gram_oracle(self, d):
+        rng = np.random.default_rng(50 + d)
+        for n in (5, 6, 7):
+            u = random_unitary(n, rng)
+            ports = tuple(int(x) + 1 for x in rng.choice(n, size=5, replace=False))
+            outs = tuple(sorted(int(x) + 1 for x in rng.choice(n, size=5, replace=False)))
+            states = [random_internal(rng, d) for _ in ports]
+            pattern = tuple(1 if j in outs else 0 for j in range(1, n + 1))
+            result = postselect_coincidence(
+                Interferometer(u), InputConfiguration(list(zip(ports, states))), pattern
+            )
+            expected = gram_probabilities(u, ports, gram_of(states), [outs])[0]
+            assert result.probability == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_balanced_five_port_matches_gram_oracle(self, d):
+        # the multiport benchmark's 5-photon case, with partial distinguishability added
+        rng = np.random.default_rng(5 + d)
+        u = fourier_unitary(5)
+        states = [random_internal(rng, d) for _ in range(5)]
+        ports = (1, 2, 3, 4, 5)
+        result = postselect_coincidence(u, InputConfiguration(list(zip(ports, states))), (1,) * 5)
+        expected = gram_probabilities(u.matrix, ports, gram_of(states), [ports])[0]
+        assert result.probability == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "p, d", [(p, 1) for p in range(1, 9)] + [(p, d) for p in range(1, 7) for d in (2, 3)]
+    )
+    def test_state_is_a_density_matrix(self, p, d):
+        rng = np.random.default_rng(70 + 10 * p + d)
+        for _ in range(3):
+            n = p + int(rng.integers(0, 2))
+            u = Interferometer(random_unitary(n, rng))
+            ports = rng.choice(n, size=p, replace=False) + 1
+            config = InputConfiguration([(int(port), random_internal(rng, d)) for port in ports])
+            outs = set(rng.choice(n, size=p, replace=False).tolist())
+            rho = postselect_coincidence(u, config, [int(j in outs) for j in range(n)]).rho
+            assert rho.shape == (2**p, 2**p)
+            assert np.abs(rho - rho.conj().T).max() <= 1e-15
+            assert abs(np.trace(rho) - 1.0) <= 1e-14
+            assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+    @pytest.mark.parametrize("p, d, bound", [(8, 1, None), (6, 3, 2 * 2**20)])
+    def test_allocation_peak(self, p, d, bound):
+        # p = 8, D = 1: nothing beyond the state itself of note; p = 6, D = 3: the
+        # amplitude tensor (46656 entries) and its regrouped copy, nothing of the
+        # 2^(p-1) * (2D)^p Glynn working array
+        rng = np.random.default_rng(p + d)
+        u = fourier_unitary(p)
+        config = InputConfiguration([(k, random_internal(rng, d)) for k in range(1, p + 1)])
+        postselect_coincidence(u, config, (1,) * p)
+        tracemalloc.start()
+        try:
+            rho = postselect_coincidence(u, config, (1,) * p).rho
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (bound or 1.25 * rho.nbytes)
 
     def test_zero_probability_is_flagged_not_raised(self):
         u = fourier_unitary(2)
