@@ -257,7 +257,8 @@ def fit_gaussian(scan: DipScan) -> GaussianFit:
     Levenberg-Marquardt (Marquardt, J. SIAM 11, 431 (1963)) on the analytic Jacobian, damped by the
     largest diagonal of ``J^T J`` seen so far times a factor that follows each step's gain ratio
     (Nielsen, IMM-REP-1999-05); a step may shrink the width at most tenfold. Stops once a step lowers
-    the squared residual by at most 1e-10 of itself, or once no resolvable step lowers it.
+    the squared residual by at most 1e-10 of itself, or once no resolvable step lowers it. Raises once a
+    step takes the width below a fifth of the smallest delay spacing or above the span: no dip resolved.
     """
     x, y = scan.delays, scan.counts
     if x.size < 5:
@@ -283,6 +284,7 @@ def fit_gaussian(scan: DipScan) -> GaussianFit:
         residual = params[3] - params[0] * g - y
         return residual, float(residual @ residual), g, t
 
+    narrowest, span = float(np.diff(x).min()) / 5.0, float(x[-1] - x[0])
     params = np.array([amp0, center0, width0, offset0])
     fit = evaluate(params)
     jac = np.ones((4, x.size))  # row k: d(model)/d(params[k]); the offset's row stays 1
@@ -307,6 +309,9 @@ def fit_gaussian(scan: DipScan) -> GaussianFit:
             gain = min(decrease / float(step @ (damped * step - gradient)), 1.0)
             damping, growth = max(damping * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-7), 2.0
             params, fit = trial, trial_fit
+            if not narrowest <= params[2] <= span:
+                raise ConvergenceError(f"dip width {params[2]:.3g} is outside the scan's resolved range "
+                                       f"[{narrowest:.3g}, {span:.3g}]", residual=math.sqrt(fit[1]))
             if decrease <= 1e-10 * cost:
                 break
         else:

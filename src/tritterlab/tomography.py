@@ -257,12 +257,13 @@ def _tangent_pairs(dim: int, rank: int) -> np.ndarray:
 
 
 def _tangent_step(x: np.ndarray, dim: int, rank: int) -> np.ndarray:
-    """Hermitian direction of tangent coordinates ``x``: (re, im) per ``_tangent_pairs`` entry, then the traceless diagonal."""
+    """Factor ``Z`` (zero below row ``rank``) of direction ``Z + Z^H`` at coordinates ``x``, ordered as in
+    ``_tangent_jacobian``: (re, im) per ``_tangent_pairs`` entry, then the traceless diagonal."""
     above, diagonal = x[:x.size - rank + 1], x[x.size - rank + 1:]
     step = np.zeros((dim, dim), dtype=complex)
     step[tuple(_tangent_pairs(dim, rank).T)] = above.view(complex)
     step[np.diag_indices(rank)] = np.concatenate((diagonal, [-diagonal.sum()])) / 2.0  # the Hermitian sum doubles it
-    return step + step.conj().T
+    return step
 
 
 def _kernel_curvature(kernel: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -276,7 +277,7 @@ def _kernel_curvature(kernel: np.ndarray, support: np.ndarray) -> np.ndarray:
 
 
 def _tangent_jacobian(vectors: np.ndarray, frame: np.ndarray, rank: int) -> np.ndarray:
-    """Column ``i``: the Born rows of ``vectors`` applied to ``frame @ _tangent_step(e_i, d, rank) @ frame^H``.
+    """Column ``i``: the Born rows of ``vectors`` applied to ``frame @ (Z + Z^H) @ frame^H``, ``Z = _tangent_step(e_i)``.
 
     With ``u = frame^H v``: ``2 Re(conj(u_a) u_b)`` and ``-2 Im(conj(u_a) u_b)`` per pair,
     ``|u_a|^2 - |u_(rank-1)|^2`` per diagonal direction.
@@ -374,15 +375,16 @@ def reconstruct_mle(
         """Newton step on the rank-``rank`` states through ``rho``, or None if none lowers the gap.
 
         In the eigenframe ``[V, V_perp]`` of ``rho = V S V^H`` a tangent
-        direction has a traceless support block ``X`` and a support-to-kernel
-        block ``Y``, retracted to the rank-``rank`` state
-        ``[[S + X, Y], [Y^H, Y^H (S + X)^-1 Y]]`` (PSD while ``S + X`` is
-        positive definite). The quadratic model of ``f`` has gradient
+        direction ``Z + Z^H`` has a factor ``Z = [[X/2, Y], [0, 0]]``, ``X`` traceless.
+        The step of scale ``s`` moves the factor ``[S^1/2; 0]`` of ``rho`` by ``s W^H``,
+        ``W = S^-1/2 Z``, to the state ``rho + s (Z + Z^H) + s^2 W^H W`` over its trace:
+        positive semidefinite of rank at most ``rank`` for every ``s`` (Burer & Monteiro,
+        Math. Program. 95, 329 (2003)). The quadratic model of ``f`` has gradient
         ``tr((I - R) D)``, Hessian ``G^T G``, ``G = diag(sqrt(w) / p) J`` for the tangent
         probabilities ``J`` from the outcome vectors in the eigenframe, plus the retraction's
-        curvature ``tr(K Y^H S^-1 Y)``, ``K = (I - R)_kernel``, in closed form. Tries the full,
-        half and quarter step; returns (rho, p, r, gap, change) of the first that keeps the
-        log-likelihood and lowers the gap.
+        kernel curvature ``tr(K Y^H S^-1 Y)``, ``K = (I - R)_kernel``, in closed form. Tries the
+        full, half and quarter step; returns (rho, p, r, gap, change) of the first that keeps
+        the log-likelihood and lowers the gap.
         """
         vals, frame = np.linalg.eigh(rho)
         frame, support = frame[:, ::-1], vals[::-1][:rank]
@@ -391,19 +393,16 @@ def reconstruct_mle(
         scaled = jacobian * (np.sqrt(weights) / p)[:, None]
         hessian = scaled.T @ scaled + _kernel_curvature(kernel, support)
         try:
-            direction = _tangent_step(np.linalg.solve(hessian, (weights / p) @ jacobian), dim, rank)
+            factor = _tangent_step(np.linalg.solve(hessian, (weights / p) @ jacobian), dim, rank)
         except np.linalg.LinAlgError:
             return None
+        whitened = factor[:rank] / np.sqrt(support)[:, None]
+        direction, grown = factor + factor.conj().T, whitened.conj().T @ whitened
         for scale in (1.0, 0.5, 0.25):
-            shift, coupling = scale * direction[:rank, :rank], scale * direction[:rank, rank:]
-            try:
-                whitened = np.linalg.solve(np.linalg.cholesky(np.diag(support) + shift), coupling)
-            except np.linalg.LinAlgError:
-                continue  # S + X is not positive definite
-            grown = whitened.conj().T @ whitened
-            added = np.trace(grown).real  # tr of the retracted state minus 1, as tr X = 0
+            step = scale * direction + scale**2 * grown
+            added = np.trace(step).real
             # the retracted state over its trace minus diag(S, 0), formed without cancellation
-            step = np.block([[shift - added * np.diag(support), coupling], [coupling.conj().T, grown]])
+            step[np.diag_indices(rank)] -= added * support
             step = frame @ (step / (1.0 + added)) @ frame.conj().T
             step = (step + step.conj().T) / 2.0
             descent, p_step = change(p, step)

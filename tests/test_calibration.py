@@ -305,6 +305,16 @@ def test_degenerate_scan_fits_or_raises_cleanly(counts, tmp_path, monkeypatch):
     assert rc == (3 if fit is None else 0)
 
 
+@pytest.mark.parametrize("name", ["single-low-point", "linear-ramp", "poisson-noise"])
+def test_runaway_width_ends_the_fit_early(name, monkeypatch):
+    # without a dip to resolve, the width creeps below the delay spacing or past the span;
+    # the fit names it within tens of steps instead of spending all its trial steps
+    monkeypatch.setattr("tritterlab.calibration._DIP_MAX_STEPS", 50)
+    counts = DEGENERATE_SCANS[name]
+    with pytest.raises(ConvergenceError, match="dip width .* is outside the scan's resolved range"):
+        fit_gaussian(DipScan(np.linspace(-4.0, 4.0, counts.size), counts))
+
+
 class TestIntensityTableCsv:
     def test_reads_header_and_loss_column(self, tmp_path):
         path = tmp_path / "ratios.csv"

@@ -89,6 +89,17 @@ def test_kronecker_products_only_in_the_born_matrix():
     }
 
 
+def test_one_retraction_in_the_fit():
+    # a Newton step moves the state's factor, which stays positive semidefinite at every step
+    # size: no Cholesky test of a Schur complement, no block assembly, no skipped step size
+    found = _owners(
+        lambda node: (isinstance(node, ast.Attribute) and node.attr in ("cholesky", "block"))
+        or (isinstance(node, ast.Name) and node.id in ("cholesky", "block"))
+        or (isinstance(node, ast.alias) and node.name in ("cholesky", "block"))
+    )
+    assert [owner for owner in found if owner.startswith("tritterlab/tomography.py:")] == []
+
+
 def test_no_environment_reads():
     # behaviour comes from arguments and config files alone, never from the environment
     found = _owners(

@@ -229,7 +229,9 @@ class TestNewtonClosedForms:
         rng = np.random.default_rng(dim * rank)
         for frame in _random_frames(dim, rank, seed=dim - rank):
             x = rng.normal(size=basis.shape[1])
-            step = tritterlab.tomography._tangent_step(x, dim, rank)
+            factor = tritterlab.tomography._tangent_step(x, dim, rank)
+            assert not factor[rank:].any()
+            step = factor + factor.conj().T
             assert np.abs(step.ravel() - basis @ x).max() <= 1e-14
             rows = (born @ (frame @ step @ frame.conj().T).ravel()).real
             assert np.abs(rows - tritterlab.tomography._tangent_jacobian(vectors, frame, rank) @ x).max() <= 1e-12
