@@ -240,16 +240,6 @@ class GaussianFit:
     def visibility(self) -> float:
         return self.amplitude / self.offset
 
-    def to_json_dict(self) -> dict:
-        return {
-            "amplitude": self.amplitude,
-            "center": self.center,
-            "width": self.width,
-            "offset": self.offset,
-            "residual_norm": self.residual_norm,
-            "visibility": self.visibility,
-        }
-
 
 def fit_gaussian(scan: DipScan) -> GaussianFit:
     """Fit an inverted Gaussian to a dip scan, initialized from moments.

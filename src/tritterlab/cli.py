@@ -13,7 +13,8 @@ import argparse
 import datetime
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -284,11 +285,11 @@ def run_generate(config: ExperimentConfig, stamp: bool = False) -> tuple[dict, C
             },
             "monte_carlo": {
                 "resamples": config.resamples,
-                "fidelity": mc_fid.to_json_dict(),
-                "purity": mc_pur.to_json_dict(),
+                "fidelity": _record(mc_fid),
+                "purity": _record(mc_pur),
             },
         },
-        "witness": witness.to_json_dict(),
+        "witness": _record(witness),
         "provenance": {
             "seed": config.seed,
             "package_version": __version__,
@@ -299,6 +300,18 @@ def run_generate(config: ExperimentConfig, stamp: bool = False) -> tuple[dict, C
         },
     }
     return report, counts
+
+
+def _record(result) -> dict:
+    """Report data of a result record: one key per field, matrices as ``[re, im]`` pairs and enum
+    members as their values; fields declared ``repr=False`` stay out."""
+    data = {f.name: getattr(result, f.name) for f in fields(result) if f.repr}
+    for key, value in data.items():
+        if isinstance(value, np.ndarray):
+            data[key] = matrix_to_pairs(value)
+        elif isinstance(value, Enum):
+            data[key] = value.value
+    return data
 
 
 def report_to_json(report: dict) -> str:
@@ -417,17 +430,15 @@ def cmd_hom(args) -> int:
     scan_path = f"{args.out}.scan.csv"
     fit_path = f"{args.out}.fit.json"
     scan.to_csv(scan_path)
-    payload = fit.to_json_dict()
-    payload.update(
-        {
-            "peak_overlap_sq": args.overlap,
-            "coherence": args.coherence,
-            "rate": args.rate,
-            "seed": args.seed,
-            "floor_rate": scan.floor_rate,
-            "ceiling_rate": scan.ceiling_rate,
-        }
-    )
+    payload = _record(fit) | {
+        "visibility": fit.visibility,
+        "peak_overlap_sq": args.overlap,
+        "coherence": args.coherence,
+        "rate": args.rate,
+        "seed": args.seed,
+        "floor_rate": scan.floor_rate,
+        "ceiling_rate": scan.ceiling_rate,
+    }
     write_report(payload, fit_path)
     print(f"visibility={fit.visibility:.4f} -> {scan_path}, {fit_path}")
     return 0
@@ -438,7 +449,7 @@ def cmd_tomo(args) -> int:
         raise ValidationError("--resamples needs --target: the error bars are on the fidelity to it")
     counts = CountsTable.from_csv(args.counts)
     recon = reconstruct_mle(counts)
-    payload = recon.to_json_dict()
+    payload = _record(recon)
     if args.target is not None:
         target = canonical_state(args.target)
         payload["target"] = args.target
@@ -448,7 +459,7 @@ def cmd_tomo(args) -> int:
             mc = monte_carlo_uncertainty(
                 counts, args.resamples, lambda r: fidelity(r, target), args.seed, start=recon.rho
             )
-            payload["fidelity_mc"] = mc.to_json_dict()
+            payload["fidelity_mc"] = _record(mc)
     _write_or_print(payload, args.out, f"reconstruction -> {args.out} (converged={recon.converged})")
     return 0
 

@@ -163,17 +163,6 @@ class WitnessReport:
     genuine_tripartite_pass: bool
     ghz_class_pass: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "fidelity": self.fidelity,
-            "fidelity_w": self.fidelity_w,
-            "overlap_ghzprime": self.overlap_ghzprime,
-            "w_witness_pass": self.w_witness_pass,
-            "genuine_tripartite_pass": self.genuine_tripartite_pass,
-            "ghz_class_pass": self.ghz_class_pass,
-        }
-
 
 def witness_report(rho: np.ndarray, claimed: StateKind) -> WitnessReport:
     """Evaluate the three entanglement witnesses against a claimed target.

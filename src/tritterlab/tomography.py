@@ -11,8 +11,10 @@ Knill & Girard, New J. Phys. 14, 095017 (2012)).
 Estimates on the boundary of the state space (rank below the dimension)
 make projected gradient crawl, so once its rank holds and the gap falls
 slowly the fit takes Newton steps on the states of that rank, and falls
-back to projected gradient when one fails. A fit that accepts no step for
-20 iterations in a row ends unconverged.
+back to projected gradient when one fails. A projected step that rounding
+rejects hands over to Newton on the current rank too, so a fit that stalls
+above the certificate's resolution still tries it. A fit that accepts no
+step for 20 iterations in a row ends unconverged.
 The certificate does not depend on the start, so resample fits start from
 the main estimate. p is linear in rho, so each accepted step adds the
 step's probabilities to the current ones.
@@ -223,17 +225,6 @@ class ReconstructionResult:
     #: certified log-likelihood shortfall from the optimum at stop
     gap: float
 
-    def to_json_dict(self) -> dict:
-        from .interference import matrix_to_pairs
-
-        return {
-            "rho": matrix_to_pairs(self.rho),
-            "log_likelihood": self.log_likelihood,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "gap": self.gap,
-        }
-
 
 def _project_to_states(m: np.ndarray) -> tuple[np.ndarray, int]:
     """Nearest density matrix to Hermitian ``m`` in Frobenius norm, and its rank.
@@ -310,8 +301,11 @@ def reconstruct_mle(
     estimate, projects onto the density matrices by an eigendecomposition
     with the eigenvalues projected onto the unit simplex, and is kept only if
     it does not lower the log-likelihood. Once the projection has kept one
-    rank for 3 accepted steps that each left over half the gap, the fit
-    tries Newton steps on the states of that rank (see ``newton``) instead.
+    rank for 3 accepted steps that each left over half the gap, or once a
+    projected step is rejected, the fit tries Newton steps on the states of
+    that rank (see ``newton``) instead. The hand-over on a rejected step lets
+    fits that stall above the certificate's resolution, as some random rank-2
+    two-qubit states do at gaps of 1e-6 to 1e-5 (10k shots), reach ``tol=1e-6``.
 
     Stops once ``N * (lambda_max(R) - 1) <= tol``, where ``N`` is the total
     count and ``R = sum_k (n_k / N) Pi_k / p_k`` (with equal counts per
@@ -456,6 +450,7 @@ def reconstruct_mle(
             idle = 0
         else:
             idle += 1  # rho, and so r and gap, stay as they are
+            steady = _STEADY_STEPS  # try Newton on the current rank next
         step *= 1.5
 
     rho = (rho + rho.conj().T) / 2
@@ -474,7 +469,8 @@ def reconstruct_mle(
 class MonteCarloResult:
     """Sample statistics of a state functional under Poisson count resampling.
 
-    ``values`` holds converged resamples only; ``failures`` counts resamples
+    ``values`` holds converged resamples only and is declared ``repr=False``,
+    which keeps it out of reports; ``failures`` counts resamples
     whose reconstruction raised and ``unconverged`` those that stopped short
     of the likelihood tolerance. ``iterations`` (total), ``iterations_max``
     and ``gap_max`` (the largest certified gap) run over every
@@ -489,17 +485,6 @@ class MonteCarloResult:
     iterations_max: int
     gap_max: float
     values: tuple[float, ...] = field(repr=False, default=())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std": self.std,
-            "failures": self.failures,
-            "unconverged": self.unconverged,
-            "iterations": self.iterations,
-            "iterations_max": self.iterations_max,
-            "gap_max": self.gap_max,
-        }
 
 
 def monte_carlo_uncertainty(

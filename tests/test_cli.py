@@ -563,6 +563,37 @@ class TestReport:
         assert capsys.readouterr().err.startswith("validation error: ")
 
 
+#: the keys of each record block, pinned so that a field added to a record changes a report only on purpose
+FIT_KEYS = {"rho", "log_likelihood", "iterations", "converged", "gap"}
+MC_KEYS = {"mean", "std", "failures", "unconverged", "iterations", "iterations_max", "gap_max"}
+WITNESS_KEYS = {"kind", "fidelity", "fidelity_w", "overlap_ghzprime", "w_witness_pass",
+                "genuine_tripartite_pass", "ghz_class_pass"}
+DIP_KEYS = {"amplitude", "center", "width", "offset", "residual_norm", "visibility", "peak_overlap_sq",
+            "coherence", "rate", "seed", "floor_rate", "ceiling_rate"}
+
+
+def test_record_blocks_keep_their_keys(tmp_path):
+    counts = _small_counts_csv(tmp_path)
+    report = _read_json(tmp_path / "small.json")
+    assert set(report["tomography"]["monte_carlo"]) == {"resamples", "fidelity", "purity"}
+    assert set(report["tomography"]["monte_carlo"]["fidelity"]) == MC_KEYS
+    assert set(report["tomography"]["monte_carlo"]["purity"]) == MC_KEYS
+    assert set(report["witness"]) == WITNESS_KEYS
+
+    out = tmp_path / "recon.json"
+    assert main(["tomo", "--counts", counts, "--out", str(out)]) == 0
+    assert set(_read_json(out)) == FIT_KEYS
+    assert main(["tomo", "--counts", counts, "--target", "w", "--out", str(out)]) == 0
+    assert set(_read_json(out)) == FIT_KEYS | {"target", "fidelity", "purity"}
+    assert main(["tomo", "--counts", counts, "--target", "w", "--resamples", "2", "--out", str(out)]) == 0
+    payload = _read_json(out)
+    assert set(payload) == FIT_KEYS | {"target", "fidelity", "purity", "fidelity_mc"}
+    assert set(payload["fidelity_mc"]) == MC_KEYS
+
+    assert main(["hom", "--rate", "1e4", "--out", str(tmp_path / "dip")]) == 0
+    assert set(_read_json(tmp_path / "dip.fit.json")) == DIP_KEYS
+
+
 class TestExperimentConfig:
     def test_round_trip_through_dict(self):
         config = ExperimentConfig.from_dict(

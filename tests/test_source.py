@@ -64,6 +64,19 @@ def test_json_dumps_only_in_report_writer():
     assert found == ["tritterlab/cli.py:report_to_json"]
 
 
+def test_records_encoded_only_by_the_cli():
+    # result records are plain dataclasses; cli._record turns every one into report data, so
+    # the complex-matrix format is written by the interference module's helper, called from cli alone
+    assert _owners(lambda node: isinstance(node, ast.FunctionDef) and node.name == "to_json_dict") == []
+    found = _owners(
+        # the definition and every use; the package root's re-export names it only as an alias
+        lambda node: (isinstance(node, ast.FunctionDef) and node.name == "matrix_to_pairs")
+        or (isinstance(node, ast.Name) and node.id == "matrix_to_pairs")
+        or (isinstance(node, ast.Attribute) and node.attr == "matrix_to_pairs")
+    )
+    assert {owner.partition(":")[0] for owner in found} == {"tritterlab/interference.py", "tritterlab/cli.py"}
+
+
 def test_pauli_bases_read_only_by_the_born_matrix():
     # one Born route: sampling and fitting read tomography._born_matrix, which is built
     # from tomography._outcome_vectors, the one reader of the Pauli bases

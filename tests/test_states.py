@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import tritterlab.cli
 from tritterlab import (
     GENERATED_KINDS,
     StateKind,
@@ -281,6 +282,6 @@ class TestWitnesses:
         import json
 
         report = witness_report(np.eye(8) / 8, "w")
-        payload = json.loads(json.dumps(report.to_json_dict()))
+        payload = json.loads(json.dumps(tritterlab.cli._record(report)))
         assert payload["kind"] == "w"
         assert payload["w_witness_pass"] is False

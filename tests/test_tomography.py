@@ -535,6 +535,16 @@ class TestBoundaryFinish:
                 idle_stops += 1
         assert idle_stops >= 1
 
+    @pytest.mark.parametrize("seed", [44, 62, 211, 214])
+    def test_rejected_projected_step_hands_over_to_newton(self, seed):
+        # random rank-2 two-qubit states whose projected steps stall between 1e-6 and 1e-5
+        # unless each rejected one gives way to a Newton step on the current rank
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        rho = g @ g.conj().T
+        result = reconstruct_mle(simulate_counts(rho / np.trace(rho).real, 10_000, seed=seed), tol=1e-6)
+        assert result.converged
+
 
 def _source_counts(source):
     """The ideal W counts (seed 7) or the README noisy GHZ' counts (tomography seed 7)."""
@@ -702,7 +712,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(tritterlab.tomography, "reconstruct_mle", every_other_unconverged)
         mc = monte_carlo_uncertainty(counts, 6, purity, seed=4)
         assert mc.gap_max == max(gaps) == 6.0
-        assert mc.to_json_dict()["gap_max"] == mc.gap_max
+        assert tritterlab.cli._record(mc)["gap_max"] == mc.gap_max
 
     def test_deterministic_for_fixed_seed(self):
         rho = np.eye(2) / 2
@@ -810,7 +820,7 @@ class TestCountsTableCsv:
         rho = np.eye(2) / 2
         counts = simulate_counts(rho, 2000, seed=6)
         result = reconstruct_mle(counts)
-        payload = json.loads(json.dumps(result.to_json_dict()))
+        payload = json.loads(json.dumps(tritterlab.cli._record(result)))
         assert payload["converged"] is True
         assert len(payload["rho"]) == 2
         assert len(payload["rho"][0][0]) == 2  # [re, im] pairs
