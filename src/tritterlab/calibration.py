@@ -25,6 +25,14 @@ SINKHORN_MAX_ITER = 10_000
 _DIP_MAX_STEPS = 500
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class IntensityTable:
     """Measured power fractions: entry (k, j) is percent of input-k power at output j."""
@@ -56,10 +64,10 @@ class IntensityTable:
 
     @classmethod
     def from_csv(cls, path) -> "IntensityTable":
-        """Read n rows of n or n + 1 comma-separated columns; a header row is optional."""
+        """Read n rows of n or n + 1 comma-separated columns; a first line with no numeric cell is a header."""
         path = Path(path)
         rows: list[list[float]] = []
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 cells = [c.strip() for c in row if c.strip() != ""]
                 if not cells:
@@ -67,7 +75,7 @@ class IntensityTable:
                 try:
                     rows.append([float(c) for c in cells])
                 except ValueError:
-                    if lineno == 1 and not rows:
+                    if lineno == 1 and not any(map(_is_number, cells)):
                         continue  # header row
                     raise ValidationError(f"{path.name}: line {lineno}: non-numeric cell in {cells}")
                 # float() also reads 3_3 as 33 and takes non-ASCII digits

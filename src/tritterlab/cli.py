@@ -224,7 +224,6 @@ def run_generate(config: ExperimentConfig, stamp: bool = False) -> tuple[dict, C
     target = canonical_state(config.state)
     tritter = fourier_unitary(3)
     u = tritter if config.interferometer_matrix is None else Interferometer(config.interferometer_matrix)
-    resolved = config.interferometer_resolved_from or {}
 
     ideal = postselect_coincidence(tritter, rec.input_configuration(), (1, 1, 1))
 
@@ -250,30 +249,10 @@ def run_generate(config: ExperimentConfig, stamp: bool = False) -> tuple[dict, C
 
     report = {
         "config": config.to_dict(),
-        "interferometer": {
-            "source": resolved.get("source", "ideal" if u is tritter else "matrix"),
-            "dim": u.dim,
-            "max_adjustment": float(resolved.get("max_adjustment", 0.0)),
-            "matrix": matrix_to_pairs(u.matrix),
-        },
-        "ideal": {
-            "probability": ideal.probability,
-            "expected_probability": [
-                rec.expected_probability.numerator,
-                rec.expected_probability.denominator,
-            ],
-            "fidelity": fidelity(ideal.rho, target),
-            "purity": purity(ideal.rho),
-            "rho": matrix_to_pairs(ideal.rho),
-        },
-        "noisy": {
-            "probability": noisy.probability,
-            "fidelity": fidelity(rho_noisy, target),
-            "purity": purity(rho_noisy),
-            "rho": matrix_to_pairs(rho_noisy),
-        },
+        "ideal": _state_block(ideal.probability, ideal.rho, target)
+        | {"expected_probability": list(rec.expected_probability.as_integer_ratio())},
+        "noisy": _state_block(noisy.probability, rho_noisy, target),
         "tomography": {
-            "shots": config.shots,
             "n_settings": len(counts.counts),
             "reconstruction": {
                 "fidelity": fidelity(recon.rho, target),
@@ -283,23 +262,22 @@ def run_generate(config: ExperimentConfig, stamp: bool = False) -> tuple[dict, C
                 "converged": recon.converged,
                 "gap": recon.gap,
             },
-            "monte_carlo": {
-                "resamples": config.resamples,
-                "fidelity": _record(mc_fid),
-                "purity": _record(mc_pur),
-            },
+            "monte_carlo": {"fidelity": _record(mc_fid), "purity": _record(mc_pur)},
         },
         "witness": _record(witness),
         "provenance": {
-            "seed": config.seed,
             "package_version": __version__,
             "numpy_version": np.__version__,
-            "timestamp_utc": (
-                datetime.datetime.now(datetime.timezone.utc).isoformat() if stamp else None
-            ),
+            "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat() if stamp else None,
         },
     }
     return report, counts
+
+
+def _state_block(probability: float, rho: np.ndarray, target: np.ndarray) -> dict:
+    """Report data of a post-selected state: its probability, fidelity to ``target``, purity and rho."""
+    return {"probability": probability, "fidelity": fidelity(rho, target), "purity": purity(rho),
+            "rho": matrix_to_pairs(rho)}
 
 
 def _record(result) -> dict:
@@ -333,7 +311,7 @@ def _write_or_print(report: dict, out: str | None, message: str) -> None:
 
 def _load_json_file(path, what: str):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except FileNotFoundError:
         raise ValidationError(f"{what} file not found: {path}")
     except json.JSONDecodeError as exc:

@@ -16,10 +16,10 @@ floor(p/2) and the last ceil(p/2) slots, per sign vector, are contracted over
 the 2^(p-1) sign vectors in one matrix product, in a working array of
 2^(p-1) * ((2D)^floor(p/2) + (2D)^ceil(p/2)) + (2D)^p complex entries per
 slot list; a permanent is the case of one internal mode. The photons'
-internal vectors are built once per call, and the kernel takes a batch of
-slot lists at once: ``output_distribution`` evaluates its patterns in chunks
-whose working array stays within 2^16 complex entries (1 MiB), unless a
-single pattern needs more. Post-selected states and output-port
+internal vectors are built once per kernel call, and the kernel takes a
+batch of slot lists at once: ``output_distribution`` evaluates its patterns
+in chunks whose working array stays within 2^16 complex entries (1 MiB),
+unless a single pattern needs more. Post-selected states and output-port
 probabilities are read off the tensor, and tracing over the unobserved
 spectral labels is what turns partial distinguishability into decoherence.
 

@@ -34,41 +34,22 @@ class StateKind(str, Enum):
     BELL_SINGLET = "bellsinglet"
 
 
-#: kinds producible by a single-splitter recipe
-GENERATED_KINDS = (StateKind.W, StateKind.GPRIME, StateKind.GHZPRIME)
-
-_SQRT3 = np.sqrt(3.0)
+#: amplitudes of each canonical state up to normalisation, in qubit order |q1 q2 q3>
+_AMPLITUDES = {
+    StateKind.W: (0, 1, 1, 0, 1, 0, 0, 0),
+    StateKind.WBAR: (0, 0, 0, 1, 0, 1, 1, 0),
+    StateKind.GHZ: (1, 0, 0, 0, 0, 0, 0, 1),
+    StateKind.G: (0, 1, 1, 1, 1, 1, 1, 0),
+    StateKind.GPRIME: (3, 0, 0, -1, 0, -1, -1, 0),
+    StateKind.GHZPRIME: (1, 0, 0, -1, 0, -1, -1, 0),
+    StateKind.BELL_SINGLET: (0, 1, -1, 0),
+}
 
 
 def canonical_state(kind: StateKind) -> np.ndarray:
     """Exact amplitude vector of a canonical entangled state."""
-    kind = StateKind(kind)
-    if kind is StateKind.W:
-        v = np.zeros(8, dtype=complex)
-        v[[1, 2, 4]] = 1.0 / _SQRT3
-    elif kind is StateKind.WBAR:
-        v = np.zeros(8, dtype=complex)
-        v[[3, 5, 6]] = 1.0 / _SQRT3
-    elif kind is StateKind.GHZ:
-        v = np.zeros(8, dtype=complex)
-        v[[0, 7]] = 1.0 / np.sqrt(2.0)
-    elif kind is StateKind.G:
-        v = np.zeros(8, dtype=complex)
-        v[[1, 2, 3, 4, 5, 6]] = 1.0 / np.sqrt(6.0)
-    elif kind is StateKind.GPRIME:
-        v = np.zeros(8, dtype=complex)
-        v[0] = 3.0
-        v[[3, 5, 6]] = -1.0
-        v /= 2.0 * _SQRT3
-    elif kind is StateKind.GHZPRIME:
-        v = np.zeros(8, dtype=complex)
-        v[0] = 1.0
-        v[[3, 5, 6]] = -1.0
-        v /= 2.0
-    elif kind is StateKind.BELL_SINGLET:
-        v = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
-    else:  # pragma: no cover - closed enum
-        raise ValidationError(f"unknown state kind {kind!r}")
+    v = np.array(_AMPLITUDES[StateKind(kind)], dtype=complex)
+    v /= np.linalg.norm(v)
     v.setflags(write=False)
     return v
 
@@ -91,23 +72,34 @@ class Recipe:
         return InputConfiguration([(port, InternalState(pol)) for port, pol in zip((1, 2, 3), self.inputs)])
 
 
+_H, _V = (1.0, 0.0), (0.0, 1.0)
+_SQRT2 = np.sqrt(2.0)
+_SQRT3 = np.sqrt(3.0)
+#: input polarisations into ports 1..3 and success probability of each generated kind
+_RECIPES = {
+    StateKind.W: ((_H, _H, _V), Fraction(1, 9)),
+    StateKind.GPRIME: ((_H, np.array([1.0, 1.0]) / _SQRT2, np.array([1.0, -1.0]) / _SQRT2), Fraction(1, 9)),
+    # linear polarisations at 0 and +/- 60 degrees
+    StateKind.GHZPRIME: ((_H, np.array([1.0, _SQRT3]) / 2.0, np.array([1.0, -_SQRT3]) / 2.0), Fraction(1, 12)),
+}
+
+#: kinds producible by a single-splitter recipe
+GENERATED_KINDS = tuple(_RECIPES)
+
+#: single-qubit unitaries up to the factor 1/sqrt(2), taking each primed state to its unprimed partner
+_LOCAL_TRANSFORMS = {
+    StateKind.GPRIME: ((1.0, 1.0), (1.0, -1.0)),
+    StateKind.GHZPRIME: ((1.0, 1.0j), (1.0, -1.0j)),
+}
+
+
 def recipe(kind: StateKind) -> Recipe:
     """Input polarisations and success probability for a generated state kind."""
     kind = StateKind(kind)
-    h = np.array([1.0, 0.0], dtype=complex)
-    if kind is StateKind.W:
-        v = np.array([0.0, 1.0], dtype=complex)
-        return Recipe(kind, (h, h, v), Fraction(1, 9))
-    if kind is StateKind.GPRIME:
-        diag = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-        anti = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-        return Recipe(kind, (h, diag, anti), Fraction(1, 9))
-    if kind is StateKind.GHZPRIME:
-        # linear polarisations at 0 and +/- 60 degrees
-        plus = np.array([1.0, _SQRT3], dtype=complex) / 2.0
-        minus = np.array([1.0, -_SQRT3], dtype=complex) / 2.0
-        return Recipe(kind, (h, plus, minus), Fraction(1, 12))
-    raise ValidationError(f"no recipe for state kind '{kind.value}'")
+    if kind not in _RECIPES:
+        raise ValidationError(f"no recipe for state kind '{kind.value}'")
+    pols, probability = _RECIPES[kind]
+    return Recipe(kind, tuple(np.array(pol, dtype=complex) for pol in pols), probability)
 
 
 def local_transform(kind: StateKind) -> np.ndarray:
@@ -117,12 +109,9 @@ def local_transform(kind: StateKind) -> np.ndarray:
     global phase.
     """
     kind = StateKind(kind)
-    if kind is StateKind.GPRIME:
-        m = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-    elif kind is StateKind.GHZPRIME:
-        m = np.array([[1.0, 1.0j], [1.0, -1.0j]], dtype=complex) / np.sqrt(2.0)
-    else:
+    if kind not in _LOCAL_TRANSFORMS:
         raise ValidationError(f"no local transform for state kind '{kind.value}'")
+    m = np.array(_LOCAL_TRANSFORMS[kind], dtype=complex) / _SQRT2
     m.setflags(write=False)
     return m
 

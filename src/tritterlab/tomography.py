@@ -162,7 +162,7 @@ class CountsTable:
         index: dict[str, int] = {}
         table: np.ndarray | None = None
         seen: set[tuple[int, int]] = set()
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 cells = [c.strip() for c in row if c.strip() != ""]
                 if not cells:
@@ -500,9 +500,9 @@ def monte_carlo_uncertainty(
     value with the ``i``-th generator of ``np.random.default_rng(seed).spawn``,
     re-runs the likelihood reconstruction from ``start`` at its default
     tolerance and iteration limit (see ``reconstruct_mle``) and applies
-    ``functional`` to the estimate. Failed and unconverged reconstructions
-    are counted and excluded; fewer than two converged resamples raise
-    ``ConvergenceError``.
+    ``functional`` to the estimate. Failed fits (``ValidationError``, as when a
+    setting drew no count, or ``LinAlgError``) and unconverged ones are counted
+    and excluded; fewer than two converged resamples raise ``ConvergenceError``.
     """
     if int(resamples) < 2:
         raise ValidationError("resamples must be at least 2")
@@ -524,7 +524,7 @@ def monte_carlo_uncertainty(
                 unconverged += 1
                 continue
             values.append(float(functional(result.rho)))
-        except (ValidationError, ConvergenceError, np.linalg.LinAlgError):
+        except (ValidationError, np.linalg.LinAlgError):
             failures += 1
     if len(values) < 2:
         raise ConvergenceError(

@@ -349,6 +349,21 @@ class TestIntensityTableCsv:
         with pytest.raises(ValidationError, match="line 2"):
             IntensityTable.from_csv(path)
 
+    def test_reads_a_byte_order_mark(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with one
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff" + "".join(",".join(map(str, row)) + "\n" for row in RATIOS), encoding="utf-8")
+        table = IntensityTable.from_csv(path)
+        assert np.array_equal(table.fractions, RATIOS)
+        assert table.loss_db is None
+
+    def test_first_row_with_a_typo_is_not_a_header(self, tmp_path):
+        # read as a header, the rest would be a 2-port table with a loss column
+        path = tmp_path / "typo.csv"
+        path.write_text("32.O1,30.24,29.86\n33.05,29.18,29.75\n32.97,27.92,29.94\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="line 1: non-numeric cell"):
+            IntensityTable.from_csv(path)
+
     @pytest.mark.parametrize(
         "cell", ["3_3", "\uff13\uff13", "\u0663\u0663"], ids=["underscore", "fullwidth", "arabic-indic"]
     )

@@ -124,6 +124,30 @@ class TestGenerate:
         assert 0.85 < report["noisy"]["fidelity"] < 0.99
         assert report["noisy"]["purity"] < 1.0
 
+    def test_gram_file_matches_inline_gram(self, tmp_path):
+        gram = [[1, 1, 0.9778], [1, 1, 0.9778], [0.9778, 0.9778, 1]]
+        gram_path = tmp_path / "noise.json"
+        gram_path.write_text(json.dumps(gram), encoding="utf-8")
+        args = ["generate", "--state", "ghzprime", "--shots", "500", "--seed", "3", "--resamples", "2"]
+        assert main(args + ["--gram", str(gram_path), "--out", str(tmp_path / "file.json")]) == 0
+        assert main(args + ["--gram", json.dumps(gram), "--out", str(tmp_path / "inline.json")]) == 0
+        assert (tmp_path / "file.json").read_bytes() == (tmp_path / "inline.json").read_bytes()
+
+    def test_invalid_inline_gram_exits_2(self, tmp_path, capsys):
+        assert main(["generate", "--gram", "[[1,", "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: noise.gram: inline JSON invalid")
+        assert not (tmp_path / "x.json").exists()
+
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        # spreadsheet and editor "UTF-8 with BOM" files start with one
+        config = json.dumps({"state": "gprime", "tomography": {"shots": 300, "resamples": 2, "seed": 4}})
+        (tmp_path / "plain.json").write_text(config, encoding="utf-8")
+        (tmp_path / "bom.json").write_text("\ufeff" + config, encoding="utf-8")
+        for name in ("plain", "bom"):
+            assert main(["generate", "--config", str(tmp_path / f"{name}.json"),
+                         "--out", str(tmp_path / f"{name}-report.json")]) == 0
+        assert (tmp_path / "bom-report.json").read_bytes() == (tmp_path / "plain-report.json").read_bytes()
+
     def test_interferometer_from_csv(self, tmp_path):
         csv_path = tmp_path / "table1.csv"
         csv_path.write_text(TABLE1_CSV, encoding="utf-8")
@@ -133,8 +157,8 @@ class TestGenerate:
                    "--out", str(out)])
         assert rc == 0
         report = _read_json(out)
-        assert report["interferometer"]["source"] == "csv"
-        assert report["interferometer"]["max_adjustment"] > 0
+        assert report["config"]["interferometer"]["resolved_from"]["source"] == "csv"
+        assert report["config"]["interferometer"]["resolved_from"]["max_adjustment"] > 0
         # echoed config embeds the resolved matrix, not the file path
         assert report["config"]["interferometer"]["source"] == "matrix"
         assert report["noisy"]["probability"] != pytest.approx(1 / 9, abs=1e-6)
@@ -334,6 +358,15 @@ class TestCalibrate:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["calibrate", "--input", str(tmp_path / "nope.csv")]) == 2
 
+    def test_stdout_is_the_file_out_writes(self, tmp_path, capsys):
+        csv_path = tmp_path / "table1.csv"
+        csv_path.write_text(TABLE1_CSV, encoding="utf-8")
+        out = tmp_path / "cal.json"
+        assert main(["calibrate", "--input", str(csv_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["calibrate", "--input", str(csv_path)]) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
     def test_non_convergence_exits_3(self, tmp_path):
         csv_path = tmp_path / "table1.csv"
         csv_path.write_text(TABLE1_CSV, encoding="utf-8")
@@ -479,6 +512,26 @@ class TestTomo:
         assert "qubit count 5 exceeds bound 4" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", [[], ["--target", "w", "--resamples", "2"]], ids=["fit", "target"])
+    def test_stdout_is_the_file_out_writes(self, tmp_path, capsys, target):
+        counts = _small_counts_csv(tmp_path)
+        out = tmp_path / "recon.json"
+        assert main(["tomo", "--counts", counts, *target, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["tomo", "--counts", counts, *target]) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+    def test_linalg_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        counts = _small_counts_csv(tmp_path)
+
+        def failing(table, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(tritterlab.cli, "reconstruct_mle", failing)
+        capsys.readouterr()
+        assert main(["tomo", "--counts", counts]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: eigenvalues did not converge")
+
     def test_missing_counts_file_exits_2(self, tmp_path):
         assert main(["tomo", "--counts", str(tmp_path / "nope.csv")]) == 2
 
@@ -575,7 +628,10 @@ DIP_KEYS = {"amplitude", "center", "width", "offset", "residual_norm", "visibili
 def test_record_blocks_keep_their_keys(tmp_path):
     counts = _small_counts_csv(tmp_path)
     report = _read_json(tmp_path / "small.json")
-    assert set(report["tomography"]["monte_carlo"]) == {"resamples", "fidelity", "purity"}
+    assert set(report) == {"config", "ideal", "noisy", "tomography", "witness", "provenance"}
+    assert set(report["tomography"]) == {"n_settings", "reconstruction", "monte_carlo"}
+    assert set(report["tomography"]["monte_carlo"]) == {"fidelity", "purity"}
+    assert set(report["provenance"]) == {"package_version", "numpy_version", "timestamp_utc"}
     assert set(report["tomography"]["monte_carlo"]["fidelity"]) == MC_KEYS
     assert set(report["tomography"]["monte_carlo"]["purity"]) == MC_KEYS
     assert set(report["witness"]) == WITNESS_KEYS

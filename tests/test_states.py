@@ -116,6 +116,14 @@ class TestRecipes:
         with pytest.raises(ValidationError, match="no recipe"):
             recipe(kind)
 
+    @pytest.mark.parametrize("kind", list(StateKind))
+    def test_recipe_exists_exactly_for_generated_kinds(self, kind):
+        if kind in GENERATED_KINDS:
+            assert recipe(kind).kind is kind
+        else:
+            with pytest.raises(ValidationError, match="no recipe"):
+                recipe(kind)
+
 
 class TestLocalTransforms:
     def test_gprime_transform_is_hadamard(self):

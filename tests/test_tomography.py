@@ -682,6 +682,14 @@ class TestMonteCarlo:
         assert mc.failures == 0
         assert mc.values == reference.values[::2]
 
+    def test_resamples_that_draw_no_x_count_fail_and_are_counted(self):
+        counts = CountsTable([[1, 0], [40, 60], [70, 30]])
+        # resample i draws with the i-th spawned generator; one that draws no X count cannot be fit
+        no_x = sum(rng.poisson(counts.counts)[0].sum() == 0 for rng in np.random.default_rng(0).spawn(20))
+        mc = monte_carlo_uncertainty(counts, 20, purity, seed=0)
+        assert mc.failures == no_x > 0
+        assert mc.failures + mc.unconverged + len(mc.values) == 20
+
     def test_iterations_cover_every_returned_fit(self, monkeypatch):
         counts = simulate_counts(np.eye(2) / 2, 500, seed=1)
         seen = []
@@ -739,6 +747,14 @@ class TestCountsTableCsv:
         text = path.read_text(encoding="utf-8").splitlines()
         assert text[0] == "setting,outcome,count"
         assert text[1].startswith("XXX,000,")
+        assert np.array_equal(CountsTable.from_csv(path).counts, counts.counts)
+
+    def test_reads_a_byte_order_mark(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with one
+        counts = simulate_counts(np.eye(2) / 2, 50, seed=3)
+        path = tmp_path / "bom.csv"
+        counts.to_csv(path)
+        path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
         assert np.array_equal(CountsTable.from_csv(path).counts, counts.counts)
 
     def test_bad_setting_label_names_line(self, tmp_path):
