@@ -7,7 +7,7 @@ chain: splitter calibration, coincidence-dip visibilities, state tomography
 with Monte-Carlo error bars, and entanglement witnesses.
 """
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 from .calibration import (
     DipScan,
@@ -62,54 +62,3 @@ from .tomography import (
     simulate_counts,
 )
 from .validation import ConfigError, ConvergenceError, ValidationError
-
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "ConvergenceError",
-    "CountsTable",
-    "DipScan",
-    "GaussianFit",
-    "GENERATED_KINDS",
-    "GENUINE_OVERLAP_THRESHOLD",
-    "GHZ_CLASS_THRESHOLD",
-    "IntensityTable",
-    "Interferometer",
-    "InternalState",
-    "InputConfiguration",
-    "MonteCarloResult",
-    "PostSelectionResult",
-    "Recipe",
-    "ReconstructionResult",
-    "StateKind",
-    "ValidationError",
-    "W_FIDELITY_THRESHOLD",
-    "WitnessReport",
-    "apply_local_unitary",
-    "born_probabilities",
-    "canonical_state",
-    "fidelity",
-    "fit_gaussian",
-    "fourier_unitary",
-    "hom_scan",
-    "insertion_loss_db",
-    "interferometer_from_magnitudes",
-    "local_transform",
-    "matrix_from_pairs",
-    "matrix_to_pairs",
-    "measurement_settings",
-    "monte_carlo_uncertainty",
-    "output_distribution",
-    "pair_coincidence_probability",
-    "permanent",
-    "postselect_coincidence",
-    "purity",
-    "recipe",
-    "reconstruct_mle",
-    "simulate_counts",
-    "sinkhorn_magnitudes",
-    "spectral_vectors_from_gram",
-    "state_overlap",
-    "visibility",
-    "witness_report",
-]

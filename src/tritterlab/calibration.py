@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .interference import Interferometer, fourier_unitary, pair_coincidence_probability
-from .validation import POISSON_MAX, ConvergenceError, ValidationError
+from .validation import POISSON_MAX, ConvergenceError, ValidationError, csv_cells
 
 SINKHORN_TOL = 1e-9
 SINKHORN_MAX_ITER = 10_000
@@ -67,20 +67,16 @@ class IntensityTable:
         """Read n rows of n or n + 1 comma-separated columns; a first line with no numeric cell is a header."""
         path = Path(path)
         rows: list[list[float]] = []
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                cells = [c.strip() for c in row if c.strip() != ""]
-                if not cells:
-                    continue
-                try:
-                    rows.append([float(c) for c in cells])
-                except ValueError:
-                    if lineno == 1 and not any(map(_is_number, cells)):
-                        continue  # header row
-                    raise ValidationError(f"{path.name}: line {lineno}: non-numeric cell in {cells}")
-                # float() also reads 3_3 as 33 and takes non-ASCII digits
-                if not all(c.isascii() and "_" not in c for c in cells):
-                    raise ValidationError(f"{path.name}: line {lineno}: cells must be plain ASCII numbers, got {cells}")
+        for lineno, cells in csv_cells(path):
+            try:
+                rows.append([float(c) for c in cells])
+            except ValueError:
+                if lineno == 1 and not any(map(_is_number, cells)):
+                    continue  # header row
+                raise ValidationError(f"{path.name}: line {lineno}: non-numeric cell in {cells}")
+            # float() also reads 3_3 as 33 and takes non-ASCII digits
+            if not all(c.isascii() and "_" not in c for c in cells):
+                raise ValidationError(f"{path.name}: line {lineno}: cells must be plain ASCII numbers, got {cells}")
         if not rows:
             raise ValidationError(f"{path.name}: no data rows")
         widths = {len(r) for r in rows}

@@ -261,6 +261,7 @@ def run_generate(config: ExperimentConfig, stamp: bool = False) -> tuple[dict, C
                 "iterations": recon.iterations,
                 "converged": recon.converged,
                 "gap": recon.gap,
+                "rank": recon.rank,
             },
             "monte_carlo": {"fidelity": _record(mc_fid), "purity": _record(mc_pur)},
         },
@@ -314,7 +315,7 @@ def _load_json_file(path, what: str):
         return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except FileNotFoundError:
         raise ValidationError(f"{what} file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ValidationError(f"{what} file {path} is not valid JSON: {exc}")
 
 

@@ -373,7 +373,8 @@ def spectral_vectors_from_gram(gram) -> list[np.ndarray]:
     g = as_complex_matrix(gram, "gram")
     check_gram(g)
     w, v = np.linalg.eigh((g + g.conj().T) / 2)
-    w = np.clip(w, 0.0, None)
+    # a zero eigenvalue comes out as rounding noise, whose root (~3e-9) would tell identical photons apart
+    w = np.where(w > 1e-12, w, 0.0)
     factors = np.sqrt(w)[None, :] * v.conj()  # row i is photon i's vector
     out = []
     for row in factors:

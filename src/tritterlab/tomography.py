@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .validation import POISSON_MAX, ConvergenceError, ValidationError, as_complex_matrix, check_density_matrix
+from .validation import POISSON_MAX, ConvergenceError, ValidationError, as_complex_matrix, check_density_matrix, csv_cells
 
 #: certified log-likelihood shortfall at which the reconstruction stops
 MLE_TOL = 1e-2
@@ -162,38 +162,34 @@ class CountsTable:
         index: dict[str, int] = {}
         table: np.ndarray | None = None
         seen: set[tuple[int, int]] = set()
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                cells = [c.strip() for c in row if c.strip() != ""]
-                if not cells:
-                    continue
-                if lineno == 1 and cells[0].lower() == "setting":
-                    continue
-                if len(cells) != 3:
-                    raise ValidationError(f"{path.name}: line {lineno}: expected 3 columns")
-                label, outcome, value = cells
-                setting = label.upper()
-                if any(ch not in _BASIS for ch in setting):
-                    raise ValidationError(f"{path.name}: line {lineno}: bad setting '{label}'")
-                n = len(setting)
-                if table is None:
-                    if n > TOMOGRAPHY_MAX_QUBITS:  # before the 6^n table is built
-                        raise ValidationError(
-                            f"{path.name}: line {lineno}: qubit count {n} exceeds bound {TOMOGRAPHY_MAX_QUBITS}")
-                    index = {"".join(s): i for i, s in enumerate(measurement_settings(n))}
-                    table = np.zeros((3**n, 2**n), dtype=np.int64)
-                elif setting not in index:
-                    raise ValidationError(f"{path.name}: line {lineno}: inconsistent qubit count")
-                if len(outcome) != n or set(outcome) - {"0", "1"}:
-                    raise ValidationError(f"{path.name}: line {lineno}: outcome '{outcome}' invalid")
-                digits = value.lstrip("0") or "0"
-                if not (value.isascii() and value.isdigit()) or len(digits) > 19 or int(digits) >= 2**63:
-                    raise ValidationError(f"{path.name}: line {lineno}: count '{value}' is not an integer in [0, 2^63)")
-                cell = (index[setting], int(outcome, 2))
-                if cell in seen:
-                    raise ValidationError(f"{path.name}: line {lineno}: repeats setting {label} outcome {outcome}")
-                seen.add(cell)
-                table[cell] = int(digits)
+        for lineno, cells in csv_cells(path):
+            if lineno == 1 and cells[0].lower() == "setting":
+                continue
+            if len(cells) != 3:
+                raise ValidationError(f"{path.name}: line {lineno}: expected 3 columns")
+            label, outcome, value = cells
+            setting = label.upper()
+            if any(ch not in _BASIS for ch in setting):
+                raise ValidationError(f"{path.name}: line {lineno}: bad setting '{label}'")
+            n = len(setting)
+            if table is None:
+                if n > TOMOGRAPHY_MAX_QUBITS:  # before the 6^n table is built
+                    raise ValidationError(
+                        f"{path.name}: line {lineno}: qubit count {n} exceeds bound {TOMOGRAPHY_MAX_QUBITS}")
+                index = {"".join(s): i for i, s in enumerate(measurement_settings(n))}
+                table = np.zeros((3**n, 2**n), dtype=np.int64)
+            elif setting not in index:
+                raise ValidationError(f"{path.name}: line {lineno}: inconsistent qubit count")
+            if len(outcome) != n or set(outcome) - {"0", "1"}:
+                raise ValidationError(f"{path.name}: line {lineno}: outcome '{outcome}' invalid")
+            digits = value.lstrip("0") or "0"
+            if not (value.isascii() and value.isdigit()) or len(digits) > 19 or int(digits) >= 2**63:
+                raise ValidationError(f"{path.name}: line {lineno}: count '{value}' is not an integer in [0, 2^63)")
+            cell = (index[setting], int(outcome, 2))
+            if cell in seen:
+                raise ValidationError(f"{path.name}: line {lineno}: repeats setting {label} outcome {outcome}")
+            seen.add(cell)
+            table[cell] = int(digits)
         if table is None:
             raise ValidationError(f"{path.name}: no count rows found")
         return cls(table)
@@ -224,6 +220,8 @@ class ReconstructionResult:
     converged: bool
     #: certified log-likelihood shortfall from the optimum at stop
     gap: float
+    #: rank kept by the last projection or Newton step (the dimension if none was accepted)
+    rank: int
 
 
 def _project_to_states(m: np.ndarray) -> tuple[np.ndarray, int]:
@@ -462,6 +460,7 @@ def reconstruct_mle(
         iterations=iterations,
         converged=bool(gap <= tol),
         gap=max(gap, 0.0),  # N * (lambda_max(R) - 1) can round below 0 at N * 2^-52
+        rank=rank,
     )
 
 

@@ -1,6 +1,10 @@
-"""Error hierarchy and validation helpers shared across the package."""
+"""Error hierarchy, validation helpers and the CSV row reader shared across the package."""
 
 from __future__ import annotations
+
+import csv
+from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -79,3 +83,22 @@ def check_gram(g: np.ndarray, name: str = "gram") -> None:
     lo = float(np.linalg.eigvalsh((g + g.conj().T) / 2).min())
     if not -lo <= _GRAM_TOL:
         raise ValidationError(f"{name} is not positive semidefinite: min eigenvalue = {lo:.3e}")
+
+
+def csv_cells(path) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, cells)`` of each row of a UTF-8 CSV file that may start with a byte-order mark.
+
+    Cells are stripped and blank ones dropped; a row left with none is skipped. A file that is not
+    UTF-8 or that the csv module rejects is a ValidationError naming it.
+    """
+    path = Path(path)
+    lineno = 0
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if cells := [c.strip() for c in row if c.strip()]:
+                    yield lineno, cells
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ValidationError(f"{path.name}: line {lineno + 1}: {exc}") from None

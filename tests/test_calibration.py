@@ -374,6 +374,18 @@ class TestIntensityTableCsv:
         with pytest.raises(ValidationError, match="line 3"):
             IntensityTable.from_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("Output 1,Output 2\n\n , \n", "no data rows"),
+         ("33,33,33\n33,33\n33,33,33\n", r"inconsistent column counts \[2, 3\]")],
+        ids=["header-only", "ragged"],
+    )
+    def test_malformed_table_names_the_fault(self, tmp_path, text, message):
+        path = tmp_path / "table.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"table.csv: {message}"):
+            IntensityTable.from_csv(path)
+
     def test_wrong_row_count_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
         # a 3-port table with a loss column that lost a row

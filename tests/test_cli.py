@@ -312,6 +312,18 @@ class TestGenerate:
         )
         assert config.to_dict() == ExperimentConfig.from_dict({}).to_dict()
 
+    def test_cancelled_coincidence_exits_3(self, tmp_path, capsys):
+        # a 50:50 splitter on ports 1 and 2 plus a bare port 3: the W recipe's two H photons bunch,
+        # so with identical spectra (the default Gram matrix) no three-fold coincidence is left
+        s = 2**-0.5
+        matrix = matrix_to_pairs(np.array([[s, s, 0], [s, -s, 0], [0, 0, 1]]))
+        config = tmp_path / "bunched.json"
+        config.write_text(json.dumps({"state": "w", "interferometer": {"source": "matrix", "matrix": matrix}}),
+                          encoding="utf-8")
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 3
+        assert "post-selection probability vanished" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_unknown_state_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["generate", "--state", "bogus", "--out", str(tmp_path / "x.json")])
@@ -410,6 +422,10 @@ class TestHom:
 
     def test_zero_rate_exits_2(self, tmp_path):
         assert main(["hom", "--rate", "0", "--out", str(tmp_path / "z")]) == 2
+
+    def test_too_few_points_exit_2(self, tmp_path, capsys):
+        assert main(["hom", "--rate", "100", "--points", "4", "--out", str(tmp_path / "z")]) == 2
+        assert capsys.readouterr().err == "validation error: need at least 5 scan points\n"
 
     def test_overlap_above_one_exits_2(self, tmp_path):
         assert main(["hom", "--overlap", "1.5", "--rate", "100",
@@ -561,6 +577,42 @@ def test_negative_seed_rejected_by_argparse(tmp_path, capsys, argv):
     assert "non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, text",
+    [
+        (["tomo", "--counts"], "setting,outcome,count\nZ,0,5\nZ,1,5\nX,0,5\nY,0,5\n"),
+        (["calibrate", "--input"], TABLE1_CSV),
+        (["generate", "--interferometer-csv"], TABLE1_CSV),
+        (["generate", "--config"], '{"state": "w"}'),
+        (["generate", "--gram"], "[[1, 1, 1], [1, 1, 1], [1, 1, 1]]"),
+        (["report", "--input"], "{}"),
+    ],
+    ids=["counts", "ratios", "splitter", "config", "gram", "report"],
+)
+def test_utf16_file_exits_2_naming_it(tmp_path, capsys, flags, text):
+    # spreadsheets save "Unicode text" as UTF-16, which starts with the bytes FF FE
+    path = tmp_path / "export.txt"
+    path.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
+    out = ["--out", str(tmp_path / "out.json")] if flags[0] != "report" else []
+    assert main(flags + [str(path)] + out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "export.txt" in err and "utf-8" in err.lower()
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
+    "flags, text",
+    [(["tomo", "--counts"], "setting,outcome,count\nZ,0,{}\n"), (["calibrate", "--input"], "33,33,33\n33,{},33\n")],
+    ids=["counts", "ratios"],
+)
+def test_csv_field_beyond_the_csv_module_limit_exits_2_naming_it(tmp_path, capsys, flags, text):
+    # the csv module's default field limit is 2^17 characters
+    path = tmp_path / "huge.csv"
+    path.write_text(text.format('"' + "3" * 2**17 + '3"'), encoding="utf-8")
+    assert main(flags + [str(path), "--out", str(tmp_path / "out.json")]) == 2
+    assert "huge.csv: line 2: field larger than field limit" in capsys.readouterr().err
+
+
 class TestReport:
     def test_summary_and_check(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -617,7 +669,7 @@ class TestReport:
 
 
 #: the keys of each record block, pinned so that a field added to a record changes a report only on purpose
-FIT_KEYS = {"rho", "log_likelihood", "iterations", "converged", "gap"}
+FIT_KEYS = {"rho", "log_likelihood", "iterations", "converged", "gap", "rank"}
 MC_KEYS = {"mean", "std", "failures", "unconverged", "iterations", "iterations_max", "gap_max"}
 WITNESS_KEYS = {"kind", "fidelity", "fidelity_w", "overlap_ghzprime", "w_witness_pass",
                 "genuine_tripartite_pass", "ghz_class_pass"}

@@ -88,6 +88,10 @@ class TestPermanent:
     def test_all_ones_2x2(self):
         assert permanent(np.ones((2, 2))) == pytest.approx(2.0)
 
+    def test_empty_matrix(self):
+        # the empty product: no photons interfere with amplitude 1
+        assert permanent(np.zeros((0, 0))) == 1.0
+
     def test_tritter_permanent(self, tritter):
         # six-term expansion gives -3 for the bare phase matrix, so -1/sqrt(3) overall
         value = permanent(tritter.matrix)
@@ -572,6 +576,11 @@ class TestSpectralVectors:
         vecs = spectral_vectors_from_gram(np.ones((3, 3)))
         for v in vecs[1:]:
             assert abs(np.vdot(vecs[0], v)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_all_ones_gram_gives_equal_vectors(self):
+        # the roots of its zero eigenvalues, rounding noise of ~1e-17, would make them differ by ~3e-9
+        vecs = spectral_vectors_from_gram(np.ones((3, 3)))
+        assert np.array_equal(vecs[0], vecs[1]) and np.array_equal(vecs[0], vecs[2])
 
     def test_non_psd_rejected(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])

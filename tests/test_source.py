@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import os
 import re
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import tritterlab
 from tritterlab import (
     CountsTable,
     __version__,
@@ -62,6 +64,49 @@ def test_json_dumps_only_in_report_writer():
         or (isinstance(node, ast.alias) and node.name == "dumps")
     )
     assert found == ["tritterlab/cli.py:report_to_json"]
+
+
+def test_csv_files_read_only_by_the_shared_reader():
+    # validation.csv_cells alone holds the encoding, byte-order-mark, blank-row and strip rules of
+    # both CSV formats and turns an undecodable or malformed file into a ValidationError
+    found = _owners(
+        lambda node: (isinstance(node, ast.Attribute) and node.attr == "reader")
+        or (isinstance(node, ast.alias) and node.name == "reader")
+    )
+    assert found == ["tritterlab/validation.py:csv_cells"]
+    found = _owners(lambda node: isinstance(node, ast.Constant) and node.value == "utf-8-sig")
+    assert sorted(found) == ["tritterlab/cli.py:_load_json_file", "tritterlab/validation.py:csv_cells"]
+
+
+#: the public names of the package root, by the submodule that defines each
+EXPORTS = {
+    "calibration": ["DipScan", "GaussianFit", "IntensityTable", "fit_gaussian", "hom_scan", "insertion_loss_db",
+                    "interferometer_from_magnitudes", "sinkhorn_magnitudes", "visibility"],
+    "interference": ["Interferometer", "InternalState", "InputConfiguration", "PostSelectionResult",
+                     "fourier_unitary", "matrix_from_pairs", "matrix_to_pairs", "output_distribution",
+                     "pair_coincidence_probability", "permanent", "postselect_coincidence",
+                     "spectral_vectors_from_gram"],
+    "states": ["GENERATED_KINDS", "GHZ_CLASS_THRESHOLD", "GENUINE_OVERLAP_THRESHOLD", "Recipe", "StateKind",
+               "W_FIDELITY_THRESHOLD", "WitnessReport", "apply_local_unitary", "canonical_state", "fidelity",
+               "local_transform", "purity", "recipe", "state_overlap", "witness_report"],
+    "tomography": ["CountsTable", "MonteCarloResult", "ReconstructionResult", "born_probabilities",
+                   "measurement_settings", "monte_carlo_uncertainty", "reconstruct_mle", "simulate_counts"],
+    "validation": ["ConfigError", "ConvergenceError", "ValidationError"],
+}
+
+
+def test_package_root_exports_each_submodule_object():
+    # each public name is written once, in its import block: there is no __all__ to keep in step
+    assert not hasattr(tritterlab, "__all__")
+    star: dict = {}
+    exec("from tritterlab import *", star)
+    names = [name for group in EXPORTS.values() for name in group]
+    assert len(names) == len(set(names)) == 47
+    for module, group in EXPORTS.items():
+        submodule = importlib.import_module(f"tritterlab.{module}")
+        for name in group:
+            assert getattr(tritterlab, name) is getattr(submodule, name), name
+            assert star[name] is getattr(submodule, name), name
 
 
 def test_records_encoded_only_by_the_cli():

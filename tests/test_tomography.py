@@ -489,6 +489,32 @@ class TestBoundaryFinish:
         assert np.all(np.diff(history) >= -slack)
         assert all(_is_density_matrix(fit.rho) for fit in fits)
 
+    def test_failed_newton_solve_falls_back_to_projected_gradient(self, monkeypatch):
+        counts = _noisy_ghzprime_run()[1]
+        solves = []
+
+        def singular(*args, **kwargs):
+            solves.append(args)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        result = reconstruct_mle(counts)
+        # every Newton step fails, so projected gradient alone reaches the tolerance, as the README says
+        assert solves
+        assert result.converged
+        assert result.iterations == 265
+        assert result.gap == pytest.approx(0.0098, abs=1e-4)
+
+    @pytest.mark.parametrize("seed, w_rank, ghzprime_rank", [(7, 1, 7), (1, 1, 7), (2, 1, 6)])
+    def test_reported_rank(self, seed, w_rank, ghzprime_rank):
+        # the ideal W estimate is pure; the noisy GHZ' one sits on the boundary at rank 6 or 7 of 8
+        w_run = run_generate(ExperimentConfig.from_dict({"state": "w", "tomography": {"resamples": 2, "seed": seed}}))
+        for (report, counts), rank in ((w_run, w_rank), (_noisy_ghzprime_run(seed=seed), ghzprime_rank)):
+            assert report["tomography"]["reconstruction"]["rank"] == rank
+            # the estimate's own rank: the eigenvalues left out are zero up to rounding
+            eigenvalues = np.linalg.eigvalsh(reconstruct_mle(counts).rho)
+            assert np.count_nonzero(eigenvalues > 1e-12) == rank
+
     @pytest.mark.parametrize("seed", [7, 1])
     def test_tight_tolerance_fits_converge(self, seed, monkeypatch):
         counts = _noisy_ghzprime_run(seed=seed)[1]
@@ -806,6 +832,19 @@ class TestCountsTableCsv:
         path = tmp_path / "wide.csv"
         path.write_text("setting,outcome,count\nZZZZZ,00000,5\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="line 2: qubit count 5 exceeds bound 4"):
+            CountsTable.from_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("setting,outcome,count\nZZ,00,5,1\n", "line 2: expected 3 columns"),
+         ("setting,outcome,count\nZZ,00,5\nZ,0,5\n", "line 3: inconsistent qubit count"),
+         ("setting,outcome,count\n\n , ,\n", "no count rows found")],
+        ids=["four-columns", "mixed-qubit-counts", "header-only"],
+    )
+    def test_malformed_file_names_the_fault(self, tmp_path, text, message):
+        path = tmp_path / "counts.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"counts.csv: {message}"):
             CountsTable.from_csv(path)
 
     def test_negative_counts_rejected(self):
