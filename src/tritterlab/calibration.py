@@ -64,14 +64,14 @@ class IntensityTable:
 
     @classmethod
     def from_csv(cls, path) -> "IntensityTable":
-        """Read n rows of n or n + 1 comma-separated columns; a first line with no numeric cell is a header."""
+        """Read n rows of n or n + 1 comma-separated columns; a first row with no numeric cell is a header."""
         path = Path(path)
         rows: list[list[float]] = []
-        for lineno, cells in csv_cells(path):
+        for i, (lineno, cells) in enumerate(csv_cells(path)):
             try:
                 rows.append([float(c) for c in cells])
             except ValueError:
-                if lineno == 1 and not any(map(_is_number, cells)):
+                if i == 0 and not any(map(_is_number, cells)):
                     continue  # header row
                 raise ValidationError(f"{path.name}: line {lineno}: non-numeric cell in {cells}")
             # float() also reads 3_3 as 33 and takes non-ASCII digits

@@ -14,7 +14,6 @@ import datetime
 import json
 import sys
 from dataclasses import dataclass, fields
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -245,7 +244,7 @@ def run_generate(config: ExperimentConfig, stamp: bool = False) -> tuple[dict, C
         counts, config.resamples, lambda r: fidelity(r, target), seed_mc_f, start=recon.rho
     )
     mc_pur = monte_carlo_uncertainty(counts, config.resamples, purity, seed_mc_p, start=recon.rho)
-    witness = witness_report(recon.rho, config.state)
+    witness = witness_report(recon.rho)
 
     report = {
         "config": config.to_dict(),
@@ -253,7 +252,6 @@ def run_generate(config: ExperimentConfig, stamp: bool = False) -> tuple[dict, C
         | {"expected_probability": list(rec.expected_probability.as_integer_ratio())},
         "noisy": _state_block(noisy.probability, rho_noisy, target),
         "tomography": {
-            "n_settings": len(counts.counts),
             "reconstruction": {
                 "fidelity": fidelity(recon.rho, target),
                 "purity": purity(recon.rho),
@@ -282,14 +280,11 @@ def _state_block(probability: float, rho: np.ndarray, target: np.ndarray) -> dic
 
 
 def _record(result) -> dict:
-    """Report data of a result record: one key per field, matrices as ``[re, im]`` pairs and enum
-    members as their values; fields declared ``repr=False`` stay out."""
+    """Report data of a result record: one key per field, matrices as ``[re, im]`` pairs, no ``repr=False`` field."""
     data = {f.name: getattr(result, f.name) for f in fields(result) if f.repr}
     for key, value in data.items():
         if isinstance(value, np.ndarray):
             data[key] = matrix_to_pairs(value)
-        elif isinstance(value, Enum):
-            data[key] = value.value
     return data
 
 
@@ -554,10 +549,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (ConvergenceError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -56,14 +56,13 @@ def canonical_state(kind: StateKind) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Recipe:
-    """Input polarisations that generate ``kind`` on the balanced 3-port splitter.
+    """Input polarisations that generate a state kind on the balanced 3-port splitter.
 
     Feeding the three listed polarisations into ports 1..3 and post-selecting
-    one photon per output port yields the canonical state at exactly
+    one photon per output port yields that kind's canonical state at exactly
     ``expected_probability``.
     """
 
-    kind: StateKind
     inputs: tuple[np.ndarray, np.ndarray, np.ndarray]
     expected_probability: Fraction
 
@@ -99,7 +98,7 @@ def recipe(kind: StateKind) -> Recipe:
     if kind not in _RECIPES:
         raise ValidationError(f"no recipe for state kind '{kind.value}'")
     pols, probability = _RECIPES[kind]
-    return Recipe(kind, tuple(np.array(pol, dtype=complex) for pol in pols), probability)
+    return Recipe(tuple(np.array(pol, dtype=complex) for pol in pols), probability)
 
 
 def local_transform(kind: StateKind) -> np.ndarray:
@@ -139,13 +138,11 @@ def purity(rho: np.ndarray) -> float:
 class WitnessReport:
     """Witness values and strict-threshold verdicts for a 3-qubit state.
 
-    ``fidelity`` is the overlap with the claimed target; ``fidelity_w`` and
-    ``overlap_ghzprime`` feed the three verdicts, all linear in rho so white
-    noise can only push them towards 1/8 (every threshold sits above that).
+    ``fidelity_w`` and ``overlap_ghzprime`` feed the three verdicts, all
+    linear in rho so white noise can only push them towards 1/8 (every
+    threshold sits above that).
     """
 
-    kind: StateKind
-    fidelity: float
     fidelity_w: float
     overlap_ghzprime: float
     w_witness_pass: bool
@@ -153,17 +150,14 @@ class WitnessReport:
     ghz_class_pass: bool
 
 
-def witness_report(rho: np.ndarray, claimed: StateKind) -> WitnessReport:
-    """Evaluate the three entanglement witnesses against a claimed target.
+def witness_report(rho: np.ndarray) -> WitnessReport:
+    """Evaluate the three entanglement witnesses on a 3-qubit density matrix alone.
 
     Verdicts: the W-type fidelity witness passes iff F_W > 2/3; genuine
     tripartite entanglement passes iff either that holds or the overlap with
     the canonical ghzprime state exceeds 1/2; membership outside the W class
     passes iff that overlap exceeds 3/4.
     """
-    claimed = StateKind(claimed)
-    if claimed is StateKind.BELL_SINGLET:
-        raise ValidationError("witness thresholds are defined for 3-qubit states only")
     rho = as_complex_matrix(rho, "rho")
     if rho.shape != (8, 8):
         raise ValidationError(f"witness_report needs a 3-qubit density matrix, got shape {rho.shape}")
@@ -172,13 +166,10 @@ def witness_report(rho: np.ndarray, claimed: StateKind) -> WitnessReport:
     def _clip(x: float) -> float:
         return min(max(x, 0.0), 1.0)
 
-    f_claimed = _clip(fidelity(rho, canonical_state(claimed)))
     f_w = _clip(fidelity(rho, canonical_state(StateKind.W)))
     ov = _clip(fidelity(rho, canonical_state(StateKind.GHZPRIME)))
     w_pass = f_w > W_FIDELITY_THRESHOLD
     return WitnessReport(
-        kind=claimed,
-        fidelity=f_claimed,
         fidelity_w=f_w,
         overlap_ghzprime=ov,
         w_witness_pass=w_pass,

@@ -162,8 +162,8 @@ class CountsTable:
         index: dict[str, int] = {}
         table: np.ndarray | None = None
         seen: set[tuple[int, int]] = set()
-        for lineno, cells in csv_cells(path):
-            if lineno == 1 and cells[0].lower() == "setting":
+        for i, (lineno, cells) in enumerate(csv_cells(path)):
+            if i == 0 and cells[0].lower() == "setting":
                 continue
             if len(cells) != 3:
                 raise ValidationError(f"{path.name}: line {lineno}: expected 3 columns")

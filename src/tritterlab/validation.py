@@ -88,17 +88,20 @@ def check_gram(g: np.ndarray, name: str = "gram") -> None:
 def csv_cells(path) -> Iterator[tuple[int, list[str]]]:
     """``(line number, cells)`` of each row of a UTF-8 CSV file that may start with a byte-order mark.
 
-    Cells are stripped and blank ones dropped; a row left with none is skipped. A file that is not
-    UTF-8 or that the csv module rejects is a ValidationError naming it.
+    A row is numbered by the file line it starts on, so a quoted cell spanning lines does not shift
+    later numbers. Cells are stripped and blank ones dropped; a row left with none is skipped. A file
+    that is not UTF-8 or that the csv module rejects is a ValidationError naming it.
     """
     path = Path(path)
-    lineno = 0
+    last = 0  # the file line the previous row ended on
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
+            reader = csv.reader(fh)
+            for row in reader:
+                start, last = last + 1, reader.line_num
                 if cells := [c.strip() for c in row if c.strip()]:
-                    yield lineno, cells
+                    yield start, cells
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
-        raise ValidationError(f"{path.name}: line {lineno + 1}: {exc}") from None
+        raise ValidationError(f"{path.name}: line {last + 1}: {exc}") from None

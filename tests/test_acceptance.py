@@ -141,16 +141,16 @@ def test_criterion_07_witness_logic():
         a = (value - 1 / 8) / (1 - 1 / 8)
         return a * np.outer(state, state.conj()) + (1 - a) * np.eye(8) / 8
 
-    report = witness_report(mix(0.873, canonical_state("w")), StateKind.W)
+    report = witness_report(mix(0.873, canonical_state("w")))
     assert report.fidelity_w == pytest.approx(0.873, abs=1e-12)
     assert report.w_witness_pass
 
-    report = witness_report(mix(0.572, canonical_state("ghzprime")), StateKind.GPRIME)
+    report = witness_report(mix(0.572, canonical_state("ghzprime")))
     assert report.overlap_ghzprime == pytest.approx(0.572, abs=1e-12)
     assert report.genuine_tripartite_pass
 
-    report = witness_report(mix(0.788, canonical_state("ghzprime")), StateKind.GHZPRIME)
-    assert report.fidelity == pytest.approx(0.788, abs=1e-12)
+    report = witness_report(mix(0.788, canonical_state("ghzprime")))
+    assert report.overlap_ghzprime == pytest.approx(0.788, abs=1e-12)
     assert report.ghz_class_pass
 
 

@@ -335,6 +335,12 @@ class TestIntensityTableCsv:
         table = IntensityTable.from_csv(path)
         assert table.loss_db is None
 
+    def test_header_after_blank_lines_is_a_header(self, tmp_path):
+        path = tmp_path / "late.csv"
+        path.write_text("\n\nOutput 1,Output 2,Output 3\n33,33,33\n33,33,33\n33,33,33\n", encoding="utf-8")
+        table = IntensityTable.from_csv(path)
+        assert np.array_equal(table.fractions, np.full((3, 3), 33.0))
+
     def test_reads_four_rows_with_loss_column(self, tmp_path):
         path = tmp_path / "four.csv"
         rows = [[24.0, 25.0, 23.5, 24.5, 0.1 * k] for k in range(1, 5)]

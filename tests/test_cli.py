@@ -671,8 +671,7 @@ class TestReport:
 #: the keys of each record block, pinned so that a field added to a record changes a report only on purpose
 FIT_KEYS = {"rho", "log_likelihood", "iterations", "converged", "gap", "rank"}
 MC_KEYS = {"mean", "std", "failures", "unconverged", "iterations", "iterations_max", "gap_max"}
-WITNESS_KEYS = {"kind", "fidelity", "fidelity_w", "overlap_ghzprime", "w_witness_pass",
-                "genuine_tripartite_pass", "ghz_class_pass"}
+WITNESS_KEYS = {"fidelity_w", "overlap_ghzprime", "w_witness_pass", "genuine_tripartite_pass", "ghz_class_pass"}
 DIP_KEYS = {"amplitude", "center", "width", "offset", "residual_norm", "visibility", "peak_overlap_sq",
             "coherence", "rate", "seed", "floor_rate", "ceiling_rate"}
 
@@ -681,7 +680,7 @@ def test_record_blocks_keep_their_keys(tmp_path):
     counts = _small_counts_csv(tmp_path)
     report = _read_json(tmp_path / "small.json")
     assert set(report) == {"config", "ideal", "noisy", "tomography", "witness", "provenance"}
-    assert set(report["tomography"]) == {"n_settings", "reconstruction", "monte_carlo"}
+    assert set(report["tomography"]) == {"reconstruction", "monte_carlo"}
     assert set(report["tomography"]["monte_carlo"]) == {"fidelity", "purity"}
     assert set(report["provenance"]) == {"package_version", "numpy_version", "timestamp_utc"}
     assert set(report["tomography"]["monte_carlo"]["fidelity"]) == MC_KEYS

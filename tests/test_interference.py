@@ -379,7 +379,7 @@ class TestPostselectCoincidence:
             product = np.kron(np.kron(pol, pol), pol)
             overlap = np.vdot(product, result.rho @ product).real
             assert overlap == pytest.approx(1.0, abs=1e-10)
-            report = witness_report(result.rho, "w")
+            report = witness_report(result.rho)
             assert not report.w_witness_pass
             assert not report.genuine_tripartite_pass
             assert not report.ghz_class_pass

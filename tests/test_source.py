@@ -10,14 +10,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from setuptools.config.pyprojecttoml import read_configuration
+
 import tritterlab
 from tritterlab import (
     CountsTable,
+    Recipe,
+    WitnessReport,
     __version__,
     monte_carlo_uncertainty,
     reconstruct_mle,
     simulate_counts,
     spectral_vectors_from_gram,
+    witness_report,
 )
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tritterlab"
@@ -196,6 +202,15 @@ def test_fit_signature_has_no_knobs():
     assert list(inspect.signature(spectral_vectors_from_gram).parameters) == ["gram"]
 
 
+def test_witnesses_read_the_state_alone():
+    # the report states the claimed kind and its fidelity elsewhere, so neither a witness nor a recipe echoes them
+    assert list(inspect.signature(witness_report).parameters) == ["rho"]
+    assert [f.name for f in dataclasses.fields(WitnessReport)] == [
+        "fidelity_w", "overlap_ghzprime", "w_witness_pass", "genuine_tripartite_pass", "ghz_class_pass"
+    ]
+    assert [f.name for f in dataclasses.fields(Recipe)] == ["inputs", "expected_probability"]
+
+
 def test_one_counts_layout():
     # a counts table is the complete Pauli table in measurement_settings order, so neither
     # the table nor the sampler takes a settings list that fits would have to index again
@@ -203,7 +218,11 @@ def test_one_counts_layout():
     assert list(inspect.signature(simulate_counts).parameters) == ["rho", "shots", "seed"]
 
 
+@pytest.mark.filterwarnings(r"ignore:Support for `\[tool.setuptools\]`.*beta:UserWarning")
 def test_pyproject_version_is_the_package_version():
-    # the version lives in two files; reports stamp __version__, installs read pyproject.toml
-    text = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
-    assert re.findall(r'^version = "([^"]+)"$', text, flags=re.MULTILINE) == [__version__]
+    # the version is written once, in __init__.py; installs read it from there through pyproject.toml
+    path = PACKAGE.parents[1] / "pyproject.toml"
+    text = path.read_text(encoding="utf-8")
+    assert re.findall(r"^version = .*$", text, flags=re.MULTILINE) == ['version = {attr = "tritterlab.__version__"}']
+    assert 'dynamic = ["version"]' in text.splitlines()
+    assert read_configuration(path)["project"]["version"] == __version__

