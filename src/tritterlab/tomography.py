@@ -4,22 +4,17 @@ One cached Born matrix per qubit count serves both sampling and fitting.
 Counts are multinomial draws from each setting's probabilities rounded to a
 2^-40 grid summing to exactly 1, so the last bits of rho change no count.
 Density matrices are reconstructed by projected gradient on the negative
-log-likelihood (Shang, Zhang & Ng, PRA 95, 062336 (2017)): every iterate is
-a density matrix, the log-likelihood never decreases, and the fit stops on a
-certified bound on its log-likelihood shortfall from the optimum (Glancy,
-Knill & Girard, New J. Phys. 14, 095017 (2012)).
-Estimates on the boundary of the state space (rank below the dimension)
-make projected gradient crawl, so once its rank holds and the gap falls
-slowly the fit takes Newton steps on the states of that rank, and falls
-back to projected gradient when one fails. A projected step that rounding
-rejects hands over to Newton on the current rank too, so a fit that stalls
-above the certificate's resolution still tries it. A fit that accepts no
-step for 20 iterations in a row ends unconverged.
-The certificate does not depend on the start, so resample fits start from
-the main estimate. p is linear in rho, so each accepted step adds the
-step's probabilities to the current ones.
-Uncertainties are propagated by Poisson resampling of the observed counts;
-resamples whose fit does not converge are counted and left out.
+log-likelihood (Shang, Zhang & Ng, PRA 95, 062336 (2017)), with Newton steps
+on the states of fixed rank for estimates on the boundary of the state space:
+every iterate is a density matrix, the log-likelihood never decreases, and
+the fit stops on a certified bound on its log-likelihood shortfall from the
+optimum (Glancy, Knill & Girard, New J. Phys. 14, 095017 (2012)).
+Uncertainties are propagated by Poisson resampling of the observed counts.
+The certificate does not depend on the start, so each resample fit starts
+at the main estimate with one Newton step of the main fit's model, frozen
+for the whole pass (a chord step; Kelley, Solving Nonlinear Equations with
+Newton's Method, SIAM 2003). Resamples whose fit does not converge are
+counted and left out.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -255,13 +250,23 @@ def _tangent_step(x: np.ndarray, dim: int, rank: int) -> np.ndarray:
     return step
 
 
+@functools.cache
+def _curvature_layout(rank: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat Hessian index of each support row's ``Y`` coordinates, and the gather of their real form,
+    ``[[Re k, -Im k], [Im k, Re k]]`` per kernel entry ``k``, from ``[Re K^T, -Im K^T, Im K^T]``."""
+    rows = np.flatnonzero(np.repeat(_tangent_pairs(rank + size, rank)[:, 1] >= rank, 2)).reshape(rank, 2 * size)
+    index = rows[:, :, None] * (rank**2 - 1 + 2 * rank * size) + rows[:, None, :]
+    gather = (np.arange(size**2).reshape(size, 1, size, 1) + size**2 * np.array([[0, 1], [2, 0]])[:, None])
+    index.setflags(write=False), gather.setflags(write=False)
+    return index, gather.reshape(2 * size, 2 * size)
+
+
 def _kernel_curvature(kernel: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Hessian of ``tr(K Y^H S^-1 Y)`` in tangent coordinates: the real 2x2 form of ``2 K^T / s_a`` on row ``a`` of ``Y``."""
-    rank, width = len(support), 2 * len(kernel)
-    rows = np.flatnonzero(np.repeat(_tangent_pairs(rank + len(kernel), rank)[:, 1] >= rank, 2)).reshape(rank, width)
-    real_form = (kernel.T[:, None, :, None] * np.array([[1, 1j], [-1j, 1]])[:, None]).real.reshape(width, width)
-    curvature = np.zeros((rank**2 - 1 + rank * width,) * 2)
-    curvature[rows[:, :, None], rows[:, None, :]] = (2.0 / support)[:, None, None] * real_form
+    index, gather = _curvature_layout(len(support), len(kernel))
+    real_form = np.concatenate((kernel.real.T.ravel(), -kernel.imag.T.ravel(), kernel.imag.T.ravel()))[gather]
+    curvature = np.zeros((len(support) ** 2 - 1 + len(support) * len(gather),) * 2)
+    curvature.flat[index] = (2.0 / support)[:, None, None] * real_form
     return curvature
 
 
@@ -277,6 +282,65 @@ def _tangent_jacobian(vectors: np.ndarray, frame: np.ndarray, rank: int) -> np.n
     pair = 2.0 * u.take(first, axis=1) * u.take(second, axis=1).conj()
     weight = u[:, :rank].real ** 2 + u[:, :rank].imag ** 2
     return np.hstack([pair.view(float), weight[:, :-1] - weight[:, -1:]])
+
+
+def _face_model(rho, rank, vectors, weights, p, r) -> tuple[np.ndarray, ...]:
+    """Eigenframe, support, tangent Jacobian on ``vectors`` and Hessian of the Newton model of the rank-``rank``
+    states through ``rho``, for outcome weights ``weights`` (``w``) at probabilities ``p`` and ``R`` operator ``r``.
+
+    In the eigenframe ``[V, V_perp]`` of ``rho = V S V^H`` a tangent direction ``Z + Z^H`` has a factor
+    ``Z = [[X/2, Y], [0, 0]]``, ``X`` traceless. The step of scale ``s`` moves the factor ``[S^1/2; 0]`` of
+    ``rho`` by ``s W^H``, ``W = S^-1/2 Z``, to the state ``rho + s (Z + Z^H) + s^2 W^H W`` over its trace:
+    positive semidefinite of rank at most ``rank`` for every ``s`` (Burer & Monteiro, Math. Program. 95, 329
+    (2003)). The quadratic model of ``f`` has gradient ``tr((I - R) D)``, Hessian ``G^T G``,
+    ``G = diag(sqrt(w) / p) J`` for the tangent probabilities ``J`` from the outcome vectors in the eigenframe,
+    plus the retraction's kernel curvature ``tr(K Y^H S^-1 Y)``, ``K = (I - R)_kernel``, in closed form.
+    """
+    vals, frame = np.linalg.eigh(rho)
+    frame, support = frame[:, ::-1], vals[::-1][:rank]
+    jacobian = _tangent_jacobian(vectors, frame, rank)
+    kernel = np.eye(len(rho) - rank) - (frame.conj().T @ r @ frame)[rank:, rank:]
+    scaled = jacobian * (np.sqrt(weights) / p)[:, None]
+    return frame, support, jacobian, scaled.T @ scaled + _kernel_curvature(kernel, support)
+
+
+class _Face(NamedTuple):
+    """A checked start ``rho`` for the resample fits of one counts table and, unless ``inverse`` is None, its
+    ``_face_model`` at those counts, the Hessian inverted: each fit first tries that model's full Newton step."""
+
+    rho: np.ndarray
+    observed: np.ndarray | None = None  # the outcomes with a count: the rows of ``jacobian``
+    frame: np.ndarray | None = None
+    support: np.ndarray | None = None
+    jacobian: np.ndarray | None = None
+    inverse: np.ndarray | None = None
+
+
+def _frozen_face(counts: CountsTable, rho: np.ndarray) -> _Face:
+    """The ``_Face`` of density matrix ``rho`` at ``counts`` on its eigenvalues above 1e-10, the density-matrix
+    check's tolerance. It has no model if an observed outcome has no probability, if the Hessian is singular,
+    or if a support eigenvalue ``s_a`` lies within one standard error ``1 / z_a`` of zero, from the observed
+    information along the line to the state without it: most resample estimates then lie off the face."""
+    n, dim = counts.n_qubits, len(rho)
+    flat = counts.counts.reshape(-1).astype(float)
+    observed, born = flat > 0, _born_matrix(n).reshape(-1, dim * dim)
+    p = (born @ rho.ravel()).real
+    vals, frame = np.linalg.eigh(rho)
+    rank = int(np.count_nonzero(vals > 1e-10))
+    support, vectors = vals[::-1][:rank], _outcome_vectors(n).reshape(-1, dim)[observed]
+    u2 = np.abs(vectors @ frame[:, ::-1][:, :rank].conj()) ** 2
+    if not (p[observed] > 0.0).all():
+        return _Face(rho)
+    # z_a^2 (1 - s_a)^2 / s_a^2 = sum_k n_k (1 - |u_ka|^2 / p_k)^2, compared as products: s_a = 1 at rank 1
+    if (support**2 * (flat[observed] @ (1.0 - u2 / p[observed, None]) ** 2) < (1.0 - support) ** 2).any():
+        return _Face(rho)
+    weights = flat / flat.sum()
+    r = (np.divide(weights, p, out=np.zeros_like(p), where=observed) @ born).conj().reshape(dim, dim)
+    model = _face_model(rho, rank, vectors, weights[observed], p[observed], r)
+    try:
+        return _Face(rho, observed, *model[:3], np.linalg.inv(model[3]))
+    except np.linalg.LinAlgError:
+        return _Face(rho)
 
 
 def _checked_start(start, dim: int) -> np.ndarray:
@@ -300,10 +364,14 @@ def reconstruct_mle(
     with the eigenvalues projected onto the unit simplex, and is kept only if
     it does not lower the log-likelihood. Once the projection has kept one
     rank for 3 accepted steps that each left over half the gap, or once a
-    projected step is rejected, the fit tries Newton steps on the states of
-    that rank (see ``newton``) instead. The hand-over on a rejected step lets
-    fits that stall above the certificate's resolution, as some random rank-2
-    two-qubit states do at gaps of 1e-6 to 1e-5 (10k shots), reach ``tol=1e-6``.
+    projected step is rejected (some fits stall above the certificate's
+    resolution otherwise), the fit tries Newton steps on the states of that
+    rank (see ``_face_model``) instead. A density-matrix ``start`` always
+    takes this path. ``monte_carlo_uncertainty`` instead hands its resample
+    fits a private record of the main estimate and its Newton model at the
+    main counts: such a fit starts at the main estimate itself with one full
+    Newton step of that frozen model from its own gradient, counted as an
+    iteration, and runs the path above, unchanged, if the step is rejected.
 
     Stops once ``N * (lambda_max(R) - 1) <= tol``, where ``N`` is the total
     count and ``R = sum_k (n_k / N) Pi_k / p_k`` (with equal counts per
@@ -323,7 +391,8 @@ def reconstruct_mle(
         names = ["".join(settings[i]) for i in empty[:5]]
         raise ValidationError(f"every setting needs a recorded count; {empty.size} have none: {names}")
     mixed = np.eye(dim, dtype=complex) / dim
-    start = mixed if start is None else _checked_start(start, dim)
+    face = start if isinstance(start, _Face) else None
+    start = face.rho if face is not None else (mixed if start is None else _checked_start(start, dim))
 
     # only observed outcomes enter the likelihood; the shared Born matrix is read, not copied
     flat_counts = counts.counts.reshape(-1).astype(float)
@@ -363,34 +432,22 @@ def reconstruct_mle(
     def shortfall(r: np.ndarray) -> float:
         return float(total * (np.linalg.eigvalsh(r)[-1] - 1.0))
 
-    def newton(rho: np.ndarray, p: np.ndarray, r: np.ndarray, rank: int, gap: float):
-        """Newton step on the rank-``rank`` states through ``rho``, or None if none lowers the gap.
-
-        In the eigenframe ``[V, V_perp]`` of ``rho = V S V^H`` a tangent
-        direction ``Z + Z^H`` has a factor ``Z = [[X/2, Y], [0, 0]]``, ``X`` traceless.
-        The step of scale ``s`` moves the factor ``[S^1/2; 0]`` of ``rho`` by ``s W^H``,
-        ``W = S^-1/2 Z``, to the state ``rho + s (Z + Z^H) + s^2 W^H W`` over its trace:
-        positive semidefinite of rank at most ``rank`` for every ``s`` (Burer & Monteiro,
-        Math. Program. 95, 329 (2003)). The quadratic model of ``f`` has gradient
-        ``tr((I - R) D)``, Hessian ``G^T G``, ``G = diag(sqrt(w) / p) J`` for the tangent
-        probabilities ``J`` from the outcome vectors in the eigenframe, plus the retraction's
-        kernel curvature ``tr(K Y^H S^-1 Y)``, ``K = (I - R)_kernel``, in closed form. Tries the
-        full, half and quarter step; returns (rho, p, r, gap, change) of the first that keeps
-        the log-likelihood and lowers the gap.
-        """
-        vals, frame = np.linalg.eigh(rho)
-        frame, support = frame[:, ::-1], vals[::-1][:rank]
-        jacobian = _tangent_jacobian(vectors, frame, rank)
-        kernel = np.eye(dim - rank) - (frame.conj().T @ r @ frame)[rank:, rank:]
-        scaled = jacobian * (np.sqrt(weights) / p)[:, None]
-        hessian = scaled.T @ scaled + _kernel_curvature(kernel, support)
-        try:
-            factor = _tangent_step(np.linalg.solve(hessian, (weights / p) @ jacobian), dim, rank)
-        except np.linalg.LinAlgError:
-            return None
+    def newton(rho: np.ndarray, p: np.ndarray, r: np.ndarray, rank: int, gap: float, face: _Face | None = None):
+        """(rho, p, r, gap, change) of the first of the full, half and quarter Newton step of the rank-``rank``
+        ``_face_model`` at ``rho`` that keeps the log-likelihood and lowers the gap, or None. A frozen ``face``
+        gives the model, from this fit's gradient, and only its full step is tried."""
+        if face is None:
+            frame, support, jacobian, hessian = _face_model(rho, rank, vectors, weights, p, r)
+            try:
+                x = np.linalg.solve(hessian, (weights / p) @ jacobian)
+            except np.linalg.LinAlgError:
+                return None
+        else:  # r_operator left this fit's weights / p in ``scattered``
+            frame, support, x = face.frame, face.support, face.inverse @ (scattered[face.observed] @ face.jacobian)
+        factor = _tangent_step(x, dim, rank)
         whitened = factor[:rank] / np.sqrt(support)[:, None]
         direction, grown = factor + factor.conj().T, whitened.conj().T @ whitened
-        for scale in (1.0, 0.5, 0.25):
+        for scale in (1.0, 0.5, 0.25) if face is None else (1.0,):
             step = scale * direction + scale**2 * grown
             added = np.trace(step).real
             # the retracted state over its trace minus diag(S, 0), formed without cancellation
@@ -406,16 +463,23 @@ def reconstruct_mle(
                     return rho + step, p_moved, r_moved, gap_moved, descent
         return None
 
-    # from the maximally mixed start this is I/d exactly in float for d = 2, 4, 8, 16
-    rho = 0.99 * start + 0.01 * mixed
-    p = probabilities(rho)
-    r = r_operator(p)
-    gap = shortfall(r)
-    # the initial log-likelihood plus each accepted change: never decreases
-    log_likelihood = float(flat_counts @ np.log(p))
+    def begin(rho: np.ndarray) -> tuple:
+        p = probabilities(rho)
+        r = r_operator(p)
+        # the initial log-likelihood plus each accepted change: never decreases
+        return rho, p, r, shortfall(r), float(flat_counts @ np.log(p))
+
+    moved = None
+    if face is not None and face.inverse is not None and max_iter > 0:
+        rho, p, r, gap, log_likelihood = begin(start)
+        moved = newton(rho, p, r, len(face.support), gap, face)
+    if moved is None:  # from the maximally mixed start this is I/d exactly in float for d = 2, 4, 8, 16
+        rho, p, r, gap, log_likelihood = begin(0.99 * start + 0.01 * mixed)
+        iterations, rank, steady = 0, dim, 0  # accepted steps in a row that kept the rank and over half the gap
+    else:  # the frozen step counts as an iteration and hands over to Newton on its face
+        rho, p, r, gap, descent = moved
+        iterations, rank, steady, log_likelihood = 1, len(face.support), _STEADY_STEPS, log_likelihood - total * descent
     step = 1.0
-    iterations = 0
-    rank, steady = dim, 0  # accepted steps in a row that kept the rank and over half the gap
     idle = 0  # iterations in a row that accepted no step
     while gap > tol and iterations < max_iter and idle < _MAX_IDLE:
         if steady >= _STEADY_STEPS:
@@ -497,9 +561,11 @@ def monte_carlo_uncertainty(
 
     Resample ``i`` draws every outcome count Poissonian around the observed
     value with the ``i``-th generator of ``np.random.default_rng(seed).spawn``,
-    re-runs the likelihood reconstruction from ``start`` at its default
-    tolerance and iteration limit (see ``reconstruct_mle``) and applies
-    ``functional`` to the estimate. Failed fits (``ValidationError``, as when a
+    re-runs the likelihood reconstruction at its default tolerance and
+    iteration limit and applies ``functional`` to the estimate. A ``start`` is
+    checked, and its Newton model at ``counts`` built (see ``_frozen_face``),
+    once per pass; each fit starts there with one step of that frozen model
+    (see ``reconstruct_mle``). Failed fits (``ValidationError``, as when a
     setting drew no count, or ``LinAlgError``) and unconverged ones are counted
     and excluded; fewer than two converged resamples raise ``ConvergenceError``.
     """
@@ -508,7 +574,7 @@ def monte_carlo_uncertainty(
     if counts.counts.max() > POISSON_MAX:
         raise ValidationError(f"counts above {POISSON_MAX:.4e} exceed numpy's Poisson sampler")
     if start is not None:  # a bad start is the caller's error, not a failed resample
-        start = _checked_start(start, 2**counts.n_qubits)
+        start = _frozen_face(counts, _checked_start(start, 2**counts.n_qubits))
     values: list[float] = []
     failures = 0
     unconverged = 0
