@@ -10,7 +10,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -88,9 +87,30 @@ def _number(raw) -> float:
 
 
 def _gram(raw) -> np.ndarray:
+    """A checked Gram matrix, read-only so that a frozen config holds it unchanged."""
     gram = np.array([[_number(v) for v in row] for row in raw], dtype=float)
     check_gram(gram.astype(complex), name="Gram matrix")
+    gram.setflags(write=False)
     return gram
+
+
+_MOST_SHOTS = int(np.iinfo(np.int64).max)  # the largest trial count numpy's multinomial takes
+#: the noise and tomography fields by section: each field's converter, default, validity test and the
+#: message of a value failing it (see ``_read``); its ``ExperimentConfig`` field and generate flag share its name
+_SECTIONS = {
+    "noise": {
+        "gram": (_gram, _gram([[1] * 3] * 3), lambda g: g.shape == (3, 3), "is not 3x3"),
+        "extinction_ratio": (lambda r: tuple(_number(v) for v in ([r] * 3 if np.isscalar(r) else r)), None,
+                             lambda r: len(r) == 3 and all(1 < v < np.inf for v in r),
+                             "is not one ratio or three, each finite and above 1"),
+        "white_noise": (_number, 0.0, lambda x: 0.0 <= x <= 1.0, "lies outside [0, 1]"),
+    },
+    "tomography": {
+        "shots": (_integer, 10_000, lambda n: 1 <= n <= _MOST_SHOTS, f"lies outside [1, {_MOST_SHOTS}]"),
+        "resamples": (_integer, 50, lambda n: n >= 2, "is below 2"),
+        "seed": (_integer, 0, lambda n: n >= 0, "is negative"),
+    },
+}
 
 
 def _resolved_from(raw) -> dict:
@@ -126,7 +146,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        raw = _fields(raw, "", ("state", "interferometer", "noise", "tomography"))
+        raw = _fields(raw, "", ("state", "interferometer", *_SECTIONS))
         state = _read(raw, "state", lambda v: StateKind(str(v).lower()), StateKind.W,
                       GENERATED_KINDS.__contains__, "has no generation recipe")
 
@@ -155,34 +175,11 @@ class ExperimentConfig:
             if interf.get("resolved_from") is not None:
                 resolved_from = _resolved_from(interf["resolved_from"])
 
-        noise = _fields(raw.get("noise"), "noise", ("gram", "extinction_ratio", "white_noise"))
-        gram = _read(noise, "noise.gram", _gram, np.ones((3, 3)),
-                     lambda g: g.shape == (3, 3), "is not 3x3")
-        gram.setflags(write=False)
-        extinction = _read(noise, "noise.extinction_ratio",
-                           lambda r: tuple(_number(v) for v in ([r] * 3 if np.isscalar(r) else r)), None,
-                           lambda r: len(r) == 3 and all(1 < v < np.inf for v in r),
-                           "is not one ratio or three, each finite and above 1")
-        lam = _read(noise, "noise.white_noise", _number, 0.0,
-                    lambda x: 0.0 <= x <= 1.0, "lies outside [0, 1]")
-
-        tomo = _fields(raw.get("tomography"), "tomography", ("shots", "resamples", "seed"))
-        most = int(np.iinfo(np.int64).max)  # the largest trial count numpy's multinomial takes
-        shots = _read(tomo, "tomography.shots", _integer, 10_000, lambda n: 1 <= n <= most, f"lies outside [1, {most}]")
-        resamples = _read(tomo, "tomography.resamples", _integer, 50, lambda n: n >= 2, "is below 2")
-        seed = _read(tomo, "tomography.seed", _integer, 0, lambda n: n >= 0, "is negative")
-
-        return cls(
-            state=state,
-            interferometer_matrix=matrix,
-            interferometer_resolved_from=resolved_from,
-            gram=gram,
-            extinction_ratio=extinction,
-            white_noise=lam,
-            shots=shots,
-            resamples=resamples,
-            seed=seed,
-        )
+        values = {}
+        for name, entries in _SECTIONS.items():
+            section = _fields(raw.get(name), name, tuple(entries))
+            values |= {key: _read(section, f"{name}.{key}", *entry) for key, entry in entries.items()}
+        return cls(state=state, interferometer_matrix=matrix, interferometer_resolved_from=resolved_from, **values)
 
     def to_dict(self) -> dict:
         interf: dict = {"source": "ideal"}
@@ -190,19 +187,10 @@ class ExperimentConfig:
             interf = {"source": "matrix", "matrix": matrix_to_pairs(self.interferometer_matrix)}
         if self.interferometer_resolved_from is not None:
             interf["resolved_from"] = dict(self.interferometer_resolved_from)
-        return {
-            "state": self.state.value,
-            "interferometer": interf,
-            "noise": {
-                "gram": [[float(v) for v in row] for row in self.gram],
-                "extinction_ratio": list(self.extinction_ratio) if self.extinction_ratio else None,
-                "white_noise": self.white_noise,
-            },
-            "tomography": {
-                "shots": self.shots,
-                "resamples": self.resamples,
-                "seed": self.seed,
-            },
+        # tolist gives each value as plain JSON data: a matrix or a tuple as lists, a number or None as itself
+        return {"state": self.state.value, "interferometer": interf} | {
+            name: {key: np.asarray(getattr(self, key)).tolist() for key in entries}
+            for name, entries in _SECTIONS.items()
         }
 
 
@@ -217,7 +205,7 @@ def _leaky_pol(pol: np.ndarray, ratio: float) -> np.ndarray:
     return keep * pol + leak * _orthogonal_pol(pol)
 
 
-def run_generate(config: ExperimentConfig, stamp: bool = False) -> tuple[dict, CountsTable]:
+def run_generate(config: ExperimentConfig) -> tuple[dict, CountsTable]:
     """Full generation pipeline: recipe, noise, post-selection, tomography, witnesses."""
     rec = recipe(config.state)
     target = canonical_state(config.state)
@@ -264,11 +252,7 @@ def run_generate(config: ExperimentConfig, stamp: bool = False) -> tuple[dict, C
             "monte_carlo": {"fidelity": _record(mc_fid), "purity": _record(mc_pur)},
         },
         "witness": _record(witness),
-        "provenance": {
-            "package_version": __version__,
-            "numpy_version": np.__version__,
-            "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat() if stamp else None,
-        },
+        "provenance": {"package_version": __version__, "numpy_version": np.__version__},
     }
     return report, counts
 
@@ -314,18 +298,21 @@ def _load_json_file(path, what: str):
         raise ValidationError(f"{what} file {path} is not valid JSON: {exc}")
 
 
-def _parse_gram_argument(value: str) -> list:
-    if value.strip().startswith("["):
-        try:
-            return json.loads(value)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("noise.gram", f"inline JSON invalid: {exc}")
-    return _load_json_file(value, "gram")
+class _JsonText(str):
+    """A flag's JSON value: inline when it starts with "[", else the path of a JSON file."""
+
+    def read(self, field: str):
+        """The JSON this text gives as config ``field``."""
+        if self.strip().startswith("["):
+            try:
+                return json.loads(self)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(field, f"inline JSON invalid: {exc}")
+        return _load_json_file(self, field.rpartition(".")[2])
 
 
 #: config fields that a generate flag overrides; each flag is named after its key
-_FLAG_FIELDS = ("state", "noise.gram", "noise.extinction_ratio", "noise.white_noise",
-                "tomography.shots", "tomography.resamples", "tomography.seed")
+_FLAG_FIELDS = ("state", *(f"{name}.{key}" for name, entries in _SECTIONS.items() for key in entries))
 
 
 def cmd_generate(args) -> int:
@@ -340,10 +327,10 @@ def cmd_generate(args) -> int:
         target = raw
         if section:
             target = raw[section] = _fields(raw.get(section), section)
-        target[key] = _parse_gram_argument(value) if key == "gram" else value
+        target[key] = value.read(field) if isinstance(value, _JsonText) else value
 
     config = ExperimentConfig.from_dict(raw)
-    report, counts = run_generate(config, stamp=args.stamp)
+    report, counts = run_generate(config)
     write_report(report, args.out)
     counts_path = args.counts_out or str(Path(args.out).with_suffix(".counts.csv"))
     counts.to_csv(counts_path)
@@ -459,11 +446,7 @@ def cmd_report(args) -> int:
     if args.check:
         config = ExperimentConfig.from_dict(report["config"])
         regenerated, _ = run_generate(config)
-        a = dict(report)
-        b = dict(regenerated)
-        a["provenance"] = dict(a.get("provenance", {}), timestamp_utc=None)
-        b["provenance"] = dict(b.get("provenance", {}), timestamp_utc=None)
-        if report_to_json(a) != report_to_json(b):
+        if report_to_json(report) != report_to_json(regenerated):
             raise ConvergenceError("report is not reproducible from its embedded config")
         print("check:        reproducible")
     return 0
@@ -490,13 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--shots", type=int, help="tomography shots per setting")
     gen.add_argument("--resamples", type=int, help="Monte-Carlo resamples for error bars")
     gen.add_argument("--seed", type=_seed, help="master seed")
-    gen.add_argument("--gram", help="spectral-overlap Gram matrix: JSON file or inline JSON")
+    gen.add_argument("--gram", type=_JsonText, help="spectral-overlap Gram matrix: JSON file or inline JSON")
     gen.add_argument("--extinction-ratio", type=float, help="preparation extinction ratio (> 1)")
     gen.add_argument("--white-noise", type=float, help="white-noise admixture in [0, 1]")
     gen.add_argument("--interferometer-csv", help="splitting-ratio CSV replacing the ideal splitter")
     gen.add_argument("--out", default="report.json", help="report JSON path")
     gen.add_argument("--counts-out", help="counts CSV path (default: <out>.counts.csv)")
-    gen.add_argument("--stamp", action="store_true", help="include a wall-clock timestamp")
     gen.set_defaults(func=cmd_generate)
 
     cal = sub.add_parser("calibrate", help="reconstruct transfer-matrix magnitudes from a ratio CSV")

@@ -28,7 +28,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .validation import POISSON_MAX, ConvergenceError, ValidationError, as_complex_matrix, check_density_matrix, csv_cells
+from .validation import (POISSON_MAX, STATE_TOL, ConvergenceError, ValidationError, as_complex_matrix,
+                         check_density_matrix, csv_cells)
 
 #: certified log-likelihood shortfall at which the reconstruction stops
 MLE_TOL = 1e-2
@@ -317,16 +318,16 @@ class _Face(NamedTuple):
 
 
 def _frozen_face(counts: CountsTable, rho: np.ndarray) -> _Face:
-    """The ``_Face`` of density matrix ``rho`` at ``counts`` on its eigenvalues above 1e-10, the density-matrix
-    check's tolerance. It has no model if an observed outcome has no probability, if the Hessian is singular,
-    or if a support eigenvalue ``s_a`` lies within one standard error ``1 / z_a`` of zero, from the observed
-    information along the line to the state without it: most resample estimates then lie off the face."""
+    """The ``_Face`` of density matrix ``rho`` at ``counts`` on its eigenvalues above ``STATE_TOL``. It has no
+    model if an observed outcome has no probability, if the Hessian is singular, or if a support eigenvalue
+    ``s_a`` lies within one standard error ``1 / z_a`` of zero, from the observed information along the line
+    to the state without it: most resample estimates then lie off the face."""
     n, dim = counts.n_qubits, len(rho)
     flat = counts.counts.reshape(-1).astype(float)
     observed, born = flat > 0, _born_matrix(n).reshape(-1, dim * dim)
     p = (born @ rho.ravel()).real
     vals, frame = np.linalg.eigh(rho)
-    rank = int(np.count_nonzero(vals > 1e-10))
+    rank = int(np.count_nonzero(vals > STATE_TOL))
     support, vectors = vals[::-1][:rank], _outcome_vectors(n).reshape(-1, dim)[observed]
     u2 = np.abs(vectors @ frame[:, ::-1][:, :rank].conj()) ** 2
     if not (p[observed] > 0.0).all():
@@ -568,6 +569,7 @@ def monte_carlo_uncertainty(
     (see ``reconstruct_mle``). Failed fits (``ValidationError``, as when a
     setting drew no count, or ``LinAlgError``) and unconverged ones are counted
     and excluded; fewer than two converged resamples raise ``ConvergenceError``.
+    An error that ``functional`` raises is the caller's and propagates.
     """
     if int(resamples) < 2:
         raise ValidationError("resamples must be at least 2")
@@ -576,21 +578,21 @@ def monte_carlo_uncertainty(
     if start is not None:  # a bad start is the caller's error, not a failed resample
         start = _frozen_face(counts, _checked_start(start, 2**counts.n_qubits))
     values: list[float] = []
-    failures = 0
-    unconverged = 0
+    failures = unconverged = 0
     iterations: list[int] = []
     gaps: list[float] = []
     for rng in np.random.default_rng(seed).spawn(int(resamples)):
         try:
             result = reconstruct_mle(CountsTable(rng.poisson(counts.counts)), start=start)
-            iterations.append(result.iterations)
-            gaps.append(result.gap)
-            if not result.converged:
-                unconverged += 1
-                continue
-            values.append(float(functional(result.rho)))
         except (ValidationError, np.linalg.LinAlgError):
             failures += 1
+            continue
+        iterations.append(result.iterations)
+        gaps.append(result.gap)
+        if not result.converged:
+            unconverged += 1
+            continue
+        values.append(float(functional(result.rho)))
     if len(values) < 2:
         raise ConvergenceError(
             f"only {len(values)} of {resamples} resamples reconstructed to convergence "

@@ -10,8 +10,8 @@ import numpy as np
 
 #: the largest mean that numpy's Poisson sampler takes
 POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
-#: entry-wise tolerance of the unitarity and density-matrix checks
-_STATE_TOL = 1e-10
+#: entry-wise tolerance of the unitarity and density-matrix checks, also the eigenvalue cut-off of a state's support
+STATE_TOL = 1e-10
 #: entry-wise tolerance of the Gram-matrix check
 _GRAM_TOL = 1e-9
 
@@ -55,21 +55,21 @@ def check_unitary(m: np.ndarray, name: str = "matrix") -> None:
     """Element-wise max deviation of m @ m^dagger from the identity at most 1e-10."""
     check_square(m, name)
     dev = np.abs(m @ m.conj().T - np.eye(m.shape[0])).max()
-    if not dev <= _STATE_TOL:  # a NaN entry fails too
-        raise ValidationError(f"{name} is not unitary: max |U U^dag - I| = {dev:.3e} > {_STATE_TOL:.0e}")
+    if not dev <= STATE_TOL:  # a NaN entry fails too
+        raise ValidationError(f"{name} is not unitary: max |U U^dag - I| = {dev:.3e} > {STATE_TOL:.0e}")
 
 
 def check_density_matrix(rho: np.ndarray, name: str = "rho") -> None:
     """Hermitian, unit trace and positive semidefinite within 1e-10."""
     check_square(rho, name)
     herm = np.abs(rho - rho.conj().T).max()
-    if not herm <= _STATE_TOL:  # a NaN entry fails too
+    if not herm <= STATE_TOL:  # a NaN entry fails too
         raise ValidationError(f"{name} is not Hermitian: max |rho - rho^dag| = {herm:.3e}")
     tr = complex(np.trace(rho))
-    if not abs(tr - 1.0) <= _STATE_TOL:
+    if not abs(tr - 1.0) <= STATE_TOL:
         raise ValidationError(f"{name} trace deviates from 1 by {abs(tr - 1.0):.3e}")
     lo = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
-    if not -lo <= _STATE_TOL:
+    if not -lo <= STATE_TOL:
         raise ValidationError(f"{name} is not positive semidefinite: min eigenvalue = {lo:.3e}")
 
 

@@ -58,7 +58,7 @@ class TestGenerate:
         assert report["tomography"]["reconstruction"]["fidelity"] > 0.98
         assert report["witness"]["w_witness_pass"] is True
         assert report["witness"]["genuine_tripartite_pass"] is True
-        assert report["provenance"]["timestamp_utc"] is None
+        assert "timestamp_utc" not in report["provenance"]
         counts_csv = tmp_path / "report.counts.csv"
         assert counts_csv.exists()
         assert counts_csv.read_text(encoding="utf-8").startswith("setting,outcome,count")
@@ -238,6 +238,11 @@ class TestGenerate:
         assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "x.json")]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
 
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        assert main(["generate", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err.startswith("validation error: config file not found: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_four_port_csv_source_exits_2(self, tmp_path, capsys):
         csv_path = tmp_path / "four.csv"
         csv_path.write_text("24,24,24,24\n" * 4, encoding="utf-8")
@@ -277,6 +282,8 @@ class TestGenerate:
             (_matrix_source(dict(RESOLVED_FROM, source=5)), [], f"{RESOLVED}.source"),
             (_matrix_source({"source": "csv", "max_adjustment": 0.01}), [], f"{RESOLVED}.path"),
             (_matrix_source(dict(RESOLVED_FROM, tag=1)), [], f"{RESOLVED}.tag"),
+            ({"interferometer": {"source": "csv"}}, [], "interferometer.path"),
+            ({"interferometer": {"source": "matrix"}}, [], "interferometer.matrix"),
         ],
         ids=["white_noise", "shots", "array", "array-with-state", "noise", "gram", "seed",
              # whole-number fields take no fractions or booleans, number fields no booleans
@@ -287,7 +294,9 @@ class TestGenerate:
              "text-gram",
              # a matrix source's resolved_from is only the record generate writes for a csv source
              "text-adjustment", "list-adjustment", "null-adjustment", "negative-adjustment",
-             "bool-adjustment", "resolved-source", "resolved-no-path", "resolved-unknown-key"],
+             "bool-adjustment", "resolved-source", "resolved-no-path", "resolved-unknown-key",
+             # a csv source reads a file and a matrix source a matrix: neither has a default
+             "csv-no-path", "matrix-no-matrix"],
     )
     def test_malformed_config_exits_2_naming_field(self, tmp_path, capsys, config, flags, field):
         cfg_path = tmp_path / "config.json"
@@ -683,7 +692,7 @@ def test_record_blocks_keep_their_keys(tmp_path):
     assert set(report) == {"config", "ideal", "noisy", "tomography", "witness", "provenance"}
     assert set(report["tomography"]) == {"reconstruction", "monte_carlo"}
     assert set(report["tomography"]["monte_carlo"]) == {"fidelity", "purity"}
-    assert set(report["provenance"]) == {"package_version", "numpy_version", "timestamp_utc"}
+    assert set(report["provenance"]) == {"package_version", "numpy_version"}
     assert set(report["tomography"]["monte_carlo"]["fidelity"]) == MC_KEYS
     assert set(report["tomography"]["monte_carlo"]["purity"]) == MC_KEYS
     assert set(report["witness"]) == WITNESS_KEYS

@@ -497,6 +497,13 @@ class TestPostselectCoincidence:
         with pytest.raises(ValidationError, match="bunched"):
             postselect_coincidence(tritter, config, (2, 0, 0))
 
+    @pytest.mark.parametrize("pattern, message", [((1, 1), "pattern length 2"), ((1, -1, 1), "non-negative")],
+                             ids=["short", "negative"])
+    def test_malformed_pattern_rejected(self, tritter, pattern, message):
+        config = InputConfiguration([(1, InternalState(H)), (2, InternalState(V))])
+        with pytest.raises(ValidationError, match=message):
+            postselect_coincidence(tritter, config, pattern)
+
     def test_wrong_photon_count_rejected(self, tritter):
         config = InputConfiguration([(1, InternalState(H)), (2, InternalState(V))])
         with pytest.raises(ValidationError):
@@ -560,6 +567,12 @@ class TestPairCoincidence:
         with pytest.raises(ValidationError):
             pair_coincidence_probability(tritter, ports, (1, 2), 0.5)
 
+    @pytest.mark.parametrize("outs, message", [((2, 2), "output ports must be distinct"),
+                                               ((1, 4), r"output ports \(1, 4\) exceed")], ids=["same", "out-of-range"])
+    def test_bad_output_ports_rejected(self, tritter, outs, message):
+        with pytest.raises(ValidationError, match=message):
+            pair_coincidence_probability(tritter, (1, 2), outs, 0.5)
+
 
 class TestSpectralVectors:
     def test_reproduces_random_gram(self):
@@ -602,3 +615,7 @@ class TestMatrixSerialization:
     def test_malformed_payload_rejected(self):
         with pytest.raises(ValidationError):
             matrix_from_pairs([[1.0, 2.0], [3.0]])
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValidationError, match="ragged rows"):
+            matrix_from_pairs([[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]])

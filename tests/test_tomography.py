@@ -119,6 +119,10 @@ class TestBornProbabilities:
         with pytest.raises(ValidationError, match="mismatch"):
             born_probabilities(np.eye(4) / 4, ("Z", "Z", "Z"))
 
+    def test_non_pauli_setting_rejected(self):
+        with pytest.raises(ValidationError, match="Pauli labels"):
+            born_probabilities(np.eye(2) / 2, ("Q",))
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_equals_trace_with_pauli_projectors(self, n):
         # outcome projectors built independently: tensor products of (I + (-1)^bit sigma) / 2
@@ -629,8 +633,8 @@ class TestStart:
 
     @pytest.mark.parametrize(
         "start",
-        [np.eye(4) / 4, np.eye(2), np.array([[0.5, 0.1], [0.0, 0.5]])],
-        ids=["wrong-shape", "trace-2", "non-hermitian"],
+        [np.eye(4) / 4, np.eye(2), np.array([[0.5, 0.1], [0.0, 0.5]]), np.diag([1.5, -0.5])],
+        ids=["wrong-shape", "trace-2", "non-hermitian", "negative-eigenvalue"],
     )
     def test_non_state_rejected(self, start):
         counts = simulate_counts(np.eye(2) / 2, 200, seed=3)
@@ -708,6 +712,16 @@ class TestFrozenFace:
         assert fit.iterations == 0 and not fit.converged
         assert np.array_equal(fit.rho, reference.rho)
 
+    def test_no_model_where_an_observed_outcome_has_no_probability(self):
+        # the ideal W counts observe ZZZ outcome 001, which |000><000| gives probability 0: no model, so each
+        # resample fit runs the matrix start's path
+        counts = _source_counts("ideal-w")
+        start = np.zeros((8, 8))
+        start[0, 0] = 1.0
+        assert tritterlab.tomography._frozen_face(counts, start).inverse is None
+        mc = monte_carlo_uncertainty(counts, 4, purity, seed=7, start=start)
+        assert (mc.failures, mc.unconverged, len(mc.values)) == (0, 0, 4)
+
     def test_matrix_start_keeps_its_path(self):
         # a public caller's matrix start is not the frozen face: the fit starts from 0.99 start + 0.01 I/d
         counts = _source_counts("ideal-w")
@@ -750,6 +764,12 @@ class TestMonteCarlo:
         counts = simulate_counts(rho, 100, seed=0)
         with pytest.raises(ValidationError, match="at least 2"):
             monte_carlo_uncertainty(counts, 1, purity, seed=0)
+
+    def test_functional_error_propagates(self):
+        # a functional that rejects the estimate is the caller's error, not a failed fit
+        counts = simulate_counts(np.eye(4) / 4, 500, seed=1)
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            monte_carlo_uncertainty(counts, 4, lambda r: fidelity(r, canonical_state("w")), seed=3)
 
     def test_unconverged_resamples_raise(self, monkeypatch):
         v = canonical_state("w")

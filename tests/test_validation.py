@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tritterlab.validation import ValidationError, check_density_matrix, check_gram, check_unitary, csv_cells
+from tritterlab.validation import (ValidationError, as_complex_matrix, check_density_matrix, check_gram, check_unitary,
+                                   csv_cells)
 
 
 @pytest.mark.parametrize("index", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
@@ -13,8 +14,9 @@ from tritterlab.validation import ValidationError, check_density_matrix, check_g
         (check_unitary, np.eye(2), "is not unitary"),
         (check_density_matrix, np.eye(2) / 2, "is not Hermitian"),
         (check_gram, np.ones((2, 2)), "must be Hermitian"),
+        (as_complex_matrix, np.eye(2), "contains non-finite entries"),
     ],
-    ids=["unitary", "density-matrix", "gram"],
+    ids=["unitary", "density-matrix", "gram", "complex-matrix"],
 )
 def test_nan_entry_rejected(check, valid, message, index):
     # NaN compares False with everything, so a test written as `x > tol` let it through
@@ -23,6 +25,12 @@ def test_nan_entry_rejected(check, valid, message, index):
     m[index] = np.nan
     with pytest.raises(ValidationError, match=message):
         check(m)
+
+
+@pytest.mark.parametrize("data", [[1.0, 0.0], [[[1.0]]]], ids=["vector", "3-d"])
+def test_complex_matrix_must_be_2d(data):
+    with pytest.raises(ValidationError, match="must be 2-dimensional"):
+        as_complex_matrix(data)
 
 
 def test_csv_cells_strips_cells_and_skips_blank_rows(tmp_path):
