@@ -11,9 +11,11 @@ reaching slot k carries the vector ``U[in_j, out_k] * (pol_j (x) spec_j)``
 over the 2D internal modes, and the output amplitude tensor is the sum over
 photon-to-slot assignments of the tensor product of these vectors (Tichy,
 PRA 91, 022316 (2015)). The kernel evaluates that sum with Glynn's formula
-(Eur. J. Combin. 31, 1887 (2010)): the tensor products over the first
-floor(p/2) and the last ceil(p/2) slots, per sign vector, are contracted over
-the 2^(p-1) sign vectors in one matrix product, in a working array of
+(Eur. J. Combin. 31, 1887 (2010)): the table of its 2^(p-1) sign vectors is
+built once per photon number p, the photons' signed sums are one matrix
+product with it, and the tensor products over the first floor(p/2) and the
+last ceil(p/2) slots, per sign vector, are contracted over the sign vectors
+in one matrix product, in a working array of
 2^(p-1) * ((2D)^floor(p/2) + (2D)^ceil(p/2)) + (2D)^p complex entries per
 slot list; a permanent is the case of one internal mode. The photons'
 internal vectors are built once per kernel call, and the kernel takes a
@@ -29,6 +31,7 @@ input port k to output port j; polarisation index 0 is H and 1 is V.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -56,6 +59,16 @@ _ZERO_PROBABILITY = 1e-24
 _KERNEL_ENTRIES = 1 << 16
 
 
+@functools.cache
+def _glynn_signs(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only sign vectors d in {+1, -1}^p, d_0 = +1, one per row, and their weights prod(d) / 2^(p-1)."""
+    bits = (np.arange(1 << (p - 1))[:, None] >> np.arange(p - 1)) & 1
+    signs = np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits])
+    weights = (signs.prod(axis=1) / (1 << (p - 1)))[:, None]
+    signs.setflags(write=False), weights.setflags(write=False)
+    return signs, weights
+
+
 def _symmetrized(v: np.ndarray) -> np.ndarray:
     """Sum over permutations s of the tensor products (x)_k v[..., s(k), k], flattened.
 
@@ -64,22 +77,22 @@ def _symmetrized(v: np.ndarray) -> np.ndarray:
     sign vectors d in {+1, -1}^p, d_0 = +1, the sum is
     2^-(p-1) sum_d (prod_i d_i) (x)_k (sum_i d_i v[i, k]), because averaging
     prod_i d_i prod_k d_(i_k) over the signs keeps exactly the index tuples
-    (i_k) that are permutations. Per sign vector, ``left`` is the weighted
+    (i_k) that are permutations. The sums over i are one matrix product with
+    the sign table, built once per p. Per sign vector, ``left`` is the weighted
     tensor product over slots k < p//2 and ``right`` the one over the rest, so
     the sum over d is one matrix product left^T @ right; the working array
     has 2^(p-1) * (m^(p//2) + m^(p - p//2)) entries plus the m^p result.
     """
     *batch, p, _, m = v.shape
-    bits = (np.arange(1 << (p - 1))[:, None] >> np.arange(p - 1)) & 1
-    signs = np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits])
-    sums = np.einsum("bi,...ikm->...bkm", signs, v)
+    signs, weights = _glynn_signs(p)
+    sums = (signs @ v.reshape(*batch, p, p * m)).reshape(*batch, len(signs), p, m)
 
     def tensor(out, slots):
         for k in slots:
             out = (out[..., :, None] * sums[..., k, None, :]).reshape(*batch, len(signs), -1)
         return out
 
-    left = tensor((signs.prod(axis=1) / (1 << (p - 1)))[:, None], range(p // 2))
+    left = tensor(weights, range(p // 2))
     right = tensor(sums[..., p // 2, :], range(p // 2 + 1, p))
     return (left.swapaxes(-1, -2) @ right).reshape(*batch, -1)
 
@@ -267,19 +280,20 @@ def output_distribution(
     n = u.dim
     _check_config(config, n)
     p = len(config)
-    ports = range(1, n + 1)
-    patterns = list(itertools.combinations_with_replacement(ports, p))
+    ports = np.arange(1, n + 1)
+    patterns = np.array(list(itertools.combinations_with_replacement(ports.tolist(), p)))
+    factorials = np.array([math.factorial(c) for c in range(p + 1)])
     m = 2 * config.spectral_dim
     entries = (1 << (p - 1)) * (m ** (p // 2) + m ** (p - p // 2)) + m**p
     chunk = max(1, _KERNEL_ENTRIES // entries)
-    weights = []
-    for start in range(0, len(patterns), chunk):
-        amps = _amplitudes(u, config, patterns[start : start + chunk])
-        weights.extend((np.abs(amps) ** 2).sum(axis=1))
     result: dict[tuple[int, ...], float] = {}
-    for outs, weight in zip(patterns, weights):
-        counts = tuple(outs.count(j) for j in ports)
-        result[counts] = float(weight) / math.prod(math.factorial(c) for c in counts)
+    for start in range(0, len(patterns), chunk):
+        outs = patterns[start : start + chunk]
+        weights = (np.abs(_amplitudes(u, config, outs)) ** 2).sum(axis=1)
+        counts = (outs[:, :, None] == ports).sum(axis=1)
+        multiplicities = factorials[counts].prod(axis=1)
+        for occupation, weight, multiplicity in zip(counts.tolist(), weights.tolist(), multiplicities.tolist()):
+            result[tuple(occupation)] = weight / multiplicity
     return result
 
 
@@ -317,7 +331,7 @@ def postselect_coincidence(
 
     d = config.spectral_dim
     amps = _amplitudes(u, config, outs).reshape((2, d) * p)
-    amps = amps.transpose(np.r_[0 : 2 * p : 2, 1 : 2 * p : 2]).reshape(2**p, d**p)
+    amps = amps.transpose([*range(0, 2 * p, 2), *range(1, 2 * p, 2)]).reshape(2**p, d**p)
 
     prob = float(np.vdot(amps, amps).real)
     if prob < _ZERO_PROBABILITY:

@@ -88,6 +88,37 @@ class TestSinkhorn:
         assert err.value.residual is not None
         assert err.value.residual > 0
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9])
+    def test_non_positive_tol_rejected(self, tol):
+        with pytest.raises(ValidationError, match="tol must be positive"):
+            sinkhorn_magnitudes(IntensityTable(RATIOS), tol=tol)
+
+
+class TestIntensityTableChecks:
+    @pytest.mark.parametrize(
+        "fractions", [np.ones((2, 3)), np.ones(3), np.zeros((0, 0))], ids=["2x3", "one-row", "empty"]
+    )
+    def test_non_square_table_rejected(self, fractions):
+        with pytest.raises(ValidationError, match="must be square"):
+            IntensityTable(fractions)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_entry_rejected(self, value):
+        bad = RATIOS.copy()
+        bad[1, 2] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            IntensityTable(bad)
+
+    def test_negative_entry_rejected(self):
+        bad = RATIOS.copy()
+        bad[2, 0] = -1.0
+        with pytest.raises(ValidationError, match="non-negative"):
+            IntensityTable(bad)
+
+    def test_loss_column_of_wrong_length_rejected(self):
+        with pytest.raises(ValidationError, match="must have 3 entries, got 2"):
+            IntensityTable(RATIOS, PRINTED_LOSS_DB[:2])
+
 
 class TestInsertionLoss:
     def test_first_measured_row(self):
@@ -188,6 +219,11 @@ class TestHomScan:
         with pytest.raises(ValidationError):
             hom_scan(tritter, (1, 2), (1, 2), delays, coherence, rate, seed=0)
 
+    @pytest.mark.parametrize("peak_overlap", [-0.1, 1.5, np.nan])
+    def test_peak_overlap_outside_unit_interval_rejected(self, tritter, peak_overlap):
+        with pytest.raises(ValidationError, match="peak overlap"):
+            hom_scan(tritter, (1, 2), (1, 2), [0.0, 1.0], 1.0, 1e4, seed=0, peak_overlap=peak_overlap)
+
 
 class TestGaussianFit:
     def test_noiseless_recovery_is_exact(self, tritter):
@@ -239,6 +275,23 @@ class TestGaussianFit:
     def test_unphysical_fit_parameters_rejected(self):
         with pytest.raises(ValidationError):
             GaussianFit(amplitude=1.0, center=0.0, width=-1.0, offset=2.0, residual_norm=0.0)
+
+    def test_negative_offset_rejected(self):
+        with pytest.raises(ValidationError, match="offset must be non-negative"):
+            GaussianFit(amplitude=1.0, center=0.0, width=1.0, offset=-0.5, residual_norm=0.0)
+
+    def test_running_out_of_steps_raises(self, tritter, monkeypatch):
+        monkeypatch.setattr("tritterlab.calibration._DIP_MAX_STEPS", 1)
+        scan = hom_scan(tritter, (1, 2), (1, 2), np.linspace(-4, 4, 41), 1.0, 4.5e4, seed=0)
+        with pytest.raises(ConvergenceError, match="did not converge in 1 steps") as err:
+            fit_gaussian(scan)
+        assert err.value.residual > 0
+
+    def test_fit_below_zero_offset_raises(self):
+        # counts on the left half only: the best inverted Gaussian is a broad bump under a negative baseline
+        scan = DipScan(np.linspace(-4.0, 4.0, 9), np.array([8.0, 0.0, 5.0, 8.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(ConvergenceError, match="unphysical fit: offset -"):
+            fit_gaussian(scan)
 
 
 def _dip_scans(poisson: bool):
@@ -421,6 +474,18 @@ class TestDipScanCsv:
         with pytest.raises(ValidationError, match="increasing"):
             DipScan(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0]))
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValidationError, match="empty delay grid"):
+            DipScan(np.array([]), np.array([]))
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValidationError, match="3 delays but 2 count values"):
+            DipScan(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0]))
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ValidationError, match="counts must be non-negative"):
+            DipScan(np.array([0.0, 1.0, 2.0]), np.array([1.0, -2.0, 3.0]))
+
     @pytest.mark.parametrize(
         "delays, counts",
         [([0, 1, 2], [1, np.nan, 3]), ([0, 1, 2], [1, np.inf, 3]), ([0, 1, np.inf], [1, 2, 3])],
@@ -445,3 +510,13 @@ class TestMagnitudesToUnitary:
         assert 0 < adjustment < 0.05
         dev = np.abs(unitary.matrix @ unitary.matrix.conj().T - np.eye(3)).max()
         assert dev < 1e-10
+
+    def test_non_square_magnitudes_rejected(self):
+        with pytest.raises(ValidationError, match="must be square"):
+            interferometer_from_magnitudes(np.full((2, 3), 0.5))
+
+    def test_negative_magnitude_rejected(self):
+        mag = np.full((3, 3), 1 / np.sqrt(3))
+        mag[0, 0] = -mag[0, 0]
+        with pytest.raises(ValidationError, match="non-negative"):
+            interferometer_from_magnitudes(mag)

@@ -167,6 +167,67 @@ class TestSymmetrized:
         assert got.shape == (2, 3, m**p)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_one_sign_table_serves_every_width_and_batch(self):
+        # the table is keyed by p alone: one entry serves m = 6 unbatched, m = 2 batched, then m = 6 again
+        rng = np.random.default_rng(25)
+        for shape in [(3, 3, 6), (4, 3, 3, 2), (3, 3, 6)]:
+            v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            got, want = interference._symmetrized(v), brute_symmetrized(v)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        signs, weights = interference._glynn_signs(3)
+        assert signs.shape == (4, 3) and weights.shape == (4, 1)
+        assert not signs.flags.writeable and not weights.flags.writeable
+
+
+def einsum_symmetrized(v):
+    """The kernel with its sign table rebuilt on every call and its signed sums taken in one einsum."""
+    *batch, p, _, m = v.shape
+    bits = (np.arange(1 << (p - 1))[:, None] >> np.arange(p - 1)) & 1
+    signs = np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits])
+    sums = np.einsum("bi,...ikm->...bkm", signs, v)
+
+    def tensor(out, slots):
+        for k in slots:
+            out = (out[..., :, None] * sums[..., k, None, :]).reshape(*batch, len(signs), -1)
+        return out
+
+    left = tensor((signs.prod(axis=1) / (1 << (p - 1)))[:, None], range(p // 2))
+    right = tensor(sums[..., p // 2, :], range(p // 2 + 1, p))
+    return (left.swapaxes(-1, -2) @ right).reshape(*batch, -1)
+
+
+def pattern_by_pattern_distribution(u, config):
+    """``output_distribution`` with one kernel call per pattern and its occupations counted in Python."""
+    ports = range(1, u.dim + 1)
+    result = {}
+    for outs in itertools.combinations_with_replacement(ports, len(config)):
+        weight = float((np.abs(interference._amplitudes(u, config, outs)) ** 2).sum())
+        counts = tuple(outs.count(j) for j in ports)
+        result[counts] = weight / math.prod(math.factorial(c) for c in counts)
+    return result
+
+
+@pytest.mark.parametrize("p, dims", [(p, (1, 2, 3)) for p in range(1, 6)] + [(6, (1, 2)), (7, (1, 2)), (8, (1,))])
+def test_outputs_bit_identical_to_per_call_tables(p, dims, monkeypatch):
+    # the cached sign table and its matrix product change no output bit: states, probabilities and
+    # distributions equal those of a kernel that rebuilds the table per call and sums in an einsum
+    rng = np.random.default_rng(250 + p)
+    for d in dims:
+        u = Interferometer(random_unitary(p + 1, rng))
+        config = InputConfiguration([(k + 1, random_internal(rng, d)) for k in range(p)])
+        pattern = (1,) * p + (0,)
+        got = postselect_coincidence(u, config, pattern)
+        dist = output_distribution(u, config) if p <= 4 or (p <= 6 and d == 1) else None
+        with monkeypatch.context() as patch:
+            patch.setattr(interference, "_symmetrized", einsum_symmetrized)
+            want = postselect_coincidence(u, config, pattern)
+            want_dist = pattern_by_pattern_distribution(u, config) if dist is not None else None
+        assert got.probability == want.probability
+        assert np.array_equal(got.rho, want.rho)
+        if dist is not None:
+            assert list(dist) == list(want_dist)
+            assert np.array_equal(list(dist.values()), list(want_dist.values()))
+
 
 class TestInputValidation:
     def test_duplicate_ports_rejected(self):
@@ -194,6 +255,24 @@ class TestInputValidation:
         # a NaN norm passes |norm - 1| > tol, and post-selection then returns a NaN rho
         with pytest.raises(ValidationError, match="not normalized"):
             InternalState(pol, spectral)
+
+    @pytest.mark.parametrize(
+        "pol, spectral, message",
+        [([1.0, 0.0, 0.0], None, "polarisation must have 2 amplitudes, got 3"),
+         ([1.0, 0.0], [], "spectral vector must have dimension >= 1")],
+        ids=["three-polarisation-amplitudes", "empty-spectral-vector"],
+    )
+    def test_malformed_internal_state_rejected(self, pol, spectral, message):
+        with pytest.raises(ValidationError, match=message):
+            InternalState(pol, spectral)
+
+    def test_empty_configuration_rejected(self):
+        with pytest.raises(ValidationError, match="need at least one photon"):
+            InputConfiguration([])
+
+    def test_photon_without_internal_state_rejected(self):
+        with pytest.raises(ValidationError, match="each photon needs an InternalState"):
+            InputConfiguration([(1, InternalState(H)), (2, H)])
 
     def test_mismatched_spectral_dims_rejected(self):
         with pytest.raises(ValidationError):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from setuptools.config.pyprojecttoml import read_configuration
 
@@ -190,6 +191,34 @@ def test_importing_the_package_loads_no_scipy():
     code = "import sys, tritterlab, tritterlab.cli; print('scipy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "False"
+
+
+#: sample arguments of every functools.cache helper in the package, by module and name
+CACHED_HELPERS = {
+    "interference._glynn_signs": (3,),
+    "tomography._outcome_vectors": (2,),
+    "tomography._born_matrix": (2,),
+    "tomography._tangent_pairs": (4, 2),
+    "tomography._curvature_layout": (2, 2),
+}
+
+
+def test_cached_helpers_return_read_only_arrays():
+    # a cached table is shared by every later call, so one caller writing to it would change what all
+    # others read; a new cached helper fails here until it is listed with sample arguments and checked
+    found = {
+        f"{path.stem}.{node.name}"
+        for path, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any("cache" in ast.unparse(decorator) for decorator in node.decorator_list)
+    }
+    assert found == set(CACHED_HELPERS)
+    for name, args in CACHED_HELPERS.items():
+        module, _, helper = name.partition(".")
+        value = getattr(importlib.import_module(f"tritterlab.{module}"), helper)(*args)
+        arrays = value if isinstance(value, tuple) else (value,)
+        assert all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays), name
 
 
 def test_fit_signature_has_no_knobs():
