@@ -250,9 +250,10 @@ def fit_gaussian(scan: DipScan) -> GaussianFit:
 
     Levenberg-Marquardt (Marquardt, J. SIAM 11, 431 (1963)) on the analytic Jacobian, damped by the
     largest diagonal of ``J^T J`` seen so far times a factor that follows each step's gain ratio
-    (Nielsen, IMM-REP-1999-05); a step may shrink the width at most tenfold. Stops once a step lowers
-    the squared residual by at most 1e-10 of itself, or once no resolvable step lowers it. Raises once a
-    step takes the width below a fifth of the smallest delay spacing or above the span: no dip resolved.
+    (Nielsen, IMM-REP-1999-05); a step may shrink the width at most tenfold, and the amplitude stays at
+    most the offset, tied to it while the bound binds. Stops once a step lowers the squared residual by
+    at most 1e-10 of itself, or once no resolvable step lowers it. Raises once a step takes the width
+    below a fifth of the smallest delay spacing or above the span: no dip resolved.
     """
     x, y = scan.delays, scan.counts
     if x.size < 5:
@@ -281,20 +282,24 @@ def fit_gaussian(scan: DipScan) -> GaussianFit:
     narrowest, span = float(np.diff(x).min()) / 5.0, float(x[-1] - x[0])
     params = np.array([amp0, center0, width0, offset0])
     fit = evaluate(params)
-    jac = np.ones((4, x.size))  # row k: d(model)/d(params[k]); the offset's row stays 1
+    jac = np.empty((4, x.size))  # row k: d(model)/d(params[k])
     scale = np.zeros(4)
     damping, growth, accepted = 1e-3, 2.0, True
     for _ in range(_DIP_MAX_STEPS):
         if accepted:
             residual, cost, g, t = fit
-            jac[0] = -g
+            # amplitude <= offset (no dip below zero): tied while the fit pulls it higher, once a step set its damping
+            tied = params[0] == params[3] and g @ residual >= 0.0 and scale[0] > 0.0
+            jac[0] = 0.0 if tied else -g
             jac[1] = (-params[0] / params[2]) * g * t
             jac[2] = jac[1] * t
+            jac[3] = 1.0 - g if tied else 1.0
             normal, gradient = jac @ jac.T, jac @ residual
             scale = np.maximum(scale, normal.diagonal())
         damped = damping * scale
         step = np.linalg.solve(normal + np.diag(damped), -gradient)
         trial = params + step
+        trial[0] = trial[3] if tied else min(trial[0], trial[3])
         trial_fit = evaluate(trial) if trial[2] > params[2] / 10.0 else None
         accepted = trial_fit is not None and trial_fit[1] < cost
         if accepted:

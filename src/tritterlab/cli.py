@@ -37,7 +37,7 @@ from .interference import (
     spectral_vectors_from_gram,
 )
 from .states import GENERATED_KINDS, StateKind, canonical_state, fidelity, purity, recipe, witness_report
-from .tomography import CountsTable, monte_carlo_uncertainty, reconstruct_mle, simulate_counts
+from .tomography import CountsTable, _frozen_face, monte_carlo_uncertainty, reconstruct_mle, simulate_counts
 from .validation import ConfigError, ConvergenceError, ValidationError, check_gram
 
 
@@ -228,10 +228,9 @@ def run_generate(config: ExperimentConfig) -> tuple[dict, CountsTable]:
     seed_counts, seed_mc_f, seed_mc_p = np.random.SeedSequence(config.seed).spawn(3)
     counts = simulate_counts(rho_noisy, config.shots, seed_counts)
     recon = reconstruct_mle(counts)
-    mc_fid = monte_carlo_uncertainty(
-        counts, config.resamples, lambda r: fidelity(r, target), seed_mc_f, start=recon.rho
-    )
-    mc_pur = monte_carlo_uncertainty(counts, config.resamples, purity, seed_mc_p, start=recon.rho)
+    face = _frozen_face(counts, recon.rho)  # the main estimate and its Newton model, built once for both passes
+    mc_fid = monte_carlo_uncertainty(counts, config.resamples, lambda r: fidelity(r, target), seed_mc_f, start=face)
+    mc_pur = monte_carlo_uncertainty(counts, config.resamples, purity, seed_mc_p, start=face)
     witness = witness_report(recon.rho)
 
     report = {

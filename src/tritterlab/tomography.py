@@ -11,10 +11,10 @@ the fit stops on a certified bound on its log-likelihood shortfall from the
 optimum (Glancy, Knill & Girard, New J. Phys. 14, 095017 (2012)).
 Uncertainties are propagated by Poisson resampling of the observed counts.
 The certificate does not depend on the start, so each resample fit starts
-at the main estimate with one Newton step of the main fit's model, frozen
-for the whole pass (a chord step; Kelley, Solving Nonlinear Equations with
-Newton's Method, SIAM 2003). Resamples whose fit does not converge are
-counted and left out.
+at the main estimate with one Newton step of the main fit's model, built
+once per counts table with the estimate's outcome probabilities (a chord
+step; Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003).
+Resamples whose fit does not converge are counted and left out.
 """
 
 from __future__ import annotations
@@ -241,13 +241,22 @@ def _tangent_pairs(dim: int, rank: int) -> np.ndarray:
     return pairs
 
 
+@functools.cache
+def _step_index(dim: int, rank: int) -> tuple[np.ndarray, ...]:
+    """Read-only index of a Newton step's scatter: rows and columns of the ``_tangent_pairs``, then of the diagonal."""
+    diagonal = np.arange(rank)
+    diagonal.setflags(write=False)
+    return (*_tangent_pairs(dim, rank).T, diagonal, diagonal)
+
+
 def _tangent_step(x: np.ndarray, dim: int, rank: int) -> np.ndarray:
     """Factor ``Z`` (zero below row ``rank``) of direction ``Z + Z^H`` at coordinates ``x``, ordered as in
     ``_tangent_jacobian``: (re, im) per ``_tangent_pairs`` entry, then the traceless diagonal."""
     above, diagonal = x[:x.size - rank + 1], x[x.size - rank + 1:]
+    index = _step_index(dim, rank)
     step = np.zeros((dim, dim), dtype=complex)
-    step[tuple(_tangent_pairs(dim, rank).T)] = above.view(complex)
-    step[np.diag_indices(rank)] = np.concatenate((diagonal, [-diagonal.sum()])) / 2.0  # the Hermitian sum doubles it
+    step[index[:2]] = above.view(complex)
+    step[index[2:]] = np.concatenate((diagonal, [-diagonal.sum()])) / 2.0  # the Hermitian sum doubles it
     return step
 
 
@@ -306,10 +315,11 @@ def _face_model(rho, rank, vectors, weights, p, r) -> tuple[np.ndarray, ...]:
 
 
 class _Face(NamedTuple):
-    """A checked start ``rho`` for the resample fits of one counts table and, unless ``inverse`` is None, its
-    ``_face_model`` at those counts, the Hessian inverted: each fit first tries that model's full Newton step."""
+    """A checked start ``rho`` for one counts table's resample fits and, unless ``inverse`` is None, its outcome
+    probabilities and ``_face_model`` at those counts, Hessian inverted: each fit first tries its full Newton step."""
 
     rho: np.ndarray
+    p: np.ndarray | None = None
     observed: np.ndarray | None = None  # the outcomes with a count: the rows of ``jacobian``
     frame: np.ndarray | None = None
     support: np.ndarray | None = None
@@ -339,7 +349,7 @@ def _frozen_face(counts: CountsTable, rho: np.ndarray) -> _Face:
     r = (np.divide(weights, p, out=np.zeros_like(p), where=observed) @ born).conj().reshape(dim, dim)
     model = _face_model(rho, rank, vectors, weights[observed], p[observed], r)
     try:
-        return _Face(rho, observed, *model[:3], np.linalg.inv(model[3]))
+        return _Face(rho, p, observed, *model[:3], np.linalg.inv(model[3]))
     except np.linalg.LinAlgError:
         return _Face(rho)
 
@@ -384,22 +394,19 @@ def reconstruct_mle(
     ``tol``, or if a step can no longer be resolved in floating point or
     20 iterations in a row accept none.
     """
-    n = counts.n_qubits
-    dim = 2**n
-    empty = np.flatnonzero((counts.counts == 0).all(axis=1))  # an int64 row sum can wrap to 0
-    if empty.size:
-        settings = measurement_settings(n)
-        names = ["".join(settings[i]) for i in empty[:5]]
-        raise ValidationError(f"every setting needs a recorded count; {empty.size} have none: {names}")
-    mixed = np.eye(dim, dtype=complex) / dim
-    face = start if isinstance(start, _Face) else None
-    start = face.rho if face is not None else (mixed if start is None else _checked_start(start, dim))
-
+    n, dim = counts.n_qubits, counts.counts.shape[1]
     # only observed outcomes enter the likelihood; the shared Born matrix is read, not copied
     flat_counts = counts.counts.reshape(-1).astype(float)
     observed = flat_counts > 0
+    empty = np.flatnonzero(~observed.reshape(-1, dim).any(axis=1))  # an int64 row sum can wrap to 0
+    if empty.size:
+        names = ["".join(measurement_settings(n)[i]) for i in empty[:5]]
+        raise ValidationError(f"every setting needs a recorded count; {empty.size} have none: {names}")
+    face = start if isinstance(start, _Face) else None
+    start = face.rho if face is not None else (None if start is None else _checked_start(start, dim))
+
     born = _born_matrix(n).reshape(-1, dim * dim)
-    vectors = _outcome_vectors(n).reshape(-1, dim)[observed]
+    vectors = None  # the observed outcome vectors, gathered for the first model built at these counts
     flat_counts = flat_counts[observed]
     total = float(flat_counts.sum())
     weights = flat_counts / total
@@ -428,7 +435,7 @@ def reconstruct_mle(
         ratio = p_step / p_from
         if (ratio <= -1.0).any():
             return np.inf, p_step
-        return float(np.log1p(np.trace(step).real) - weights @ np.log1p(ratio)), p_step
+        return float(np.log1p(step.trace().real) - weights @ np.log1p(ratio)), p_step
 
     def shortfall(r: np.ndarray) -> float:
         return float(total * (np.linalg.eigvalsh(r)[-1] - 1.0))
@@ -437,7 +444,9 @@ def reconstruct_mle(
         """(rho, p, r, gap, change) of the first of the full, half and quarter Newton step of the rank-``rank``
         ``_face_model`` at ``rho`` that keeps the log-likelihood and lowers the gap, or None. A frozen ``face``
         gives the model, from this fit's gradient, and only its full step is tried."""
+        nonlocal vectors
         if face is None:
+            vectors = _outcome_vectors(n).reshape(-1, dim)[observed] if vectors is None else vectors
             frame, support, jacobian, hessian = _face_model(rho, rank, vectors, weights, p, r)
             try:
                 x = np.linalg.solve(hessian, (weights / p) @ jacobian)
@@ -450,9 +459,9 @@ def reconstruct_mle(
         direction, grown = factor + factor.conj().T, whitened.conj().T @ whitened
         for scale in (1.0, 0.5, 0.25) if face is None else (1.0,):
             step = scale * direction + scale**2 * grown
-            added = np.trace(step).real
+            added = step.trace().real
             # the retracted state over its trace minus diag(S, 0), formed without cancellation
-            step[np.diag_indices(rank)] -= added * support
+            step[_step_index(dim, rank)[2:]] -= added * support
             step = frame @ (step / (1.0 + added)) @ frame.conj().T
             step = (step + step.conj().T) / 2.0
             descent, p_step = change(p, step)
@@ -464,18 +473,19 @@ def reconstruct_mle(
                     return rho + step, p_moved, r_moved, gap_moved, descent
         return None
 
-    def begin(rho: np.ndarray) -> tuple:
-        p = probabilities(rho)
+    def begin(rho: np.ndarray, p: np.ndarray | None = None) -> tuple:
+        p = probabilities(rho) if p is None else p
         r = r_operator(p)
         # the initial log-likelihood plus each accepted change: never decreases
         return rho, p, r, shortfall(r), float(flat_counts @ np.log(p))
 
     moved = None
     if face is not None and face.inverse is not None and max_iter > 0:
-        rho, p, r, gap, log_likelihood = begin(start)
+        rho, p, r, gap, log_likelihood = begin(start, face.p[observed])
         moved = newton(rho, p, r, len(face.support), gap, face)
     if moved is None:  # from the maximally mixed start this is I/d exactly in float for d = 2, 4, 8, 16
-        rho, p, r, gap, log_likelihood = begin(0.99 * start + 0.01 * mixed)
+        mixed = np.eye(dim, dtype=complex) / dim
+        rho, p, r, gap, log_likelihood = begin(0.99 * (mixed if start is None else start) + 0.01 * mixed)
         iterations, rank, steady = 0, dim, 0  # accepted steps in a row that kept the rank and over half the gap
     else:  # the frozen step counts as an iteration and hands over to Newton on its face
         rho, p, r, gap, descent = moved
@@ -517,7 +527,7 @@ def reconstruct_mle(
         step *= 1.5
 
     rho = (rho + rho.conj().T) / 2
-    rho /= np.real(np.trace(rho))
+    rho /= rho.trace().real
     rho.setflags(write=False)
     return ReconstructionResult(
         rho=rho,
@@ -565,7 +575,8 @@ def monte_carlo_uncertainty(
     re-runs the likelihood reconstruction at its default tolerance and
     iteration limit and applies ``functional`` to the estimate. A ``start`` is
     checked, and its Newton model at ``counts`` built (see ``_frozen_face``),
-    once per pass; each fit starts there with one step of that frozen model
+    once per pass unless it is that model already (``generate`` builds one for
+    both its passes); each fit starts there with one step of that frozen model
     (see ``reconstruct_mle``). Failed fits (``ValidationError``, as when a
     setting drew no count, or ``LinAlgError``) and unconverged ones are counted
     and excluded; fewer than two converged resamples raise ``ConvergenceError``.
@@ -575,7 +586,7 @@ def monte_carlo_uncertainty(
         raise ValidationError("resamples must be at least 2")
     if counts.counts.max() > POISSON_MAX:
         raise ValidationError(f"counts above {POISSON_MAX:.4e} exceed numpy's Poisson sampler")
-    if start is not None:  # a bad start is the caller's error, not a failed resample
+    if start is not None and not isinstance(start, _Face):  # a bad start is the caller's error, not a failed resample
         start = _frozen_face(counts, _checked_start(start, 2**counts.n_qubits))
     values: list[float] = []
     failures = unconverged = 0

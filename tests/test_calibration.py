@@ -287,6 +287,19 @@ class TestGaussianFit:
             fit_gaussian(scan)
         assert err.value.residual > 0
 
+    def test_peak_fits_the_deepest_dip_its_baseline_allows(self):
+        # a peak has no dip: unbounded, the fit went 14% below zero at its center (visibility 1.14)
+        delays = np.linspace(-4.0, 4.0, 41)
+        fit = fit_gaussian(DipScan(delays, 50.0 * np.exp(-(delays**2) / 2.0)))
+        assert fit.amplitude == fit.offset and fit.visibility == 1.0
+        assert fit.residual_norm == pytest.approx(99.077490982, rel=1e-10)
+
+    def test_dip_to_zero_is_recovered(self):
+        # the moment start then sits on the bound, before any step has scaled the amplitude's damping
+        delays = np.linspace(-4.0, 4.0, 41)
+        fit = fit_gaussian(DipScan(delays, 100.0 * (1.0 - np.exp(-(delays**2) / 0.5))))
+        assert (fit.amplitude, fit.offset, fit.width) == pytest.approx((100.0, 100.0, 0.5), abs=1e-9)
+
     def test_fit_below_zero_offset_raises(self):
         # counts on the left half only: the best inverted Gaussian is a broad bump under a negative baseline
         scan = DipScan(np.linspace(-4.0, 4.0, 9), np.array([8.0, 0.0, 5.0, 8.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
@@ -323,6 +336,16 @@ class TestGaussianFitOptimality:
             fitted = _residual_norm(scan, (fit.amplitude, fit.center, fit.width, fit.offset))
             assert fitted <= _residual_norm(scan, truth) + 1e-12 * np.linalg.norm(scan.counts)
             assert fit.residual_norm == pytest.approx(fitted, rel=1e-9, abs=1e-9)
+
+    def test_no_dip_deeper_than_its_baseline(self):
+        # unbounded, scan 27 (21 points, coherence 0.5, 1e3 counts per point) fits a spike of visibility 1.97;
+        # bounded, it fits visibility 1 at the least residual any such dip reaches (a bounded solver, from 264 starts)
+        for seed, (scan, _) in enumerate(_dip_scans(poisson=True)):
+            fit = fit_gaussian(scan)
+            assert 0.0 <= fit.amplitude <= fit.offset
+            if seed == 27:
+                assert fit.amplitude == fit.offset
+                assert fit.residual_norm == pytest.approx(62.945317152849, rel=1e-10)
 
     def test_noiseless_scans_recover_the_generating_parameters(self):
         for scan, truth in _dip_scans(poisson=False):

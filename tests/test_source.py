@@ -199,6 +199,7 @@ CACHED_HELPERS = {
     "tomography._outcome_vectors": (2,),
     "tomography._born_matrix": (2,),
     "tomography._tangent_pairs": (4, 2),
+    "tomography._step_index": (4, 2),
     "tomography._curvature_layout": (2, 2),
 }
 

@@ -140,6 +140,14 @@ class TestLocalTransforms:
         mapped = apply_local_unitary(canonical_state("ghzprime"), local_transform("ghzprime"))
         assert state_overlap(mapped, canonical_state("ghz")) > 1 - 1e-12
 
+    def test_state_dimension_not_a_power_of_two_rejected(self):
+        with pytest.raises(ValidationError, match="state dimension 3 is not a power of 2"):
+            apply_local_unitary(np.ones(3), np.eye(2))
+
+    def test_single_qubit_unitary_must_be_two_by_two(self):
+        with pytest.raises(ValidationError, match=r"single-qubit unitary must be 2x2, got \(3, 3\)"):
+            apply_local_unitary(canonical_state("w"), np.eye(3))
+
     def test_no_transform_for_other_kinds(self):
         with pytest.raises(ValidationError, match="no local transform"):
             local_transform(StateKind.W)
@@ -201,6 +209,14 @@ class TestFidelityPurity:
     def test_purity_rejects_non_square(self):
         with pytest.raises(ValidationError):
             purity(np.ones((2, 3)))
+
+    def test_fidelity_rejects_non_square(self):
+        with pytest.raises(ValidationError, match=r"rho must be square, got shape \(2, 3\)"):
+            fidelity(np.ones((2, 3)), np.ones(2))
+
+    def test_overlap_dimension_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="dimension mismatch: 8 vs 4"):
+            state_overlap(canonical_state("w"), np.ones(4))
 
 
 def _mix_with_identity(target_fidelity: float, state: np.ndarray) -> np.ndarray:

@@ -123,6 +123,12 @@ class TestBornProbabilities:
         with pytest.raises(ValidationError, match="Pauli labels"):
             born_probabilities(np.eye(2) / 2, ("Q",))
 
+    def test_dimension_not_a_power_of_two_rejected(self):
+        with pytest.raises(ValidationError, match=r"rho must be 2\^n x 2\^n, got \(3, 3\)"):
+            born_probabilities(np.eye(3) / 3, ("Z",))
+        with pytest.raises(ValidationError, match=r"rho must be 2\^n x 2\^n, got \(2, 3\)"):
+            simulate_counts(np.ones((2, 3)) / 2, 100, seed=0)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_equals_trace_with_pauli_projectors(self, n):
         # outcome projectors built independently: tensor products of (I + (-1)^bit sigma) / 2
@@ -721,6 +727,34 @@ class TestFrozenFace:
         assert tritterlab.tomography._frozen_face(counts, start).inverse is None
         mc = monte_carlo_uncertainty(counts, 4, purity, seed=7, start=start)
         assert (mc.failures, mc.unconverged, len(mc.values)) == (0, 0, 4)
+
+    @pytest.mark.parametrize("source", ["ideal-w", "noisy-ghzprime", "noisy-ghzprime-2"])
+    def test_prebuilt_face_gives_the_matrix_start_result(self, source):
+        # generate hands both passes one face; a pass that builds it from the matrix start fits the same
+        counts = _source_counts(source)
+        main = reconstruct_mle(counts)
+        face = tritterlab.tomography._frozen_face(counts, main.rho)
+        for functional in (purity, lambda r: fidelity(r, canonical_state("w"))):
+            prebuilt = monte_carlo_uncertainty(counts, 10, functional, seed=7, start=face)
+            matrix = monte_carlo_uncertainty(counts, 10, functional, seed=7, start=main.rho)
+            for name in [f.name for f in dataclasses.fields(matrix)]:
+                assert getattr(prebuilt, name) == getattr(matrix, name), name
+
+    def test_generate_builds_one_face(self, monkeypatch):
+        # both Monte-Carlo passes of generate start from the one face of the main estimate
+        built = []
+        frozen_face = tritterlab.tomography._frozen_face
+
+        def counting(counts, rho):
+            built.append(rho)
+            return frozen_face(counts, rho)
+
+        monkeypatch.setattr(tritterlab.tomography, "_frozen_face", counting)
+        monkeypatch.setattr(tritterlab.cli, "_frozen_face", counting)
+        config = {"state": "w", "tomography": {"shots": 2_000, "resamples": 3, "seed": 7}}
+        report, _ = run_generate(ExperimentConfig.from_dict(config))
+        assert len(built) == 1
+        assert [block["failures"] for block in report["tomography"]["monte_carlo"].values()] == [0, 0]
 
     def test_matrix_start_keeps_its_path(self):
         # a public caller's matrix start is not the frozen face: the fit starts from 0.99 start + 0.01 I/d

@@ -1,5 +1,7 @@
 """Shared validation helpers: a non-finite entry fails a check as an out-of-tolerance one does."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,13 @@ def test_nan_entry_rejected(check, valid, message, index):
     m[index] = np.nan
     with pytest.raises(ValidationError, match=message):
         check(m)
+
+
+@pytest.mark.parametrize("check", [check_unitary, check_density_matrix, check_gram])
+@pytest.mark.parametrize("shape", [(2, 3), (4,)], ids=["rectangular", "vector"])
+def test_non_square_rejected(check, shape):
+    with pytest.raises(ValidationError, match=re.escape(f"must be square, got shape {shape}")):
+        check(np.ones(shape))
 
 
 @pytest.mark.parametrize("data", [[1.0, 0.0], [[[1.0]]]], ids=["vector", "3-d"])
