@@ -10,11 +10,11 @@ every iterate is a density matrix, the log-likelihood never decreases, and
 the fit stops on a certified bound on its log-likelihood shortfall from the
 optimum (Glancy, Knill & Girard, New J. Phys. 14, 095017 (2012)).
 Uncertainties are propagated by Poisson resampling of the observed counts.
-The certificate does not depend on the start, so each resample fit starts
-at the main estimate with one Newton step of the main fit's model, built
-once per counts table with the estimate's outcome probabilities (a chord
-step; Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003).
-Resamples whose fit does not converge are counted and left out.
+The certificate does not depend on the start, so a pass draws all its
+resample tables first and moves each from the main estimate by one Newton
+step of the main fit's frozen model (a chord step; Kelley, Solving Nonlinear
+Equations with Newton's Method, SIAM 2003), all at once, and fits each from
+there. Resamples whose fit does not converge are counted and left out.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def _project_to_states(m: np.ndarray) -> tuple[np.ndarray, int]:
     """
     vals, vecs = np.linalg.eigh(m)
     top = vals[::-1]
-    shifts = (np.cumsum(top) - 1.0) / np.arange(1, vals.size + 1)
+    shifts = (top.cumsum() - 1.0) / np.arange(1, vals.size + 1)
     kept = np.count_nonzero(top > shifts)  # the condition holds on a prefix
     lam = np.maximum(vals - shifts[kept - 1], 0.0)
     return (vecs * lam) @ vecs.conj().T, int(kept)
@@ -250,14 +250,59 @@ def _step_index(dim: int, rank: int) -> tuple[np.ndarray, ...]:
 
 
 def _tangent_step(x: np.ndarray, dim: int, rank: int) -> np.ndarray:
-    """Factor ``Z`` (zero below row ``rank``) of direction ``Z + Z^H`` at coordinates ``x``, ordered as in
-    ``_tangent_jacobian``: (re, im) per ``_tangent_pairs`` entry, then the traceless diagonal."""
-    above, diagonal = x[:x.size - rank + 1], x[x.size - rank + 1:]
+    """Factor ``Z`` (zero below row ``rank``) of direction ``Z + Z^H`` at coordinates ``x`` (or each row of ``x``),
+    ordered as in ``_tangent_jacobian``: (re, im) per ``_tangent_pairs`` entry, then the traceless diagonal."""
+    above, diagonal = x[..., :x.shape[-1] - rank + 1], x[..., x.shape[-1] - rank + 1:]
     index = _step_index(dim, rank)
-    step = np.zeros((dim, dim), dtype=complex)
-    step[index[:2]] = above.view(complex)
-    step[index[2:]] = np.concatenate((diagonal, [-diagonal.sum()])) / 2.0  # the Hermitian sum doubles it
+    step = np.zeros((*x.shape[:-1], dim, dim), dtype=complex)
+    step[(..., *index[:2])] = above.view(complex)
+    step[(..., *index[2:])] = np.concatenate((diagonal, -diagonal.sum(-1, keepdims=True)), -1) / 2.0  # Z + Z^H doubles
     return step
+
+
+def _retractions(x: np.ndarray, frame: np.ndarray, support: np.ndarray, scales):
+    """Yield ``rho' - rho`` for each scale ``s`` of the Newton step at coordinates ``x`` (a stack gives a stack):
+    ``rho'`` is the state that the ``_face_model`` retraction of ``s`` times the step reaches from ``rho``."""
+    dim, rank = len(frame), len(support)
+    factor, diagonal, frame_h = _tangent_step(x, dim, rank), (..., *_step_index(dim, rank)[2:]), frame.conj().T
+    whitened = factor[..., :rank, :] / np.sqrt(support)[:, None]
+    direction, grown = factor + factor.conj().swapaxes(-1, -2), whitened.conj().swapaxes(-1, -2) @ whitened
+    for scale in scales:
+        step = scale * direction + scale**2 * grown
+        added = step.trace(axis1=-2, axis2=-1).real
+        # the retracted state over its trace minus diag(S, 0), formed without cancellation
+        step[diagonal] -= added[..., None] * support
+        step = frame @ (step / (1.0 + added)[..., None, None]) @ frame_h
+        yield (step + step.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _probabilities(born: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``(born @ rho.ravel()).real`` for a matrix ``rho``, or for each of a stack of them."""
+    return (rho.reshape(*rho.shape[:-2], -1) @ born.T).real
+
+
+def _r_and_gap(scattered: np.ndarray, born: np.ndarray, total) -> tuple[np.ndarray, np.ndarray]:
+    """Minus the objective's gradient ``R = sum_k s_k Pi_k`` for ``s = w / p`` (0 where w = 0), and the certified
+    log-likelihood shortfall ``N * (lambda_max(R) - 1)`` for ``N = total`` counts; or both for each row of ``s``."""
+    dim = round(born.shape[-1] ** 0.5)
+    r = (scattered @ born).conj().reshape(*scattered.shape[:-1], dim, dim)
+    return r, total * (np.linalg.eigvalsh(r).T[-1] - 1.0)  # eigvalsh sorts each row ascending
+
+
+def _change(weights, p_from: np.ndarray, p_step: np.ndarray, trace) -> np.ndarray:
+    """Objective change ``f(rho + step) - f(rho)`` for ``p_from = p(rho)``, ``p_step = p(step)``, ``trace = tr(step)``
+    and tr(rho) = 1, or per row of stacks of them; inf where a probability would fall to 0 or below.
+
+    The objective ``f = -sum_k w_k log(p_k / tr rho)`` is the negative log-likelihood per count on unit-trace
+    states. Its scale invariance keeps the ~1e-16 trace error of a projected state out of the change, and
+    evaluating the change from the step itself keeps its relative precision near the optimum, where it falls to
+    ~1e-17 of ``f``. Either loss makes the descent stall at a gap near 1e-2 on 10k-shot counts.
+    """
+    ratio = p_step / p_from
+    if (ratio <= -1.0).any():  # kept from log1p, which warns below -1, and put in the trace
+        outside = (ratio <= -1.0).any(axis=-1)
+        ratio[outside], trace = 0.0, np.where(outside, np.inf, trace)
+    return np.log1p(trace) - np.vecdot(weights, np.log1p(ratio))
 
 
 @functools.cache
@@ -291,7 +336,7 @@ def _tangent_jacobian(vectors: np.ndarray, frame: np.ndarray, rank: int) -> np.n
     # 2 u_a conj(u_b) read as floats interleaves the real and imaginary columns of each pair
     pair = 2.0 * u.take(first, axis=1) * u.take(second, axis=1).conj()
     weight = u[:, :rank].real ** 2 + u[:, :rank].imag ** 2
-    return np.hstack([pair.view(float), weight[:, :-1] - weight[:, -1:]])
+    return np.concatenate([pair.view(float), weight[:, :-1] - weight[:, -1:]], axis=1)
 
 
 def _face_model(rho, rank, vectors, weights, p, r) -> tuple[np.ndarray, ...]:
@@ -316,14 +361,15 @@ def _face_model(rho, rank, vectors, weights, p, r) -> tuple[np.ndarray, ...]:
 
 class _Face(NamedTuple):
     """A checked start ``rho`` for one counts table's resample fits and, unless ``inverse`` is None, its outcome
-    probabilities and ``_face_model`` at those counts, Hessian inverted: each fit first tries its full Newton step."""
+    probabilities, Born rows and ``_face_model`` at the table's observed outcomes, Hessian inverted."""
 
     rho: np.ndarray
     p: np.ndarray | None = None
-    observed: np.ndarray | None = None  # the outcomes with a count: the rows of ``jacobian``
+    observed: np.ndarray | None = None  # the outcomes with a count: the rows of ``p``, ``born`` and ``jacobian``
+    born: np.ndarray | None = None
     frame: np.ndarray | None = None
     support: np.ndarray | None = None
-    jacobian: np.ndarray | None = None
+    jacobian: np.ndarray | None = None  # the tangent Jacobian over ``p``: a table's gradient is ``weights @ jacobian``
     inverse: np.ndarray | None = None
 
 
@@ -334,24 +380,59 @@ def _frozen_face(counts: CountsTable, rho: np.ndarray) -> _Face:
     to the state without it: most resample estimates then lie off the face."""
     n, dim = counts.n_qubits, len(rho)
     flat = counts.counts.reshape(-1).astype(float)
-    observed, born = flat > 0, _born_matrix(n).reshape(-1, dim * dim)
-    p = (born @ rho.ravel()).real
+    observed = flat > 0  # a Poisson resample draws no other outcome
+    born, flat = _born_matrix(n).reshape(-1, dim * dim), flat[observed]
+    p = _probabilities(born, rho)[observed]
     vals, frame = np.linalg.eigh(rho)
     rank = int(np.count_nonzero(vals > STATE_TOL))
     support, vectors = vals[::-1][:rank], _outcome_vectors(n).reshape(-1, dim)[observed]
     u2 = np.abs(vectors @ frame[:, ::-1][:, :rank].conj()) ** 2
-    if not (p[observed] > 0.0).all():
+    if not (p > 0.0).all():
         return _Face(rho)
     # z_a^2 (1 - s_a)^2 / s_a^2 = sum_k n_k (1 - |u_ka|^2 / p_k)^2, compared as products: s_a = 1 at rank 1
-    if (support**2 * (flat[observed] @ (1.0 - u2 / p[observed, None]) ** 2) < (1.0 - support) ** 2).any():
+    if (support**2 * (flat @ (1.0 - u2 / p[:, None]) ** 2) < (1.0 - support) ** 2).any():
         return _Face(rho)
-    weights = flat / flat.sum()
-    r = (np.divide(weights, p, out=np.zeros_like(p), where=observed) @ born).conj().reshape(dim, dim)
-    model = _face_model(rho, rank, vectors, weights[observed], p[observed], r)
+    weights, born = flat / flat.sum(), born[observed]  # the rows that every resample fit reads
+    model = _face_model(rho, rank, vectors, weights, p, _r_and_gap(weights / p, born, 1.0)[0])
     try:
-        return _Face(rho, p, observed, *model[:3], np.linalg.inv(model[3]))
+        return _Face(rho, p, observed, born, *model[:2], model[2] / p[:, None], np.linalg.inv(model[3]))
     except np.linalg.LinAlgError:
         return _Face(rho)
+
+
+#: a resample fit's start after its accepted frozen step from ``base``, the main estimate: the moved state, its
+#: probabilities at the fit's observed outcomes, ``R``, certified gap and log-likelihood, and the face's rank
+_Moved = NamedTuple("_Moved", [("base", np.ndarray), ("rho", np.ndarray), ("p", np.ndarray), ("r", np.ndarray),
+                               ("gap", float), ("log_likelihood", float), ("rank", int)])
+
+
+def _frozen_steps(face: _Face, tables: np.ndarray) -> list:
+    """Each fit's start for a stack of counts arrays: after the full step of the face's model from the table's own
+    gradient, taken for all at once over the face's outcomes (an undrawn one at weight 0), the ``_Moved`` state if
+    the step keeps the log-likelihood and lowers the gap, else the face without its model (always for a table
+    with an empty setting, which its fit rejects)."""
+    starts = [_Face(face.rho)] * len(tables)
+    drawn = np.flatnonzero((tables > 0).any(axis=-1).all(axis=-1))
+    if face.inverse is None or not drawn.size:
+        return starts
+    weights = tables[drawn].reshape(len(drawn), -1)[:, face.observed].astype(float)
+    totals = weights.sum(axis=1)
+    weights /= totals[:, None]
+    scattered = np.zeros(weights.shape, dtype=complex)  # each table's w / p, complex so R's product casts nothing
+    np.divide(weights, face.p, out=scattered.real)
+    gap = _r_and_gap(scattered, face.born, totals)[1]
+    step, = _retractions((weights @ face.jacobian) @ face.inverse.T, face.frame, face.support, (1.0,))
+    p_step = _probabilities(face.born, step) * (weights > 0.0)  # an outcome not drawn has no weight and no test
+    descent = _change(weights, face.p, p_step, step.trace(axis1=-2, axis2=-1).real)
+    p_step[descent > 0.0] = 0.0  # a rejected step is not taken: every weighted probability stays positive
+    p_moved = face.p + p_step
+    np.divide(weights, p_moved, out=scattered.real, where=weights > 0.0)
+    r_moved, gap_moved = _r_and_gap(scattered, face.born, totals)
+    log_likelihood = totals * (weights @ np.log(face.p) - descent)
+    for k in np.flatnonzero((descent <= 0.0) & (gap_moved < gap)):
+        starts[drawn[k]] = _Moved(face.rho, face.rho + step[k], p_moved[k, weights[k] > 0.0], r_moved[k],
+                                  float(gap_moved[k]), float(log_likelihood[k]), len(face.support))
+    return starts
 
 
 def _checked_start(start, dim: int) -> np.ndarray:
@@ -378,11 +459,11 @@ def reconstruct_mle(
     projected step is rejected (some fits stall above the certificate's
     resolution otherwise), the fit tries Newton steps on the states of that
     rank (see ``_face_model``) instead. A density-matrix ``start`` always
-    takes this path. ``monte_carlo_uncertainty`` instead hands its resample
-    fits a private record of the main estimate and its Newton model at the
-    main counts: such a fit starts at the main estimate itself with one full
-    Newton step of that frozen model from its own gradient, counted as an
-    iteration, and runs the path above, unchanged, if the step is rejected.
+    takes this path. A resample fit of ``monte_carlo_uncertainty`` instead
+    gets a private record of its state after one full Newton step from the
+    main estimate, of the model frozen there (see ``_frozen_steps``), which
+    counts as its first iteration and hands over to the Newton steps above;
+    if that step was rejected, it runs the path above from the estimate.
 
     Stops once ``N * (lambda_max(R) - 1) <= tol``, where ``N`` is the total
     count and ``R = sum_k (n_k / N) Pi_k / p_k`` (with equal counts per
@@ -402,8 +483,12 @@ def reconstruct_mle(
     if empty.size:
         names = ["".join(measurement_settings(n)[i]) for i in empty[:5]]
         raise ValidationError(f"every setting needs a recorded count; {empty.size} have none: {names}")
-    face = start if isinstance(start, _Face) else None
-    start = face.rho if face is not None else (None if start is None else _checked_start(start, dim))
+    if isinstance(start, _Face) and max_iter > 0:
+        start = _frozen_steps(start, counts.counts[None])[0]  # the step that a pass takes for this table
+    if isinstance(start, _Face):
+        start = start.rho
+    elif start is not None and not isinstance(start, _Moved):
+        start = _checked_start(start, dim)
 
     born = _born_matrix(n).reshape(-1, dim * dim)
     vectors = None  # the observed outcome vectors, gathered for the first model built at these counts
@@ -412,84 +497,46 @@ def reconstruct_mle(
     weights = flat_counts / total
     scattered = np.zeros(len(born))  # weights / p at the observed outcomes, 0 elsewhere
 
-    def probabilities(rho: np.ndarray) -> np.ndarray:
-        return (born @ rho.ravel()).real[observed]
-
-    def r_operator(p: np.ndarray) -> np.ndarray:
-        """Minus the gradient of the objective at a state with probabilities ``p``."""
+    def r_and_gap(p: np.ndarray) -> tuple[np.ndarray, float]:
+        """Minus the gradient of the objective at a state with probabilities ``p``, and the certified gap there."""
         scattered[observed] = weights / p
-        return (scattered @ born).conj().reshape(dim, dim)
+        r, gap = _r_and_gap(scattered, born, total)
+        return r, float(gap)
 
     def change(p_from: np.ndarray, step: np.ndarray) -> tuple[float, np.ndarray]:
-        """Objective change ``f(rho + step) - f(rho)`` for ``p_from = p(rho)``, tr(rho) = 1.
+        """``_change`` of ``step`` from a state with probabilities ``p_from``, and ``p(step)``."""
+        p_step = _probabilities(born, step)[observed]
+        return float(_change(weights, p_from, p_step, step.trace().real)), p_step
 
-        The objective ``f = -sum_k w_k log(p_k / tr rho)`` is the negative
-        log-likelihood per count on unit-trace states. Its scale invariance
-        keeps the ~1e-16 trace error of a projected state out of the change,
-        and evaluating the change from the step itself keeps its relative
-        precision near the optimum, where it falls to ~1e-17 of ``f``. Either
-        loss makes the descent stall at a gap near 1e-2 on 10k-shot counts.
-        Also returns ``p(step)``.
-        """
-        p_step = probabilities(step)
-        ratio = p_step / p_from
-        if (ratio <= -1.0).any():
-            return np.inf, p_step
-        return float(np.log1p(step.trace().real) - weights @ np.log1p(ratio)), p_step
-
-    def shortfall(r: np.ndarray) -> float:
-        return float(total * (np.linalg.eigvalsh(r)[-1] - 1.0))
-
-    def newton(rho: np.ndarray, p: np.ndarray, r: np.ndarray, rank: int, gap: float, face: _Face | None = None):
+    def newton(rho: np.ndarray, p: np.ndarray, r: np.ndarray, rank: int, gap: float):
         """(rho, p, r, gap, change) of the first of the full, half and quarter Newton step of the rank-``rank``
-        ``_face_model`` at ``rho`` that keeps the log-likelihood and lowers the gap, or None. A frozen ``face``
-        gives the model, from this fit's gradient, and only its full step is tried."""
+        ``_face_model`` at ``rho`` that keeps the log-likelihood and lowers the gap, or None."""
         nonlocal vectors
-        if face is None:
-            vectors = _outcome_vectors(n).reshape(-1, dim)[observed] if vectors is None else vectors
-            frame, support, jacobian, hessian = _face_model(rho, rank, vectors, weights, p, r)
-            try:
-                x = np.linalg.solve(hessian, (weights / p) @ jacobian)
-            except np.linalg.LinAlgError:
-                return None
-        else:  # r_operator left this fit's weights / p in ``scattered``
-            frame, support, x = face.frame, face.support, face.inverse @ (scattered[face.observed] @ face.jacobian)
-        factor = _tangent_step(x, dim, rank)
-        whitened = factor[:rank] / np.sqrt(support)[:, None]
-        direction, grown = factor + factor.conj().T, whitened.conj().T @ whitened
-        for scale in (1.0, 0.5, 0.25) if face is None else (1.0,):
-            step = scale * direction + scale**2 * grown
-            added = step.trace().real
-            # the retracted state over its trace minus diag(S, 0), formed without cancellation
-            step[_step_index(dim, rank)[2:]] -= added * support
-            step = frame @ (step / (1.0 + added)) @ frame.conj().T
-            step = (step + step.conj().T) / 2.0
+        vectors = _outcome_vectors(n).reshape(-1, dim)[observed] if vectors is None else vectors
+        frame, support, jacobian, hessian = _face_model(rho, rank, vectors, weights, p, r)
+        try:
+            x = np.linalg.solve(hessian, (weights / p) @ jacobian)
+        except np.linalg.LinAlgError:
+            return None
+        for step in _retractions(x, frame, support, (1.0, 0.5, 0.25)):
             descent, p_step = change(p, step)
             if descent <= 0.0:
                 p_moved = p + p_step
-                r_moved = r_operator(p_moved)
-                gap_moved = shortfall(r_moved)
+                r_moved, gap_moved = r_and_gap(p_moved)
                 if gap_moved < gap:
                     return rho + step, p_moved, r_moved, gap_moved, descent
         return None
 
-    def begin(rho: np.ndarray, p: np.ndarray | None = None) -> tuple:
-        p = probabilities(rho) if p is None else p
-        r = r_operator(p)
-        # the initial log-likelihood plus each accepted change: never decreases
-        return rho, p, r, shortfall(r), float(flat_counts @ np.log(p))
-
-    moved = None
-    if face is not None and face.inverse is not None and max_iter > 0:
-        rho, p, r, gap, log_likelihood = begin(start, face.p[observed])
-        moved = newton(rho, p, r, len(face.support), gap, face)
-    if moved is None:  # from the maximally mixed start this is I/d exactly in float for d = 2, 4, 8, 16
+    if isinstance(start, _Moved):  # the frozen step counts as an iteration and hands over to Newton on its face
+        _, rho, p, r, gap, log_likelihood, rank = start
+        iterations, steady = 1, _STEADY_STEPS
+    else:  # from the maximally mixed start this is I/d exactly in float for d = 2, 4, 8, 16
         mixed = np.eye(dim, dtype=complex) / dim
-        rho, p, r, gap, log_likelihood = begin(0.99 * (mixed if start is None else start) + 0.01 * mixed)
+        rho = 0.99 * (mixed if start is None else start) + 0.01 * mixed
+        p = _probabilities(born, rho)[observed]
+        r, gap = r_and_gap(p)
+        log_likelihood = float(flat_counts @ np.log(p))  # plus each accepted change: never decreases
         iterations, rank, steady = 0, dim, 0  # accepted steps in a row that kept the rank and over half the gap
-    else:  # the frozen step counts as an iteration and hands over to Newton on its face
-        rho, p, r, gap, descent = moved
-        iterations, rank, steady, log_likelihood = 1, len(face.support), _STEADY_STEPS, log_likelihood - total * descent
     step = 1.0
     idle = 0  # iterations in a row that accepted no step
     while gap > tol and iterations < max_iter and idle < _MAX_IDLE:
@@ -505,7 +552,7 @@ def reconstruct_mle(
         for _ in range(_MAX_HALVINGS):
             z, kept = _project_to_states(rho + step * r)
             dz = z - rho
-            model = np.vdot(dz, dz).real / (2.0 * step) - np.vdot(r, dz).real + np.trace(dz).real
+            model = np.vdot(dz, dz).real / (2.0 * step) - np.vdot(r, dz).real + dz.trace().real
             descent, p_dz = change(p, dz)
             if descent <= model:
                 break
@@ -516,8 +563,7 @@ def reconstruct_mle(
         if descent <= 0.0:
             rho, p = z, p + p_dz
             log_likelihood -= total * descent
-            r = r_operator(p)
-            gap, previous_gap = shortfall(r), gap
+            previous_gap, (r, gap) = gap, r_and_gap(p)
             steady = steady + 1 if kept == rank and gap > previous_gap / 2.0 else 0
             rank = kept
             idle = 0
@@ -575,12 +621,12 @@ def monte_carlo_uncertainty(
     re-runs the likelihood reconstruction at its default tolerance and
     iteration limit and applies ``functional`` to the estimate. A ``start`` is
     checked, and its Newton model at ``counts`` built (see ``_frozen_face``),
-    once per pass unless it is that model already (``generate`` builds one for
-    both its passes); each fit starts there with one step of that frozen model
-    (see ``reconstruct_mle``). Failed fits (``ValidationError``, as when a
-    setting drew no count, or ``LinAlgError``) and unconverged ones are counted
-    and excluded; fewer than two converged resamples raise ``ConvergenceError``.
-    An error that ``functional`` raises is the caller's and propagates.
+    unless it is that model already (``generate`` builds one for both passes);
+    the pass draws every table, takes that model's step for all at once (see
+    ``_frozen_steps``) and fits each from there. Failed fits (``ValidationError``
+    for a setting that drew no count, ``LinAlgError``) and unconverged ones are
+    counted and excluded; fewer than two converged resamples raise
+    ``ConvergenceError``. An error that ``functional`` raises is the caller's.
     """
     if int(resamples) < 2:
         raise ValidationError("resamples must be at least 2")
@@ -592,9 +638,10 @@ def monte_carlo_uncertainty(
     failures = unconverged = 0
     iterations: list[int] = []
     gaps: list[float] = []
-    for rng in np.random.default_rng(seed).spawn(int(resamples)):
+    tables = np.array([rng.poisson(counts.counts) for rng in np.random.default_rng(seed).spawn(int(resamples))])
+    for table, fit_start in zip(tables, [start] * len(tables) if start is None else _frozen_steps(start, tables)):
         try:
-            result = reconstruct_mle(CountsTable(rng.poisson(counts.counts)), start=start)
+            result = reconstruct_mle(CountsTable(table), start=fit_start)
         except (ValidationError, np.linalg.LinAlgError):
             failures += 1
             continue
@@ -610,13 +657,6 @@ def monte_carlo_uncertainty(
             f"({failures} failed, {unconverged} unconverged)"
         )
     arr = np.array(values)
-    return MonteCarloResult(
-        mean=float(arr.mean()),
-        std=float(arr.std(ddof=1)),
-        failures=failures,
-        unconverged=unconverged,
-        iterations=sum(iterations),
-        iterations_max=max(iterations),
-        gap_max=max(gaps),
-        values=tuple(values),
-    )
+    return MonteCarloResult(mean=float(arr.mean()), std=float(arr.std(ddof=1)), failures=failures,
+                            unconverged=unconverged, iterations=sum(iterations), iterations_max=max(iterations),
+                            gap_max=max(gaps), values=tuple(values))

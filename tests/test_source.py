@@ -165,6 +165,14 @@ def test_one_retraction_in_the_fit():
     assert [owner for owner in found if owner.startswith("tritterlab/tomography.py:")] == []
 
 
+def test_frozen_model_read_only_by_the_batched_step():
+    # a pass's frozen Newton step is taken for all its resamples at once, and a face handed to one fit takes
+    # it through the same function: no fit reads the inverted Hessian itself
+    found = _owners(lambda node: isinstance(node, ast.Attribute) and node.attr == "inverse")
+    assert set(found) <= {"tritterlab/tomography.py:_frozen_steps", "tritterlab/tomography.py:_frozen_face"}
+    assert "tritterlab/tomography.py:_frozen_steps" in found
+
+
 def test_no_environment_reads():
     # behaviour comes from arguments and config files alone, never from the environment
     found = _owners(

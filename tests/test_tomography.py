@@ -590,24 +590,33 @@ def _source_counts(source, seed=7):
     return _noisy_ghzprime_run(seed=2 if source == "noisy-ghzprime-2" else seed)[1]
 
 
+def _pass_fits(counts, resamples, seed, start, monkeypatch):
+    """(table, start, fit) of each resample fit of one Monte-Carlo pass."""
+    fits = []
+
+    def recording(table, **kwargs):
+        result = reconstruct_mle(table, **kwargs)
+        fits.append((table, kwargs["start"], result))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tritterlab.tomography, "reconstruct_mle", recording)
+        monte_carlo_uncertainty(counts, resamples, purity, seed=seed, start=start)
+    return fits
+
+
 def _main_and_warm_fits(source, monkeypatch, resamples=5):
     """(counts, fit) of the main fit and of each resample fit started from its estimate."""
     counts = _source_counts(source)
     main = reconstruct_mle(counts)
-    fits = [(counts, main)]
-
-    def recording(table, **kwargs):
-        # the pass hands each fit the main estimate's frozen face, not the bare matrix
-        assert isinstance(kwargs["start"], tritterlab.tomography._Face)
-        assert np.array_equal(kwargs["start"].rho, main.rho)
-        result = reconstruct_mle(table, **kwargs)
-        fits.append((table, result))
-        return result
-
-    monkeypatch.setattr(tritterlab.tomography, "reconstruct_mle", recording)
-    monte_carlo_uncertainty(counts, resamples, purity, seed=7, start=main.rho)
-    assert len(fits) == resamples + 1
-    return fits
+    fits = _pass_fits(counts, resamples, 7, main.rho, monkeypatch)
+    for _, start, _ in fits:
+        # the pass hands each fit its state after the accepted frozen step from the main estimate, else the
+        # main estimate's face, not the bare matrix
+        assert isinstance(start, (tritterlab.tomography._Face, tritterlab.tomography._Moved))
+        assert np.array_equal(start.rho if isinstance(start, tritterlab.tomography._Face) else start.base, main.rho)
+    assert len(fits) == resamples
+    return [(counts, main)] + [(table, fit) for table, _, fit in fits]
 
 
 # the GHZ' estimate at tomography seed 7 has a support eigenvalue within one standard error of zero, so its
@@ -764,6 +773,92 @@ class TestFrozenFace:
         face = tritterlab.tomography._frozen_face(counts, main.rho)
         assert reconstruct_mle(table, start=face).iterations == 1
         assert reconstruct_mle(table, start=main.rho).iterations > 1
+
+
+#: iterations and rank of the first 20 resample fits of the README GHZ' passes at tomography seeds 2 and 4242
+#: (started from the main estimate, resample seed equal to the tomography seed) when each fit took its own
+#: frozen step (0.25.0); every one converged
+_PER_FIT_STEP_FITS = {
+    2: ([5, 9, 13, 6, 5, 7, 6, 6, 18, 5, 11, 4, 10, 5, 5, 5, 6, 16, 5, 9],
+        [6, 5, 5, 6, 6, 6, 6, 6, 5, 6, 6, 6, 6, 6, 6, 6, 6, 5, 6, 6]),
+    4242: ([5, 5, 5, 22, 7, 8, 6, 4, 10, 5, 4, 5, 6, 4, 5, 6, 4, 4, 5, 6],
+           [6, 6, 6, 6, 6, 6, 6, 6, 5, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6]),
+}
+
+
+class TestBatchedFrozenStep:
+    """A pass takes every resample's frozen step at once, and each resample is still one reconstruct_mle fit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 7, 4242])
+    def test_settled_resamples_match_the_single_table_step(self, seed, monkeypatch):
+        # a face handed to reconstruct_mle alone takes the same step for its one table; the batched products round
+        # differently, by at most 6.7e-16 in fidelity or purity over these four seeds
+        counts = _source_counts("ideal-w", seed=seed)
+        face = tritterlab.tomography._frozen_face(counts, reconstruct_mle(counts).rho)
+        target = canonical_state("w")
+        fits = _pass_fits(counts, 50, seed, face, monkeypatch)
+        assert len(fits) == 50
+        for table, start, batched in fits:
+            assert isinstance(start, tritterlab.tomography._Moved)
+            single = reconstruct_mle(table, start=face)
+            assert batched.iterations == single.iterations == 1 and batched.converged
+            assert abs(fidelity(batched.rho, target) - fidelity(single.rho, target)) <= 1e-12
+            assert abs(purity(batched.rho) - purity(single.rho)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [2, 4242])
+    def test_moved_state_is_handed_on(self, seed, monkeypatch):
+        # a fit that the step does not settle goes on from the moved state, so it takes the iterations it took
+        # when it stepped itself, not one more
+        counts = _source_counts("noisy-ghzprime", seed=seed)
+        fits = _pass_fits(counts, 20, seed, reconstruct_mle(counts).rho, monkeypatch)
+        iterations, ranks = _PER_FIT_STEP_FITS[seed]
+        assert [fit.iterations for _, _, fit in fits] == iterations
+        assert [fit.rank for _, _, fit in fits] == ranks
+        assert all(fit.converged for _, _, fit in fits)
+        moved = [fit for _, start, fit in fits if isinstance(start, tritterlab.tomography._Moved)]
+        assert moved and max(fit.iterations for fit in moved) > 1
+
+    def test_table_with_an_empty_setting_fails_its_fit(self):
+        # one count in XXX: most resamples draw none there, take no step and fail; the others settle
+        counts = _source_counts("ideal-w").counts.copy()
+        counts[0] = 0
+        counts[0, 0] = 1
+        counts = CountsTable(counts)
+        face = tritterlab.tomography._frozen_face(counts, reconstruct_mle(counts).rho)
+        assert face.inverse is not None
+        tables = np.array([rng.poisson(counts.counts) for rng in np.random.default_rng(3).spawn(20)])
+        empty = tables[:, 0].sum(axis=1) == 0
+        starts = tritterlab.tomography._frozen_steps(face, tables)
+        assert [isinstance(start, tritterlab.tomography._Moved) for start in starts] == list(~empty)
+        mc = monte_carlo_uncertainty(counts, 20, purity, seed=3, start=face)
+        assert mc.failures == empty.sum() > 0
+        assert (mc.unconverged, len(mc.values), mc.iterations_max) == (0, 20 - mc.failures, 1)
+
+    def test_undrawn_outcome_does_not_reject_the_step(self, monkeypatch):
+        # a step that takes an outcome's probability below 0 is rejected only if the table drew that outcome
+        counts = _source_counts("ideal-w")
+        face = tritterlab.tomography._frozen_face(counts, reconstruct_mle(counts).rho)
+        table = counts.counts.copy()
+        table.flat[np.flatnonzero(face.observed)[1]] = 0  # column 1 of the step's probabilities; column 0 stays drawn
+        tables = np.array([table, table])
+        reference = tritterlab.tomography._frozen_steps(face, tables)
+        probabilities = tritterlab.tomography._probabilities
+
+        def pushed_below_zero(born, rho):
+            p = probabilities(born, rho)
+            if rho.ndim == 3:  # the batched step's probabilities: row 0 at the undrawn outcome, row 1 at a drawn one
+                p = p.copy()
+                p[0, 1] = p[1, 0] = -2.0 * face.p.max()
+            return p
+
+        monkeypatch.setattr(tritterlab.tomography, "_probabilities", pushed_below_zero)
+        kept, rejected = tritterlab.tomography._frozen_steps(face, tables)
+        assert isinstance(reference[0], tritterlab.tomography._Moved)
+        assert isinstance(kept, tritterlab.tomography._Moved)
+        for name in ("rho", "p", "r"):
+            assert np.array_equal(getattr(kept, name), getattr(reference[0], name)), name
+        assert (kept.gap, kept.log_likelihood) == (reference[0].gap, reference[0].log_likelihood)
+        assert isinstance(rejected, tritterlab.tomography._Face) and rejected.inverse is None
 
 
 class TestMonteCarlo:
