@@ -278,14 +278,14 @@ def _retractions(x: np.ndarray, frame: np.ndarray, support: np.ndarray, scales):
 
 def _probabilities(born: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """``(born @ rho.ravel()).real`` for a matrix ``rho``, or for each of a stack of them."""
-    return (rho.reshape(*rho.shape[:-2], -1) @ born.T).real
+    return ((rho.ravel() if rho.ndim == 2 else rho.reshape(len(rho), -1)) @ born.T).real
 
 
-def _r_and_gap(scattered: np.ndarray, born: np.ndarray, total) -> tuple[np.ndarray, np.ndarray]:
-    """Minus the objective's gradient ``R = sum_k s_k Pi_k`` for ``s = w / p`` (0 where w = 0), and the certified
-    log-likelihood shortfall ``N * (lambda_max(R) - 1)`` for ``N = total`` counts; or both for each row of ``s``."""
-    dim = round(born.shape[-1] ** 0.5)
-    r = (scattered @ born).conj().reshape(*scattered.shape[:-1], dim, dim)
+def _r_and_gap(scattered: np.ndarray, born: np.ndarray, total, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Minus the objective's gradient, the dim x dim ``R = sum_k s_k Pi_k`` for ``s = w / p`` (0 where w = 0),
+    and the certified log-likelihood shortfall ``N * (lambda_max(R) - 1)`` for ``N = total`` counts; or both per
+    row of ``s``."""
+    r = (scattered @ born).conj().reshape(scattered.shape[:-1] + (dim, dim))
     return r, total * (np.linalg.eigvalsh(r).T[-1] - 1.0)  # eigvalsh sorts each row ascending
 
 
@@ -302,7 +302,9 @@ def _change(weights, p_from: np.ndarray, p_step: np.ndarray, trace) -> np.ndarra
     if (ratio <= -1.0).any():  # kept from log1p, which warns below -1, and put in the trace
         outside = (ratio <= -1.0).any(axis=-1)
         ratio[outside], trace = 0.0, np.where(outside, np.inf, trace)
-    return np.log1p(trace) - np.vecdot(weights, np.log1p(ratio))
+    logs = np.log1p(ratio)
+    # a stack takes a (1 x m) @ (m x 1) product per row, which numpy rounds as the dot of two vectors
+    return np.log1p(trace) - (weights @ logs if logs.ndim == 1 else (weights[:, None, :] @ logs[:, :, None])[:, 0, 0])
 
 
 @functools.cache
@@ -393,45 +395,48 @@ def _frozen_face(counts: CountsTable, rho: np.ndarray) -> _Face:
     if (support**2 * (flat @ (1.0 - u2 / p[:, None]) ** 2) < (1.0 - support) ** 2).any():
         return _Face(rho)
     weights, born = flat / flat.sum(), born[observed]  # the rows that every resample fit reads
-    model = _face_model(rho, rank, vectors, weights, p, _r_and_gap(weights / p, born, 1.0)[0])
+    model = _face_model(rho, rank, vectors, weights, p, _r_and_gap(weights / p, born, 1.0, dim)[0])
     try:
         return _Face(rho, p, observed, born, *model[:2], model[2] / p[:, None], np.linalg.inv(model[3]))
     except np.linalg.LinAlgError:
         return _Face(rho)
 
 
-#: a resample fit's start after its accepted frozen step from ``base``, the main estimate: the moved state, its
+#: a resample fit's start after its accepted frozen step from the main estimate: the moved state, its
 #: probabilities at the fit's observed outcomes, ``R``, certified gap and log-likelihood, and the face's rank
-_Moved = NamedTuple("_Moved", [("base", np.ndarray), ("rho", np.ndarray), ("p", np.ndarray), ("r", np.ndarray),
-                               ("gap", float), ("log_likelihood", float), ("rank", int)])
+_Moved = NamedTuple("_Moved", [("rho", np.ndarray), ("p", np.ndarray), ("r", np.ndarray), ("gap", float),
+                               ("log_likelihood", float), ("rank", int)])
 
 
 def _frozen_steps(face: _Face, tables: np.ndarray) -> list:
     """Each fit's start for a stack of counts arrays: after the full step of the face's model from the table's own
     gradient, taken for all at once over the face's outcomes (an undrawn one at weight 0), the ``_Moved`` state if
     the step keeps the log-likelihood and lowers the gap, else the face without its model (always for a table
-    with an empty setting, which its fit rejects)."""
+    with an empty setting, which its fit rejects, or with a count at an outcome outside the face's)."""
     starts = [_Face(face.rho)] * len(tables)
-    drawn = np.flatnonzero((tables > 0).any(axis=-1).all(axis=-1))
-    if face.inverse is None or not drawn.size:
+    if face.inverse is None:
         return starts
-    weights = tables[drawn].reshape(len(drawn), -1)[:, face.observed].astype(float)
+    flat = tables.reshape(len(tables), -1)
+    drawn = np.flatnonzero((tables > 0).any(axis=-1).all(axis=-1) & ~flat[:, ~face.observed].any(axis=1))
+    if not drawn.size:
+        return starts
+    weights = flat[drawn][:, face.observed].astype(float)
     totals = weights.sum(axis=1)
     weights /= totals[:, None]
     scattered = np.zeros(weights.shape, dtype=complex)  # each table's w / p, complex so R's product casts nothing
     np.divide(weights, face.p, out=scattered.real)
-    gap = _r_and_gap(scattered, face.born, totals)[1]
+    gap = _r_and_gap(scattered, face.born, totals, len(face.rho))[1]
     step, = _retractions((weights @ face.jacobian) @ face.inverse.T, face.frame, face.support, (1.0,))
     p_step = _probabilities(face.born, step) * (weights > 0.0)  # an outcome not drawn has no weight and no test
     descent = _change(weights, face.p, p_step, step.trace(axis1=-2, axis2=-1).real)
     p_step[descent > 0.0] = 0.0  # a rejected step is not taken: every weighted probability stays positive
     p_moved = face.p + p_step
     np.divide(weights, p_moved, out=scattered.real, where=weights > 0.0)
-    r_moved, gap_moved = _r_and_gap(scattered, face.born, totals)
+    r_moved, gap_moved = _r_and_gap(scattered, face.born, totals, len(face.rho))
     log_likelihood = totals * (weights @ np.log(face.p) - descent)
     for k in np.flatnonzero((descent <= 0.0) & (gap_moved < gap)):
-        starts[drawn[k]] = _Moved(face.rho, face.rho + step[k], p_moved[k, weights[k] > 0.0], r_moved[k],
-                                  float(gap_moved[k]), float(log_likelihood[k]), len(face.support))
+        starts[drawn[k]] = _Moved(face.rho + step[k], p_moved[k, weights[k] > 0.0], r_moved[k], float(gap_moved[k]),
+                                  float(log_likelihood[k]), len(face.support))
     return starts
 
 
@@ -500,7 +505,7 @@ def reconstruct_mle(
     def r_and_gap(p: np.ndarray) -> tuple[np.ndarray, float]:
         """Minus the gradient of the objective at a state with probabilities ``p``, and the certified gap there."""
         scattered[observed] = weights / p
-        r, gap = _r_and_gap(scattered, born, total)
+        r, gap = _r_and_gap(scattered, born, total, dim)
         return r, float(gap)
 
     def change(p_from: np.ndarray, step: np.ndarray) -> tuple[float, np.ndarray]:
@@ -528,7 +533,7 @@ def reconstruct_mle(
         return None
 
     if isinstance(start, _Moved):  # the frozen step counts as an iteration and hands over to Newton on its face
-        _, rho, p, r, gap, log_likelihood, rank = start
+        rho, p, r, gap, log_likelihood, rank = start
         iterations, steady = 1, _STEADY_STEPS
     else:  # from the maximally mixed start this is I/d exactly in float for d = 2, 4, 8, 16
         mixed = np.eye(dim, dtype=complex) / dim
@@ -657,6 +662,13 @@ def monte_carlo_uncertainty(
             f"({failures} failed, {unconverged} unconverged)"
         )
     arr = np.array(values)
-    return MonteCarloResult(mean=float(arr.mean()), std=float(arr.std(ddof=1)), failures=failures,
-                            unconverged=unconverged, iterations=sum(iterations), iterations_max=max(iterations),
-                            gap_max=max(gaps), values=tuple(values))
+    return MonteCarloResult(
+        mean=float(arr.mean()),
+        std=float(arr.std(ddof=1)),
+        failures=failures,
+        unconverged=unconverged,
+        iterations=sum(iterations),
+        iterations_max=max(iterations),
+        gap_max=max(gaps),
+        values=tuple(values),
+    )

@@ -610,11 +610,17 @@ def _main_and_warm_fits(source, monkeypatch, resamples=5):
     counts = _source_counts(source)
     main = reconstruct_mle(counts)
     fits = _pass_fits(counts, resamples, 7, main.rho, monkeypatch)
-    for _, start, _ in fits:
-        # the pass hands each fit its state after the accepted frozen step from the main estimate, else the
-        # main estimate's face, not the bare matrix
-        assert isinstance(start, (tritterlab.tomography._Face, tritterlab.tomography._Moved))
-        assert np.array_equal(start.rho if isinstance(start, tritterlab.tomography._Face) else start.base, main.rho)
+    face = tritterlab.tomography._frozen_face(counts, main.rho)
+    for table, start, _ in fits:
+        # the pass hands each fit its state after the accepted frozen step from the main estimate (the state that
+        # the estimate's face reaches for that table alone, up to rounding), else that face, not the bare matrix
+        if isinstance(start, tritterlab.tomography._Moved):
+            single = tritterlab.tomography._frozen_steps(face, table.counts[None])[0]
+            assert isinstance(single, tritterlab.tomography._Moved)
+            assert np.allclose(start.rho, single.rho, rtol=0.0, atol=1e-12)
+        else:
+            assert isinstance(start, tritterlab.tomography._Face)
+            assert np.array_equal(start.rho, main.rho)
     assert len(fits) == resamples
     return [(counts, main)] + [(table, fit) for table, _, fit in fits]
 
@@ -830,9 +836,29 @@ class TestBatchedFrozenStep:
         empty = tables[:, 0].sum(axis=1) == 0
         starts = tritterlab.tomography._frozen_steps(face, tables)
         assert [isinstance(start, tritterlab.tomography._Moved) for start in starts] == list(~empty)
+        assert all(start.inverse is None for start in tritterlab.tomography._frozen_steps(face, tables[empty]))
         mc = monte_carlo_uncertainty(counts, 20, purity, seed=3, start=face)
         assert mc.failures == empty.sum() > 0
         assert (mc.unconverged, len(mc.values), mc.iterations_max) == (0, 20 - mc.failures, 1)
+
+    def test_table_with_an_outcome_outside_the_face_takes_no_step(self):
+        # the face's model covers the outcomes that its counts drew; a table with a count elsewhere starts from
+        # the estimate, as a matrix start would, instead of stepping on part of its counts
+        counts = _source_counts("ideal-w")
+        main = reconstruct_mle(counts)
+        face = tritterlab.tomography._frozen_face(counts, main.rho)
+        tables = np.array([rng.poisson(counts.counts) for rng in np.random.default_rng(1).spawn(2)])
+        assert all(isinstance(start, tritterlab.tomography._Moved)
+                   for start in tritterlab.tomography._frozen_steps(face, tables))
+        tables[1].flat[np.flatnonzero(~face.observed)[0]] = 1
+        moved, outside = tritterlab.tomography._frozen_steps(face, tables)
+        assert isinstance(moved, tritterlab.tomography._Moved)
+        assert isinstance(outside, tritterlab.tomography._Face) and outside.inverse is None
+        assert np.array_equal(outside.rho, main.rho)
+        fit = reconstruct_mle(CountsTable(tables[1]), start=face)
+        plain = reconstruct_mle(CountsTable(tables[1]), start=main.rho)
+        assert fit.converged and np.array_equal(fit.rho, plain.rho)
+        assert (fit.iterations, fit.log_likelihood, fit.gap) == (plain.iterations, plain.log_likelihood, plain.gap)
 
     def test_undrawn_outcome_does_not_reject_the_step(self, monkeypatch):
         # a step that takes an outcome's probability below 0 is rejected only if the table drew that outcome
