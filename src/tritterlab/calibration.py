@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .interference import Interferometer, fourier_unitary, pair_coincidence_probability
-from .validation import POISSON_MAX, ConvergenceError, ValidationError, csv_cells
+from .validation import POISSON_MAX, ConvergenceError, ValidationError, check_square, csv_cells
 
 SINKHORN_TOL = 1e-9
 SINKHORN_MAX_ITER = 10_000
@@ -130,8 +130,8 @@ def sinkhorn_magnitudes(
 def insertion_loss_db(row: Sequence[float]) -> float:
     """-10 log10 of the total transmitted power fraction; inf flags a dead input."""
     arr = np.asarray(row, dtype=float).reshape(-1)
-    if (arr < 0).any():
-        raise ValidationError("intensity fractions must be non-negative")
+    if not ((arr >= 0) & (arr < math.inf)).all():  # NaN fails both comparisons
+        raise ValidationError("intensity fractions must be finite and non-negative")
     total = float(arr.sum()) / 100.0
     if total == 0.0:
         return math.inf
@@ -140,8 +140,8 @@ def insertion_loss_db(row: Sequence[float]) -> float:
 
 def visibility(n_max: float, n_min: float) -> float:
     """Dip visibility (N_max - N_min) / N_max."""
-    if n_max <= 0:
-        raise ValidationError("undefined visibility: n_max must be positive")
+    if not 0 < n_max < math.inf:  # NaN fails both comparisons
+        raise ValidationError(f"undefined visibility: n_max must be positive and finite, got {n_max}")
     if not 0 <= n_min <= n_max:
         raise ValidationError(f"need 0 <= n_min <= n_max, got n_min={n_min}, n_max={n_max}")
     return (n_max - n_min) / n_max
@@ -335,8 +335,7 @@ def interferometer_from_magnitudes(magnitudes) -> tuple[Interferometer, float]:
     element-wise adjustment the projection applied.
     """
     mag = np.array(magnitudes, dtype=float)
-    if mag.ndim != 2 or mag.shape[0] != mag.shape[1]:
-        raise ValidationError(f"magnitude matrix must be square, got shape {mag.shape}")
+    check_square(mag, "magnitude matrix")
     if (mag < 0).any():
         raise ValidationError("magnitudes must be non-negative")
     phases = np.exp(1j * np.angle(fourier_unitary(mag.shape[0]).matrix))

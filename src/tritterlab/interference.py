@@ -43,6 +43,7 @@ from .validation import (
     ValidationError,
     as_complex_matrix,
     check_gram,
+    check_square,
     check_unitary,
 )
 
@@ -105,8 +106,7 @@ def permanent(m) -> complex:
     above ``PERMANENT_MAX_DIM`` are rejected.
     """
     m = as_complex_matrix(m, "permanent argument")
-    if m.shape[0] != m.shape[1]:
-        raise ValidationError(f"permanent requires a square matrix, got shape {m.shape}")
+    check_square(m, "permanent argument")
     n = m.shape[0]
     if n > PERMANENT_MAX_DIM:
         raise ValidationError(f"permanent dimension {n} exceeds bound {PERMANENT_MAX_DIM}")

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .interference import InputConfiguration, InternalState
-from .validation import ValidationError, as_complex_matrix, check_density_matrix
+from .validation import ValidationError, as_complex_matrix, check_density_matrix, check_square
 
 #: fidelity to a W-type target certifying genuine tripartite entanglement
 W_FIDELITY_THRESHOLD = 2.0 / 3.0
@@ -119,8 +119,7 @@ def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
     """Overlap <psi| rho |psi> of a density matrix with a pure target."""
     rho = as_complex_matrix(rho, "rho")
     target = np.asarray(target, dtype=complex).reshape(-1)
-    if rho.shape[0] != rho.shape[1]:
-        raise ValidationError(f"rho must be square, got shape {rho.shape}")
+    check_square(rho, "rho")
     if rho.shape[0] != target.size:
         raise ValidationError(f"dimension mismatch: rho is {rho.shape[0]}, target is {target.size}")
     return float(np.real(np.vdot(target, rho @ target)))
@@ -129,8 +128,7 @@ def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
 def purity(rho: np.ndarray) -> float:
     """trace(rho^2)."""
     rho = as_complex_matrix(rho, "rho")
-    if rho.shape[0] != rho.shape[1]:
-        raise ValidationError(f"rho must be square, got shape {rho.shape}")
+    check_square(rho, "rho")
     return float(np.real(np.trace(rho @ rho)))
 
 

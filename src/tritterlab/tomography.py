@@ -234,26 +234,20 @@ def _project_to_states(m: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 @functools.cache
-def _tangent_pairs(dim: int, rank: int) -> np.ndarray:
-    """Read-only rows ``(a, b)``, ``a < b`` and ``a < rank``: the off-diagonal tangent directions, in order."""
+def _tangent_pairs(dim: int, rank: int) -> tuple[np.ndarray, ...]:
+    """Read-only index of the tangent directions, in order: rows ``a`` and columns ``b`` of the off-diagonal ones,
+    ``a < b`` and ``a < rank``, then rows and columns of the diagonal, ``a = b < rank``."""
     pairs = np.array([(a, b) for a, b in itertools.combinations(range(dim), 2) if a < rank])
-    pairs.setflags(write=False)
-    return pairs
-
-
-@functools.cache
-def _step_index(dim: int, rank: int) -> tuple[np.ndarray, ...]:
-    """Read-only index of a Newton step's scatter: rows and columns of the ``_tangent_pairs``, then of the diagonal."""
     diagonal = np.arange(rank)
-    diagonal.setflags(write=False)
-    return (*_tangent_pairs(dim, rank).T, diagonal, diagonal)
+    pairs.setflags(write=False), diagonal.setflags(write=False)
+    return (*pairs.T, diagonal, diagonal)
 
 
 def _tangent_step(x: np.ndarray, dim: int, rank: int) -> np.ndarray:
     """Factor ``Z`` (zero below row ``rank``) of direction ``Z + Z^H`` at coordinates ``x`` (or each row of ``x``),
-    ordered as in ``_tangent_jacobian``: (re, im) per ``_tangent_pairs`` entry, then the traceless diagonal."""
+    ordered as in ``_tangent_jacobian``: (re, im) per ``_tangent_pairs`` pair, then the traceless diagonal."""
     above, diagonal = x[..., :x.shape[-1] - rank + 1], x[..., x.shape[-1] - rank + 1:]
-    index = _step_index(dim, rank)
+    index = _tangent_pairs(dim, rank)
     step = np.zeros((*x.shape[:-1], dim, dim), dtype=complex)
     step[(..., *index[:2])] = above.view(complex)
     step[(..., *index[2:])] = np.concatenate((diagonal, -diagonal.sum(-1, keepdims=True)), -1) / 2.0  # Z + Z^H doubles
@@ -264,7 +258,7 @@ def _retractions(x: np.ndarray, frame: np.ndarray, support: np.ndarray, scales):
     """Yield ``rho' - rho`` for each scale ``s`` of the Newton step at coordinates ``x`` (a stack gives a stack):
     ``rho'`` is the state that the ``_face_model`` retraction of ``s`` times the step reaches from ``rho``."""
     dim, rank = len(frame), len(support)
-    factor, diagonal, frame_h = _tangent_step(x, dim, rank), (..., *_step_index(dim, rank)[2:]), frame.conj().T
+    factor, diagonal, frame_h = _tangent_step(x, dim, rank), (..., *_tangent_pairs(dim, rank)[2:]), frame.conj().T
     whitened = factor[..., :rank, :] / np.sqrt(support)[:, None]
     direction, grown = factor + factor.conj().swapaxes(-1, -2), whitened.conj().swapaxes(-1, -2) @ whitened
     for scale in scales:
@@ -311,7 +305,7 @@ def _change(weights, p_from: np.ndarray, p_step: np.ndarray, trace) -> np.ndarra
 def _curvature_layout(rank: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only flat Hessian index of each support row's ``Y`` coordinates, and the gather of their real form,
     ``[[Re k, -Im k], [Im k, Re k]]`` per kernel entry ``k``, from ``[Re K^T, -Im K^T, Im K^T]``."""
-    rows = np.flatnonzero(np.repeat(_tangent_pairs(rank + size, rank)[:, 1] >= rank, 2)).reshape(rank, 2 * size)
+    rows = np.flatnonzero(np.repeat(_tangent_pairs(rank + size, rank)[1] >= rank, 2)).reshape(rank, 2 * size)
     index = rows[:, :, None] * (rank**2 - 1 + 2 * rank * size) + rows[:, None, :]
     gather = (np.arange(size**2).reshape(size, 1, size, 1) + size**2 * np.array([[0, 1], [2, 0]])[:, None])
     index.setflags(write=False), gather.setflags(write=False)
@@ -334,16 +328,17 @@ def _tangent_jacobian(vectors: np.ndarray, frame: np.ndarray, rank: int) -> np.n
     ``|u_a|^2 - |u_(rank-1)|^2`` per diagonal direction.
     """
     u = vectors @ frame.conj()
-    first, second = _tangent_pairs(len(frame), rank).T
+    first, second = _tangent_pairs(len(frame), rank)[:2]
     # 2 u_a conj(u_b) read as floats interleaves the real and imaginary columns of each pair
     pair = 2.0 * u.take(first, axis=1) * u.take(second, axis=1).conj()
     weight = u[:, :rank].real ** 2 + u[:, :rank].imag ** 2
     return np.concatenate([pair.view(float), weight[:, :-1] - weight[:, -1:]], axis=1)
 
 
-def _face_model(rho, rank, vectors, weights, p, r) -> tuple[np.ndarray, ...]:
+def _face_model(vals, frame, rank, vectors, weights, p, r) -> tuple[np.ndarray, ...]:
     """Eigenframe, support, tangent Jacobian on ``vectors`` and Hessian of the Newton model of the rank-``rank``
-    states through ``rho``, for outcome weights ``weights`` (``w``) at probabilities ``p`` and ``R`` operator ``r``.
+    states through the density matrix ``rho`` that ``np.linalg.eigh`` decomposed into ``vals`` and ``frame``, for
+    outcome weights ``weights`` (``w``) at probabilities ``p`` and ``R`` operator ``r``.
 
     In the eigenframe ``[V, V_perp]`` of ``rho = V S V^H`` a tangent direction ``Z + Z^H`` has a factor
     ``Z = [[X/2, Y], [0, 0]]``, ``X`` traceless. The step of scale ``s`` moves the factor ``[S^1/2; 0]`` of
@@ -353,10 +348,9 @@ def _face_model(rho, rank, vectors, weights, p, r) -> tuple[np.ndarray, ...]:
     ``G = diag(sqrt(w) / p) J`` for the tangent probabilities ``J`` from the outcome vectors in the eigenframe,
     plus the retraction's kernel curvature ``tr(K Y^H S^-1 Y)``, ``K = (I - R)_kernel``, in closed form.
     """
-    vals, frame = np.linalg.eigh(rho)
     frame, support = frame[:, ::-1], vals[::-1][:rank]
     jacobian = _tangent_jacobian(vectors, frame, rank)
-    kernel = np.eye(len(rho) - rank) - (frame.conj().T @ r @ frame)[rank:, rank:]
+    kernel = np.eye(len(frame) - rank) - (frame.conj().T @ r @ frame)[rank:, rank:]
     scaled = jacobian * (np.sqrt(weights) / p)[:, None]
     return frame, support, jacobian, scaled.T @ scaled + _kernel_curvature(kernel, support)
 
@@ -395,7 +389,7 @@ def _frozen_face(counts: CountsTable, rho: np.ndarray) -> _Face:
     if (support**2 * (flat @ (1.0 - u2 / p[:, None]) ** 2) < (1.0 - support) ** 2).any():
         return _Face(rho)
     weights, born = flat / flat.sum(), born[observed]  # the rows that every resample fit reads
-    model = _face_model(rho, rank, vectors, weights, p, _r_and_gap(weights / p, born, 1.0, dim)[0])
+    model = _face_model(vals, frame, rank, vectors, weights, p, _r_and_gap(weights / p, born, 1.0, dim)[0])
     try:
         return _Face(rho, p, observed, born, *model[:2], model[2] / p[:, None], np.linalg.inv(model[3]))
     except np.linalg.LinAlgError:
@@ -409,18 +403,18 @@ _Moved = NamedTuple("_Moved", [("rho", np.ndarray), ("p", np.ndarray), ("r", np.
 
 
 def _frozen_steps(face: _Face, tables: np.ndarray) -> list:
-    """Each fit's start for a stack of counts arrays: after the full step of the face's model from the table's own
-    gradient, taken for all at once over the face's outcomes (an undrawn one at weight 0), the ``_Moved`` state if
-    the step keeps the log-likelihood and lowers the gap, else the face without its model (always for a table
-    with an empty setting, which its fit rejects, or with a count at an outcome outside the face's)."""
+    """Each fit's start for a stack of Poisson resamples of the face's counts, which draw no outcome outside the
+    face's: after the full step of the face's model from the table's own gradient, taken for all at once over the
+    face's outcomes (an undrawn one at weight 0), the ``_Moved`` state if the step keeps the log-likelihood and
+    lowers the gap, else the face without its model (always for a table with an empty setting, which its fit
+    rejects)."""
     starts = [_Face(face.rho)] * len(tables)
     if face.inverse is None:
         return starts
-    flat = tables.reshape(len(tables), -1)
-    drawn = np.flatnonzero((tables > 0).any(axis=-1).all(axis=-1) & ~flat[:, ~face.observed].any(axis=1))
+    drawn = np.flatnonzero((tables > 0).any(axis=-1).all(axis=-1))
     if not drawn.size:
         return starts
-    weights = flat[drawn][:, face.observed].astype(float)
+    weights = tables[drawn].reshape(len(drawn), -1)[:, face.observed].astype(float)
     totals = weights.sum(axis=1)
     weights /= totals[:, None]
     scattered = np.zeros(weights.shape, dtype=complex)  # each table's w / p, complex so R's product casts nothing
@@ -488,8 +482,6 @@ def reconstruct_mle(
     if empty.size:
         names = ["".join(measurement_settings(n)[i]) for i in empty[:5]]
         raise ValidationError(f"every setting needs a recorded count; {empty.size} have none: {names}")
-    if isinstance(start, _Face) and max_iter > 0:
-        start = _frozen_steps(start, counts.counts[None])[0]  # the step that a pass takes for this table
     if isinstance(start, _Face):
         start = start.rho
     elif start is not None and not isinstance(start, _Moved):
@@ -518,7 +510,7 @@ def reconstruct_mle(
         ``_face_model`` at ``rho`` that keeps the log-likelihood and lowers the gap, or None."""
         nonlocal vectors
         vectors = _outcome_vectors(n).reshape(-1, dim)[observed] if vectors is None else vectors
-        frame, support, jacobian, hessian = _face_model(rho, rank, vectors, weights, p, r)
+        frame, support, jacobian, hessian = _face_model(*np.linalg.eigh(rho), rank, vectors, weights, p, r)
         try:
             x = np.linalg.solve(hessian, (weights / p) @ jacobian)
         except np.linalg.LinAlgError:

@@ -149,6 +149,12 @@ class TestInsertionLoss:
         with pytest.raises(ValidationError):
             insertion_loss_db([-1.0, 50.0, 50.0])
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fractions_rejected(self, entry):
+        # NaN and +inf used to give a NaN and a -inf loss without an error
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            insertion_loss_db([entry, 10.0])
+
 
 class TestVisibility:
     def test_balanced_splitter_maximum(self):
@@ -168,6 +174,12 @@ class TestVisibility:
     def test_min_above_max_rejected(self):
         with pytest.raises(ValidationError):
             visibility(1.0, 2.0)
+
+    @pytest.mark.parametrize("n_max", [math.inf, math.nan])
+    def test_non_finite_maximum_rejected(self, n_max):
+        # an infinite maximum used to give a NaN visibility without an error
+        with pytest.raises(ValidationError, match="positive and finite"):
+            visibility(n_max, 1.0)
 
 
 class TestHomScan:

@@ -166,11 +166,24 @@ def test_one_retraction_in_the_fit():
 
 
 def test_frozen_model_read_only_by_the_batched_step():
-    # a pass's frozen Newton step is taken for all its resamples at once, and a face handed to one fit takes
-    # it through the same function: no fit reads the inverted Hessian itself
+    # a pass's frozen Newton step is taken for all its resamples at once, and only a pass takes it: no fit
+    # reads the inverted Hessian itself, and a face handed to one fit is a matrix start
     found = _owners(lambda node: isinstance(node, ast.Attribute) and node.attr == "inverse")
     assert set(found) <= {"tritterlab/tomography.py:_frozen_steps", "tritterlab/tomography.py:_frozen_face"}
     assert "tritterlab/tomography.py:_frozen_steps" in found
+    found = _owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "_frozen_steps")
+    assert found == ["tritterlab/tomography.py:monte_carlo_uncertainty"]
+
+
+def test_one_square_check():
+    # validation.check_square alone compares a matrix's row and column counts; the intensity table keeps its own
+    # test, which also rejects an empty table under its "must be square" message
+    def compares_rows_with_columns(node):
+        sides = [ast.unparse(side) for side in (node.left, *node.comparators)] if isinstance(node, ast.Compare) else []
+        return any(side.endswith(".shape[0]") for side in sides) and any(side.endswith(".shape[1]") for side in sides)
+
+    found = _owners(compares_rows_with_columns)
+    assert sorted(found) == ["tritterlab/calibration.py:__post_init__", "tritterlab/validation.py:check_square"]
 
 
 def test_no_environment_reads():
@@ -207,7 +220,6 @@ CACHED_HELPERS = {
     "tomography._outcome_vectors": (2,),
     "tomography._born_matrix": (2,),
     "tomography._tangent_pairs": (4, 2),
-    "tomography._step_index": (4, 2),
     "tomography._curvature_layout": (2, 2),
 }
 
