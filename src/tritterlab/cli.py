@@ -228,7 +228,7 @@ def run_generate(config: ExperimentConfig) -> tuple[dict, CountsTable]:
     seed_counts, seed_mc_f, seed_mc_p = np.random.SeedSequence(config.seed).spawn(3)
     counts = simulate_counts(rho_noisy, config.shots, seed_counts)
     recon = reconstruct_mle(counts)
-    face = _frozen_face(counts, recon.rho)  # the main estimate and its Newton model, built once for both passes
+    face = _frozen_face(counts, recon.rho)  # the main estimate's Newton model, if any, built once for both passes
     mc_fid = monte_carlo_uncertainty(counts, config.resamples, lambda r: fidelity(r, target), seed_mc_f, start=face)
     mc_pur = monte_carlo_uncertainty(counts, config.resamples, purity, seed_mc_p, start=face)
     witness = witness_report(recon.rho)

@@ -8,13 +8,15 @@ log-likelihood (Shang, Zhang & Ng, PRA 95, 062336 (2017)), with Newton steps
 on the states of fixed rank for estimates on the boundary of the state space:
 every iterate is a density matrix, the log-likelihood never decreases, and
 the fit stops on a certified bound on its log-likelihood shortfall from the
-optimum (Glancy, Knill & Girard, New J. Phys. 14, 095017 (2012)).
+optimum (Glancy, Knill & Girard, New J. Phys. 14, 095017 (2012)), which
+holds from any start: a fit starts from the linear-inversion estimate
+projected onto the states (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)).
 Uncertainties are propagated by Poisson resampling of the observed counts.
-The certificate does not depend on the start, so a pass draws all its
-resample tables first and moves each from the main estimate by one Newton
-step of the main fit's frozen model (a chord step; Kelley, Solving Nonlinear
-Equations with Newton's Method, SIAM 2003), all at once, and fits each from
-there. Resamples whose fit does not converge are counted and left out.
+A pass draws all its resample tables first and moves each from the main
+estimate by one Newton step of the main fit's frozen model (a chord step;
+Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003), all at
+once, and fits each from there, or from its own projected estimate if the
+step fails. Resamples whose fit does not converge are counted and left out.
 """
 
 from __future__ import annotations
@@ -94,6 +96,17 @@ def _born_matrix(n: int) -> np.ndarray:
     born = (vectors.conj()[..., :, None] * vectors[..., None, :]).reshape(3**n, 2**n, 4**n)
     born.setflags(write=False)
     return born
+
+
+@functools.cache
+def _inversion(n: int) -> np.ndarray:
+    """Read-only pseudo-inverse of the flat Born matrix, shape (4^n, 6^n): like that matrix, the Kronecker power
+    of its one-qubit form with each qubit's indices put back in place."""
+    single = np.linalg.pinv(_born_matrix(1).reshape(6, 4)).reshape(2, 2, 3, 2)
+    power = functools.reduce(np.multiply.outer, [single] * n)  # axes (a, b, setting, outcome) per qubit
+    inverse = power.transpose(np.arange(4 * n).reshape(n, 4).T.ravel()).reshape(4**n, 6**n)
+    inverse.setflags(write=False)
+    return inverse
 
 
 def _born_rows(rho: np.ndarray) -> np.ndarray:
@@ -233,6 +246,13 @@ def _project_to_states(m: np.ndarray) -> tuple[np.ndarray, int]:
     return (vecs * lam) @ vecs.conj().T, int(kept)
 
 
+def _projected_estimate(counts: CountsTable) -> np.ndarray:
+    """The density matrix nearest the linear-inversion estimate of ``counts``, every setting with a count."""
+    table, dim = counts.counts.astype(float), counts.counts.shape[1]
+    m = (_inversion(counts.n_qubits) @ (table / table.sum(axis=1, keepdims=True)).ravel()).reshape(dim, dim)
+    return _project_to_states((m + m.conj().T) / 2.0)[0]
+
+
 @functools.cache
 def _tangent_pairs(dim: int, rank: int) -> tuple[np.ndarray, ...]:
     """Read-only index of the tangent directions, in order: rows ``a`` and columns ``b`` of the off-diagonal ones,
@@ -356,24 +376,24 @@ def _face_model(vals, frame, rank, vectors, weights, p, r) -> tuple[np.ndarray, 
 
 
 class _Face(NamedTuple):
-    """A checked start ``rho`` for one counts table's resample fits and, unless ``inverse`` is None, its outcome
-    probabilities, Born rows and ``_face_model`` at the table's observed outcomes, Hessian inverted."""
+    """A checked start ``rho`` for one counts table's resample fits with its outcome probabilities, Born rows and
+    ``_face_model`` at the table's observed outcomes, Hessian inverted."""
 
     rho: np.ndarray
-    p: np.ndarray | None = None
-    observed: np.ndarray | None = None  # the outcomes with a count: the rows of ``p``, ``born`` and ``jacobian``
-    born: np.ndarray | None = None
-    frame: np.ndarray | None = None
-    support: np.ndarray | None = None
-    jacobian: np.ndarray | None = None  # the tangent Jacobian over ``p``: a table's gradient is ``weights @ jacobian``
-    inverse: np.ndarray | None = None
+    p: np.ndarray
+    observed: np.ndarray  # the outcomes with a count: the rows of ``p``, ``born`` and ``jacobian``
+    born: np.ndarray
+    frame: np.ndarray
+    support: np.ndarray
+    jacobian: np.ndarray  # the tangent Jacobian over ``p``: a table's gradient is ``weights @ jacobian``
+    inverse: np.ndarray
 
 
-def _frozen_face(counts: CountsTable, rho: np.ndarray) -> _Face:
-    """The ``_Face`` of density matrix ``rho`` at ``counts`` on its eigenvalues above ``STATE_TOL``. It has no
-    model if an observed outcome has no probability, if the Hessian is singular, or if a support eigenvalue
-    ``s_a`` lies within one standard error ``1 / z_a`` of zero, from the observed information along the line
-    to the state without it: most resample estimates then lie off the face."""
+def _frozen_face(counts: CountsTable, rho: np.ndarray) -> _Face | None:
+    """The ``_Face`` of density matrix ``rho`` at ``counts`` on its eigenvalues above ``STATE_TOL``, or None, as
+    if no start was given, if an observed outcome has no probability, if the Hessian is singular, or if a support
+    eigenvalue ``s_a`` lies within one standard error ``1 / z_a`` of zero, from the observed information along the
+    line to the state without it: most resample estimates then lie off the face."""
     n, dim = counts.n_qubits, len(rho)
     flat = counts.counts.reshape(-1).astype(float)
     observed = flat > 0  # a Poisson resample draws no other outcome
@@ -384,16 +404,16 @@ def _frozen_face(counts: CountsTable, rho: np.ndarray) -> _Face:
     support, vectors = vals[::-1][:rank], _outcome_vectors(n).reshape(-1, dim)[observed]
     u2 = np.abs(vectors @ frame[:, ::-1][:, :rank].conj()) ** 2
     if not (p > 0.0).all():
-        return _Face(rho)
+        return None
     # z_a^2 (1 - s_a)^2 / s_a^2 = sum_k n_k (1 - |u_ka|^2 / p_k)^2, compared as products: s_a = 1 at rank 1
     if (support**2 * (flat @ (1.0 - u2 / p[:, None]) ** 2) < (1.0 - support) ** 2).any():
-        return _Face(rho)
+        return None
     weights, born = flat / flat.sum(), born[observed]  # the rows that every resample fit reads
     model = _face_model(vals, frame, rank, vectors, weights, p, _r_and_gap(weights / p, born, 1.0, dim)[0])
     try:
         return _Face(rho, p, observed, born, *model[:2], model[2] / p[:, None], np.linalg.inv(model[3]))
     except np.linalg.LinAlgError:
-        return _Face(rho)
+        return None
 
 
 #: a resample fit's start after its accepted frozen step from the main estimate: the moved state, its
@@ -406,11 +426,9 @@ def _frozen_steps(face: _Face, tables: np.ndarray) -> list:
     """Each fit's start for a stack of Poisson resamples of the face's counts, which draw no outcome outside the
     face's: after the full step of the face's model from the table's own gradient, taken for all at once over the
     face's outcomes (an undrawn one at weight 0), the ``_Moved`` state if the step keeps the log-likelihood and
-    lowers the gap, else the face without its model (always for a table with an empty setting, which its fit
+    lowers the gap, else None, the fit's default start (always for a table with an empty setting, which its fit
     rejects)."""
-    starts = [_Face(face.rho)] * len(tables)
-    if face.inverse is None:
-        return starts
+    starts = [None] * len(tables)
     drawn = np.flatnonzero((tables > 0).any(axis=-1).all(axis=-1))
     if not drawn.size:
         return starts
@@ -450,19 +468,20 @@ def reconstruct_mle(
 
     Minimises the negative log-likelihood per count by projected gradient
     with backtracking from ``0.99 * start + 0.01 * I/d``, ``start`` a density
-    matrix (default I/d). Each step moves along ``R`` from the current
-    estimate, projects onto the density matrices by an eigendecomposition
-    with the eigenvalues projected onto the unit simplex, and is kept only if
-    it does not lower the log-likelihood. Once the projection has kept one
-    rank for 3 accepted steps that each left over half the gap, or once a
-    projected step is rejected (some fits stall above the certificate's
-    resolution otherwise), the fit tries Newton steps on the states of that
-    rank (see ``_face_model``) instead. A density-matrix ``start`` always
-    takes this path. A resample fit of ``monte_carlo_uncertainty`` instead
-    gets a private record of its state after one full Newton step from the
-    main estimate, of the model frozen there (see ``_frozen_steps``), which
-    counts as its first iteration and hands over to the Newton steps above;
-    if that step was rejected, it runs the path above from the estimate.
+    matrix (default: the linear-inversion estimate projected onto the density
+    matrices, ``_projected_estimate``). Each step moves along ``R`` from the
+    current estimate, projects onto the density matrices by an
+    eigendecomposition with the eigenvalues projected onto the unit simplex,
+    and is kept only if it does not lower the log-likelihood. Once the
+    projection has kept one rank for 3 accepted steps that each left over half
+    the gap, or once a projected step is rejected (some fits stall above the
+    certificate's resolution otherwise), the fit tries Newton steps on the
+    states of that rank (see ``_face_model``) instead. A resample fit of
+    ``monte_carlo_uncertainty`` instead gets a private record of its state
+    after one full Newton step from the main estimate, of the model frozen
+    there (see ``_frozen_steps``), which counts as its first iteration and
+    hands over to the Newton steps above; if that step was rejected, it runs
+    the path above from its default start.
 
     Stops once ``N * (lambda_max(R) - 1) <= tol``, where ``N`` is the total
     count and ``R = sum_k (n_k / N) Pi_k / p_k`` (with equal counts per
@@ -482,9 +501,9 @@ def reconstruct_mle(
     if empty.size:
         names = ["".join(measurement_settings(n)[i]) for i in empty[:5]]
         raise ValidationError(f"every setting needs a recorded count; {empty.size} have none: {names}")
-    if isinstance(start, _Face):
-        start = start.rho
-    elif start is not None and not isinstance(start, _Moved):
+    if start is None:
+        start = _projected_estimate(counts)
+    elif not isinstance(start, _Moved):
         start = _checked_start(start, dim)
 
     born = _born_matrix(n).reshape(-1, dim * dim)
@@ -527,9 +546,8 @@ def reconstruct_mle(
     if isinstance(start, _Moved):  # the frozen step counts as an iteration and hands over to Newton on its face
         rho, p, r, gap, log_likelihood, rank = start
         iterations, steady = 1, _STEADY_STEPS
-    else:  # from the maximally mixed start this is I/d exactly in float for d = 2, 4, 8, 16
-        mixed = np.eye(dim, dtype=complex) / dim
-        rho = 0.99 * (mixed if start is None else start) + 0.01 * mixed
+    else:
+        rho = 0.99 * start + 0.01 * np.eye(dim, dtype=complex) / dim
         p = _probabilities(born, rho)[observed]
         r, gap = r_and_gap(p)
         log_likelihood = float(flat_counts @ np.log(p))  # plus each accepted change: never decreases
@@ -620,8 +638,10 @@ def monte_carlo_uncertainty(
     checked, and its Newton model at ``counts`` built (see ``_frozen_face``),
     unless it is that model already (``generate`` builds one for both passes);
     the pass draws every table, takes that model's step for all at once (see
-    ``_frozen_steps``) and fits each from there. Failed fits (``ValidationError``
-    for a setting that drew no count, ``LinAlgError``) and unconverged ones are
+    ``_frozen_steps``) and fits each from there; a fit whose step was rejected,
+    or that has no start or model, starts from its own projected estimate
+    (``reconstruct_mle``'s default). Failed fits (``ValidationError`` for a
+    setting that drew no count, ``LinAlgError``) and unconverged ones are
     counted and excluded; fewer than two converged resamples raise
     ``ConvergenceError``. An error that ``functional`` raises is the caller's.
     """

@@ -141,16 +141,18 @@ def test_pauli_bases_read_only_by_the_born_matrix():
 
 def test_kronecker_products_only_in_the_born_matrix():
     # the Born matrix's outcome vectors are the one Kronecker product: the Newton step's
-    # Jacobian comes from them, not from a d^2 x d^2 Kronecker product; interference builds
-    # every photon's internal vector at once, in one broadcast product, not one kron each
+    # Jacobian comes from them, not from a d^2 x d^2 Kronecker product; the Born matrix's
+    # pseudo-inverse is the one other, a power of the one-qubit pseudo-inverse; interference
+    # builds every photon's internal vector at once, in one broadcast product, not one kron each
     found = _owners(
         lambda node: (isinstance(node, ast.Attribute) and node.attr == "kron")
         or (isinstance(node, ast.Name) and node.id == "kron")
         or (isinstance(node, ast.alias) and node.name == "kron")
+        or (isinstance(node, ast.Attribute) and ast.unparse(node).endswith("multiply.outer"))
     )
     modules = ("tritterlab/tomography.py:", "tritterlab/interference.py:")
     assert {owner for owner in found if owner.startswith(modules)} == {
-        "tritterlab/tomography.py:_outcome_vectors"
+        "tritterlab/tomography.py:_outcome_vectors", "tritterlab/tomography.py:_inversion"
     }
 
 
@@ -167,12 +169,14 @@ def test_one_retraction_in_the_fit():
 
 def test_frozen_model_read_only_by_the_batched_step():
     # a pass's frozen Newton step is taken for all its resamples at once, and only a pass takes it: no fit
-    # reads the inverted Hessian itself, and a face handed to one fit is a matrix start
+    # reads the inverted Hessian itself, and no fit takes a face as its start
     found = _owners(lambda node: isinstance(node, ast.Attribute) and node.attr == "inverse")
     assert set(found) <= {"tritterlab/tomography.py:_frozen_steps", "tritterlab/tomography.py:_frozen_face"}
     assert "tritterlab/tomography.py:_frozen_steps" in found
     found = _owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "_frozen_steps")
     assert found == ["tritterlab/tomography.py:monte_carlo_uncertainty"]
+    found = _owners(lambda node: isinstance(node, ast.Name) and node.id == "_Face")
+    assert {owner.partition(":")[2] for owner in found} == {"_frozen_face", "_frozen_steps", "monte_carlo_uncertainty"}
 
 
 def test_one_square_check():
@@ -219,6 +223,7 @@ CACHED_HELPERS = {
     "interference._glynn_signs": (3,),
     "tomography._outcome_vectors": (2,),
     "tomography._born_matrix": (2,),
+    "tomography._inversion": (2,),
     "tomography._tangent_pairs": (4, 2),
     "tomography._curvature_layout": (2, 2),
 }
