@@ -439,10 +439,13 @@ def cmd_report(args) -> int:
             f"              genuine tripartite pass={witness['genuine_tripartite_pass']}",
             f"              GHZ-class pass={witness['ghz_class_pass']}",
         ]
+        version = report["provenance"]["package_version"] if args.check else __version__
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"report is malformed: {type(exc).__name__}: {exc}") from None
     print("\n".join(summary))
     if args.check:
+        if version != __version__:  # another version may fit to other bits: a mismatch would mean nothing
+            raise ValidationError(f"report was written by tritterlab {version}; this is {__version__}: regenerate it")
         config = ExperimentConfig.from_dict(report["config"])
         regenerated, _ = run_generate(config)
         if report_to_json(report) != report_to_json(regenerated):

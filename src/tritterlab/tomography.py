@@ -416,18 +416,26 @@ def _frozen_face(counts: CountsTable, rho: np.ndarray) -> _Face | None:
         return None
 
 
-#: a resample fit's start after its accepted frozen step from the main estimate: the moved state, its
-#: probabilities at the fit's observed outcomes, ``R``, certified gap and log-likelihood, and the face's rank
+def _finished(rho: np.ndarray) -> np.ndarray:
+    """A fit's read-only estimate from its last state ``rho``, or each of a stack: the Hermitian part over its trace."""
+    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2
+    rho /= rho.trace(axis1=-2, axis2=-1).real[..., None, None]
+    rho.setflags(write=False)
+    return rho
+
+
+#: a resample fit's start after its accepted frozen step from the main estimate: the moved state, its probabilities
+#: at the fit's observed outcomes, ``R``, certified gap and log-likelihood, the face's rank, and its ``_finished`` state
 _Moved = NamedTuple("_Moved", [("rho", np.ndarray), ("p", np.ndarray), ("r", np.ndarray), ("gap", float),
-                               ("log_likelihood", float), ("rank", int)])
+                               ("log_likelihood", float), ("rank", int), ("finished", np.ndarray)])
 
 
 def _frozen_steps(face: _Face, tables: np.ndarray) -> list:
     """Each fit's start for a stack of Poisson resamples of the face's counts, which draw no outcome outside the
     face's: after the full step of the face's model from the table's own gradient, taken for all at once over the
-    face's outcomes (an undrawn one at weight 0), the ``_Moved`` state if the step keeps the log-likelihood and
-    lowers the gap, else None, the fit's default start (always for a table with an empty setting, which its fit
-    rejects)."""
+    face's outcomes (an undrawn one at weight 0), the ``_Moved`` state, finished as an estimate for all at once,
+    if the step keeps the log-likelihood and lowers the gap, else None, the fit's default start (always for a table
+    with an empty setting, which its fit rejects)."""
     starts = [None] * len(tables)
     drawn = np.flatnonzero((tables > 0).any(axis=-1).all(axis=-1))
     if not drawn.size:
@@ -446,9 +454,11 @@ def _frozen_steps(face: _Face, tables: np.ndarray) -> list:
     np.divide(weights, p_moved, out=scattered.real, where=weights > 0.0)
     r_moved, gap_moved = _r_and_gap(scattered, face.born, totals, len(face.rho))
     log_likelihood = totals * (weights @ np.log(face.p) - descent)
-    for k in np.flatnonzero((descent <= 0.0) & (gap_moved < gap)):
-        starts[drawn[k]] = _Moved(face.rho + step[k], p_moved[k, weights[k] > 0.0], r_moved[k], float(gap_moved[k]),
-                                  float(log_likelihood[k]), len(face.support))
+    accepted = np.flatnonzero((descent <= 0.0) & (gap_moved < gap))
+    moved = face.rho + step[accepted]
+    for k, rho, finished in zip(accepted, moved, _finished(moved)):
+        starts[drawn[k]] = _Moved(rho, p_moved[k, weights[k] > 0.0], r_moved[k], float(gap_moved[k]),
+                                  float(log_likelihood[k]), len(face.support), finished)
     return starts
 
 
@@ -478,10 +488,10 @@ def reconstruct_mle(
     certificate's resolution otherwise), the fit tries Newton steps on the
     states of that rank (see ``_face_model``) instead. A resample fit of
     ``monte_carlo_uncertainty`` instead gets a private record of its state
-    after one full Newton step from the main estimate, of the model frozen
-    there (see ``_frozen_steps``), which counts as its first iteration and
-    hands over to the Newton steps above; if that step was rejected, it runs
-    the path above from its default start.
+    after one full Newton step of the model frozen at the main estimate (see
+    ``_frozen_steps``; none if the step was rejected). That step counts as
+    its first iteration; the fit returns the record's finished state, with no
+    set-up, if its gap is within ``tol``, else goes on with Newton steps.
 
     Stops once ``N * (lambda_max(R) - 1) <= tol``, where ``N`` is the total
     count and ``R = sum_k (n_k / N) Pi_k / p_k`` (with equal counts per
@@ -493,6 +503,8 @@ def reconstruct_mle(
     ``tol``, or if a step can no longer be resolved in floating point or
     20 iterations in a row accept none.
     """
+    if isinstance(start, _Moved) and start.gap <= tol:  # settled by the frozen step: nothing to set up
+        return ReconstructionResult(start.finished, start.log_likelihood, 1, True, max(start.gap, 0.0), start.rank)
     n, dim = counts.n_qubits, counts.counts.shape[1]
     # only observed outcomes enter the likelihood; the shared Born matrix is read, not copied
     flat_counts = counts.counts.reshape(-1).astype(float)
@@ -544,7 +556,7 @@ def reconstruct_mle(
         return None
 
     if isinstance(start, _Moved):  # the frozen step counts as an iteration and hands over to Newton on its face
-        rho, p, r, gap, log_likelihood, rank = start
+        rho, p, r, gap, log_likelihood, rank, _ = start
         iterations, steady = 1, _STEADY_STEPS
     else:
         rho = 0.99 * start + 0.01 * np.eye(dim, dtype=complex) / dim
@@ -587,11 +599,8 @@ def reconstruct_mle(
             steady = _STEADY_STEPS  # try Newton on the current rank next
         step *= 1.5
 
-    rho = (rho + rho.conj().T) / 2
-    rho /= rho.trace().real
-    rho.setflags(write=False)
     return ReconstructionResult(
-        rho=rho,
+        rho=_finished(rho),
         log_likelihood=log_likelihood,
         iterations=iterations,
         converged=bool(gap <= tol),
@@ -637,13 +646,13 @@ def monte_carlo_uncertainty(
     iteration limit and applies ``functional`` to the estimate. A ``start`` is
     checked, and its Newton model at ``counts`` built (see ``_frozen_face``),
     unless it is that model already (``generate`` builds one for both passes);
-    the pass draws every table, takes that model's step for all at once (see
-    ``_frozen_steps``) and fits each from there; a fit whose step was rejected,
-    or that has no start or model, starts from its own projected estimate
-    (``reconstruct_mle``'s default). Failed fits (``ValidationError`` for a
-    setting that drew no count, ``LinAlgError``) and unconverged ones are
-    counted and excluded; fewer than two converged resamples raise
-    ``ConvergenceError``. An error that ``functional`` raises is the caller's.
+    the pass draws every table, takes that model's step and finishes each moved
+    state for all at once (``_frozen_steps``), and fits each from there; a fit
+    whose step was rejected, or with no start or model, starts from its own
+    projected estimate (``reconstruct_mle``'s default). Fits that fail
+    (``ValidationError`` for a setting that drew no count, ``LinAlgError``) or
+    do not converge are counted and excluded; fewer than two converged resamples
+    raise ``ConvergenceError``. An error ``functional`` raises is the caller's.
     """
     if int(resamples) < 2:
         raise ValidationError("resamples must be at least 2")

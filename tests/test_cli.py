@@ -655,6 +655,20 @@ class TestReport:
         out.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         assert main(["report", "--input", str(out), "--check"]) == 3
 
+    def test_check_of_a_report_from_another_version_exits_2_naming_both(self, tmp_path, capsys):
+        # another version may fit the same config to other bits, so regenerating it proves nothing
+        out = tmp_path / "report.json"
+        main(["generate", "--state", "w", "--shots", "500", "--seed", "1",
+              "--resamples", "4", "--out", str(out)])
+        report = _read_json(out)
+        report["provenance"]["package_version"] = "0.27.0"
+        out.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--input", str(out)]) == 0
+        assert main(["report", "--input", str(out), "--check"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and "0.27.0" in err and tritterlab.__version__ in err
+
     def test_malformed_report_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")

@@ -863,6 +863,17 @@ class TestBatchedFrozenStep:
             assert batched.iterations == single.iterations == 1 and batched.converged
             assert abs(fidelity(batched.rho, target) - fidelity(single.rho, target)) <= 1e-12
             assert abs(purity(batched.rho) - purity(single.rho)) <= 1e-12
+            # a settled fit returns the moved state finished by the batch, bit for bit the fit's own finishing
+            expected = (start.rho + start.rho.conj().T) / 2
+            expected /= expected.trace().real
+            assert batched.rho is start.finished and batched.rho.tobytes() == expected.tobytes()
+            assert not batched.rho.flags.writeable
+            assert (batched.log_likelihood, batched.gap, batched.rank) == (start.log_likelihood, max(start.gap, 0.0),
+                                                                          start.rank)
+        # a tolerance below the moved state's gap sends the fit on through the Newton loop
+        for table, start, _ in fits[:5]:
+            fit = reconstruct_mle(table, tol=start.gap / 2.0, start=start)
+            assert fit.iterations > 1 and fit.converged and not fit.rho.flags.writeable
 
     @pytest.mark.parametrize("seed", [2, 4242])
     def test_moved_state_is_handed_on(self, seed, monkeypatch):
