@@ -205,6 +205,10 @@ def _leaky_pol(pol: np.ndarray, ratio: float) -> np.ndarray:
     return keep * pol + leak * _orthogonal_pol(pol)
 
 
+def _provenance() -> dict:
+    return {"package_version": __version__, "numpy_version": np.__version__}
+
+
 def run_generate(config: ExperimentConfig) -> tuple[dict, CountsTable]:
     """Full generation pipeline: recipe, noise, post-selection, tomography, witnesses."""
     rec = recipe(config.state)
@@ -251,7 +255,7 @@ def run_generate(config: ExperimentConfig) -> tuple[dict, CountsTable]:
             "monte_carlo": {"fidelity": _record(mc_fid), "purity": _record(mc_pur)},
         },
         "witness": _record(witness),
-        "provenance": {"package_version": __version__, "numpy_version": np.__version__},
+        "provenance": _provenance(),
     }
     return report, counts
 
@@ -439,15 +443,14 @@ def cmd_report(args) -> int:
             f"              genuine tripartite pass={witness['genuine_tripartite_pass']}",
             f"              GHZ-class pass={witness['ghz_class_pass']}",
         ]
-        version = report["provenance"]["package_version"] if args.check else __version__
+        provenance = report["provenance"] if args.check else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"report is malformed: {type(exc).__name__}: {exc}") from None
     print("\n".join(summary))
     if args.check:
-        if version != __version__:  # another version may fit to other bits: a mismatch would mean nothing
-            raise ValidationError(f"report was written by tritterlab {version}; this is {__version__}: regenerate it")
-        config = ExperimentConfig.from_dict(report["config"])
-        regenerated, _ = run_generate(config)
+        if provenance != _provenance():  # other versions may fit to other bits: a mismatch would mean nothing
+            raise ValidationError(f"report was written under {provenance}; this is {_provenance()}: regenerate it")
+        regenerated, _ = run_generate(ExperimentConfig.from_dict(report["config"]))
         if report_to_json(report) != report_to_json(regenerated):
             raise ConvergenceError("report is not reproducible from its embedded config")
         print("check:        reproducible")

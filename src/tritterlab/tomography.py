@@ -246,6 +246,15 @@ def _project_to_states(m: np.ndarray) -> tuple[np.ndarray, int]:
     return (vecs * lam) @ vecs.conj().T, int(kept)
 
 
+def _likelihood_setup(counts: CountsTable) -> tuple:
+    """The likelihood set-up of ``counts``, which leaves out every outcome with no count: the mask of the others,
+    their counts as floats, the total, the frequencies and the outcome vectors."""
+    observed = counts.counts.reshape(-1) > 0
+    flat = counts.counts.reshape(-1)[observed].astype(float)
+    total = float(flat.sum())
+    return observed, flat, total, flat / total, _outcome_vectors(counts.n_qubits).reshape(len(observed), -1)[observed]
+
+
 def _projected_estimate(counts: CountsTable) -> np.ndarray:
     """The density matrix nearest the linear-inversion estimate of ``counts``, every setting with a count."""
     table, dim = counts.counts.astype(float), counts.counts.shape[1]
@@ -390,26 +399,24 @@ class _Face(NamedTuple):
 
 
 def _frozen_face(counts: CountsTable, rho: np.ndarray) -> _Face | None:
-    """The ``_Face`` of density matrix ``rho`` at ``counts`` on its eigenvalues above ``STATE_TOL``, or None, as
-    if no start was given, if an observed outcome has no probability, if the Hessian is singular, or if a support
-    eigenvalue ``s_a`` lies within one standard error ``1 / z_a`` of zero, from the observed information along the
-    line to the state without it: most resample estimates then lie off the face."""
-    n, dim = counts.n_qubits, len(rho)
-    flat = counts.counts.reshape(-1).astype(float)
-    observed = flat > 0  # a Poisson resample draws no other outcome
-    born, flat = _born_matrix(n).reshape(-1, dim * dim), flat[observed]
+    """The ``_Face`` of density matrix ``rho`` at the ``_likelihood_setup`` of ``counts`` on its eigenvalues above
+    ``STATE_TOL``, or None, as if no start was given, if an observed outcome has no probability, if the Hessian is
+    singular, or if a support eigenvalue ``s_a`` lies within one standard error ``1 / z_a`` of zero, from the
+    observed information along the line to the state without it: most resample estimates then lie off the face."""
+    observed, flat, _, weights, vectors = _likelihood_setup(counts)  # a Poisson resample draws no other outcome
+    born = _born_matrix(counts.n_qubits).reshape(-1, len(rho) ** 2)
     p = _probabilities(born, rho)[observed]
     vals, frame = np.linalg.eigh(rho)
     rank = int(np.count_nonzero(vals > STATE_TOL))
-    support, vectors = vals[::-1][:rank], _outcome_vectors(n).reshape(-1, dim)[observed]
+    support = vals[::-1][:rank]
     u2 = np.abs(vectors @ frame[:, ::-1][:, :rank].conj()) ** 2
     if not (p > 0.0).all():
         return None
     # z_a^2 (1 - s_a)^2 / s_a^2 = sum_k n_k (1 - |u_ka|^2 / p_k)^2, compared as products: s_a = 1 at rank 1
     if (support**2 * (flat @ (1.0 - u2 / p[:, None]) ** 2) < (1.0 - support) ** 2).any():
         return None
-    weights, born = flat / flat.sum(), born[observed]  # the rows that every resample fit reads
-    model = _face_model(vals, frame, rank, vectors, weights, p, _r_and_gap(weights / p, born, 1.0, dim)[0])
+    born = born[observed]  # the rows that every resample fit reads
+    model = _face_model(vals, frame, rank, vectors, weights, p, _r_and_gap(weights / p, born, 1.0, len(rho))[0])
     try:
         return _Face(rho, p, observed, born, *model[:2], model[2] / p[:, None], np.linalg.inv(model[3]))
     except np.linalg.LinAlgError:
@@ -433,9 +440,9 @@ _Moved = NamedTuple("_Moved", [("rho", np.ndarray), ("p", np.ndarray), ("r", np.
 def _frozen_steps(face: _Face, tables: np.ndarray) -> list:
     """Each fit's start for a stack of Poisson resamples of the face's counts, which draw no outcome outside the
     face's: after the full step of the face's model from the table's own gradient, taken for all at once over the
-    face's outcomes (an undrawn one at weight 0), the ``_Moved`` state, finished as an estimate for all at once,
-    if the step keeps the log-likelihood and lowers the gap, else None, the fit's default start (always for a table
-    with an empty setting, which its fit rejects)."""
+    face's outcomes (an undrawn one at weight 0, which leaves its probability unmoved and its ``w / p`` at 0), the
+    ``_Moved`` state, finished as an estimate for all at once, if the step keeps the log-likelihood and lowers the
+    gap, else None, the fit's default start (always for a table with an empty setting, which its fit rejects)."""
     starts = [None] * len(tables)
     drawn = np.flatnonzero((tables > 0).any(axis=-1).all(axis=-1))
     if not drawn.size:
@@ -443,16 +450,13 @@ def _frozen_steps(face: _Face, tables: np.ndarray) -> list:
     weights = tables[drawn].reshape(len(drawn), -1)[:, face.observed].astype(float)
     totals = weights.sum(axis=1)
     weights /= totals[:, None]
-    scattered = np.zeros(weights.shape, dtype=complex)  # each table's w / p, complex so R's product casts nothing
-    np.divide(weights, face.p, out=scattered.real)
-    gap = _r_and_gap(scattered, face.born, totals, len(face.rho))[1]
+    gap = _r_and_gap((weights / face.p).astype(complex), face.born, totals, len(face.rho))[1]
     step, = _retractions((weights @ face.jacobian) @ face.inverse.T, face.frame, face.support, (1.0,))
     p_step = _probabilities(face.born, step) * (weights > 0.0)  # an outcome not drawn has no weight and no test
     descent = _change(weights, face.p, p_step, step.trace(axis1=-2, axis2=-1).real)
     p_step[descent > 0.0] = 0.0  # a rejected step is not taken: every weighted probability stays positive
     p_moved = face.p + p_step
-    np.divide(weights, p_moved, out=scattered.real, where=weights > 0.0)
-    r_moved, gap_moved = _r_and_gap(scattered, face.born, totals, len(face.rho))
+    r_moved, gap_moved = _r_and_gap((weights / p_moved).astype(complex), face.born, totals, len(face.rho))
     log_likelihood = totals * (weights @ np.log(face.p) - descent)
     accepted = np.flatnonzero((descent <= 0.0) & (gap_moved < gap))
     moved = face.rho + step[accepted]
@@ -490,8 +494,8 @@ def reconstruct_mle(
     ``monte_carlo_uncertainty`` instead gets a private record of its state
     after one full Newton step of the model frozen at the main estimate (see
     ``_frozen_steps``; none if the step was rejected). That step counts as
-    its first iteration; the fit returns the record's finished state, with no
-    set-up, if its gap is within ``tol``, else goes on with Newton steps.
+    its first iteration; a gap within ``tol`` returns the record's finished
+    state before any ``_likelihood_setup``, else Newton steps follow.
 
     Stops once ``N * (lambda_max(R) - 1) <= tol``, where ``N`` is the total
     count and ``R = sum_k (n_k / N) Pi_k / p_k`` (with equal counts per
@@ -506,9 +510,7 @@ def reconstruct_mle(
     if isinstance(start, _Moved) and start.gap <= tol:  # settled by the frozen step: nothing to set up
         return ReconstructionResult(start.finished, start.log_likelihood, 1, True, max(start.gap, 0.0), start.rank)
     n, dim = counts.n_qubits, counts.counts.shape[1]
-    # only observed outcomes enter the likelihood; the shared Born matrix is read, not copied
-    flat_counts = counts.counts.reshape(-1).astype(float)
-    observed = flat_counts > 0
+    observed, flat_counts, total, weights, vectors = _likelihood_setup(counts)
     empty = np.flatnonzero(~observed.reshape(-1, dim).any(axis=1))  # an int64 row sum can wrap to 0
     if empty.size:
         names = ["".join(measurement_settings(n)[i]) for i in empty[:5]]
@@ -518,11 +520,7 @@ def reconstruct_mle(
     elif not isinstance(start, _Moved):
         start = _checked_start(start, dim)
 
-    born = _born_matrix(n).reshape(-1, dim * dim)
-    vectors = None  # the observed outcome vectors, gathered for the first model built at these counts
-    flat_counts = flat_counts[observed]
-    total = float(flat_counts.sum())
-    weights = flat_counts / total
+    born = _born_matrix(n).reshape(-1, dim * dim)  # the shared Born matrix is read, not copied
     scattered = np.zeros(len(born))  # weights / p at the observed outcomes, 0 elsewhere
 
     def r_and_gap(p: np.ndarray) -> tuple[np.ndarray, float]:
@@ -539,8 +537,6 @@ def reconstruct_mle(
     def newton(rho: np.ndarray, p: np.ndarray, r: np.ndarray, rank: int, gap: float):
         """(rho, p, r, gap, change) of the first of the full, half and quarter Newton step of the rank-``rank``
         ``_face_model`` at ``rho`` that keeps the log-likelihood and lowers the gap, or None."""
-        nonlocal vectors
-        vectors = _outcome_vectors(n).reshape(-1, dim)[observed] if vectors is None else vectors
         frame, support, jacobian, hessian = _face_model(*np.linalg.eigh(rho), rank, vectors, weights, p, r)
         try:
             x = np.linalg.solve(hessian, (weights / p) @ jacobian)

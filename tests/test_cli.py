@@ -4,6 +4,9 @@ import dataclasses
 import functools
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -655,19 +658,39 @@ class TestReport:
         out.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         assert main(["report", "--input", str(out), "--check"]) == 3
 
-    def test_check_of_a_report_from_another_version_exits_2_naming_both(self, tmp_path, capsys):
-        # another version may fit the same config to other bits, so regenerating it proves nothing
+    @pytest.mark.parametrize("key, other, running", [("package_version", "0.27.0", tritterlab.__version__),
+                                                      ("numpy_version", "1.25.2", np.__version__)],
+                             ids=["package_version", "numpy_version"])
+    def test_check_of_a_report_from_another_version_exits_2_naming_both(self, tmp_path, capsys, key, other, running):
+        # another version of the package or of numpy may fit the same config to other bits, so regenerating it
+        # proves nothing
         out = tmp_path / "report.json"
         main(["generate", "--state", "w", "--shots", "500", "--seed", "1",
               "--resamples", "4", "--out", str(out)])
         report = _read_json(out)
-        report["provenance"]["package_version"] = "0.27.0"
+        report["provenance"][key] = other
         out.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         capsys.readouterr()
         assert main(["report", "--input", str(out)]) == 0
         assert main(["report", "--input", str(out), "--check"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("validation error: ") and "0.27.0" in err and tritterlab.__version__ in err
+        assert err.startswith("validation error: ") and other in err and running in err
+
+    def test_process_exit_codes(self, tmp_path):
+        # main() returns the code; entry() must hand it to the process, which is what scripts read
+        out = tmp_path / "report.json"
+        main(["generate", "--state", "w", "--shots", "500", "--seed", "1",
+              "--resamples", "4", "--out", str(out)])
+        tampered = tmp_path / "tampered.json"
+        report = _read_json(out)
+        report["noisy"]["probability"] = 0.25
+        tampered.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        src = str(Path(tritterlab.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        codes = [subprocess.run([sys.executable, "-m", "tritterlab.cli", "report", "--input", str(path), "--check"],
+                                capture_output=True, env=env).returncode
+                 for path in (out, tmp_path / "missing.json", tampered)]
+        assert codes == [0, 2, 3]
 
     def test_malformed_report_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -179,6 +179,19 @@ def test_frozen_model_read_only_by_the_batched_step():
     assert {owner.partition(":")[2] for owner in found} == {"_frozen_face", "_frozen_steps", "monte_carlo_uncertainty"}
 
 
+def test_one_likelihood_setup_per_counts_table():
+    # the fit and the frozen face read a table's observed outcomes, counts, total, frequencies and outcome vectors
+    # from one helper, which gathers them all at once: no closure fills any of them in later
+    found = _owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".counts.reshape")
+                    and [ast.unparse(arg) for arg in node.args] == ["-1"])
+    assert {owner for owner in found if owner.startswith("tritterlab/tomography.py:")} == {
+        "tritterlab/tomography.py:_likelihood_setup"
+    }
+    found = _owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "_likelihood_setup")
+    assert sorted(found) == ["tritterlab/tomography.py:_frozen_face", "tritterlab/tomography.py:reconstruct_mle"]
+    assert _owners(lambda node: isinstance(node, ast.Nonlocal)) == []
+
+
 def test_one_square_check():
     # validation.check_square alone compares a matrix's row and column counts; the intensity table keeps its own
     # test, which also rejects an empty table under its "must be square" message

@@ -794,6 +794,31 @@ class TestFrozenFace:
         mc = monte_carlo_uncertainty(counts, 4, purity, seed=7, start=start)
         assert (mc.failures, mc.unconverged, len(mc.values)) == (0, 0, 4)
 
+    def test_no_model_where_the_hessian_is_singular(self, monkeypatch):
+        # the seed-2 GHZ' face has a model; with its Hessian taken as singular there is none, so each resample
+        # fit starts from its own projected estimate, as in a pass with no start
+        counts = _source_counts("noisy-ghzprime-2")
+        main = reconstruct_mle(counts)
+        faces, inverted = [], []
+        frozen_face = tritterlab.tomography._frozen_face
+
+        def singular(matrix):
+            inverted.append(matrix)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        def recording(table, rho):
+            faces.append(frozen_face(table, rho))
+            return faces[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "inv", singular)
+            patch.setattr(tritterlab.tomography, "_frozen_face", recording)
+            mc = monte_carlo_uncertainty(counts, 10, purity, seed=5, start=main.rho)
+        assert faces == [None] and len(inverted) == 1
+        default = monte_carlo_uncertainty(counts, 10, purity, seed=5)
+        assert (mc.failures, mc.unconverged) == (0, 0)
+        assert mc.values == default.values and mc.iterations == default.iterations
+
     @pytest.mark.parametrize("source", ["ideal-w", "noisy-ghzprime", "noisy-ghzprime-2"])
     def test_prebuilt_face_gives_the_matrix_start_result(self, source):
         # generate hands both passes one face; a pass that builds it from the matrix start fits the same
