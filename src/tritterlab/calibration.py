@@ -59,6 +59,8 @@ class IntensityTable:
                 raise ValidationError(
                     f"insertion-loss column must have {len(frac)} entries, got {loss.size}"
                 )
+            if not np.all(np.isfinite(loss)):
+                raise ValidationError("insertion-loss column contains non-finite entries")
             loss.setflags(write=False)
             object.__setattr__(self, "loss_db", loss)
 
@@ -92,36 +94,32 @@ class IntensityTable:
         return cls(arr[:, :n], arr[:, n] if width > n else None)
 
 
-def sinkhorn_magnitudes(
-    table: IntensityTable, tol: float = SINKHORN_TOL, max_iter: int = SINKHORN_MAX_ITER
-) -> np.ndarray:
+def _stochastic_residual(power: np.ndarray) -> float:
+    """Largest deviation of a row or column sum of ``power`` from 1."""
+    return max(float(np.abs(power.sum(axis=1) - 1.0).max()), float(np.abs(power.sum(axis=0) - 1.0).max()))
+
+
+def sinkhorn_magnitudes(table: IntensityTable) -> np.ndarray:
     """Transfer-matrix magnitudes from the splitting ratios of a checked table.
 
-    The row-normalized power matrix (losses drop out) is rescaled alternately
-    along rows and columns until doubly stochastic within ``tol``; the
-    element-wise square root is returned, so a perfectly balanced device
-    yields all entries 1/sqrt(n).
+    The row-normalized power matrix (losses drop out) is rescaled alternately along rows and columns
+    (Sinkhorn, Ann. Math. Statist. 35, 876 (1964)) until doubly stochastic within ``SINKHORN_TOL``, for
+    at most ``SINKHORN_MAX_ITER`` sweeps; the element-wise square root is returned, so a perfectly
+    balanced device yields all entries 1/sqrt(n).
     """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
-    if int(max_iter) < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     frac = table.fractions
     if (frac <= 0).any():
         raise ValidationError("cannot scale: ratio matrix has a non-positive entry")
     s = frac / frac.sum(axis=1, keepdims=True)
     residual = math.inf
-    for _ in range(int(max_iter)):
+    for _ in range(SINKHORN_MAX_ITER):
         s = s / s.sum(axis=1, keepdims=True)
         s = s / s.sum(axis=0, keepdims=True)
-        residual = max(
-            float(np.abs(s.sum(axis=1) - 1.0).max()),
-            float(np.abs(s.sum(axis=0) - 1.0).max()),
-        )
-        if residual < tol:
+        residual = _stochastic_residual(s)
+        if residual < SINKHORN_TOL:
             return np.sqrt(s)
     raise ConvergenceError(
-        f"row/column rescaling did not reach tol {tol:.1e} in {max_iter} sweeps"
+        f"row/column rescaling did not reach tol {SINKHORN_TOL:.1e} in {SINKHORN_MAX_ITER} sweeps"
         f" (residual {residual:.3e})",
         residual=residual,
     )
@@ -253,13 +251,15 @@ def fit_gaussian(scan: DipScan) -> GaussianFit:
     (Nielsen, IMM-REP-1999-05); a step may shrink the width at most tenfold, and the amplitude stays at
     most the offset, tied to it while the bound binds. Stops once a step lowers the squared residual by
     at most 1e-10 of itself, or once no resolvable step lowers it. Raises once a step takes the width
-    below a fifth of the smallest delay spacing or above the span: no dip resolved.
+    below a fifth of the smallest delay spacing or above the span: no dip resolved. Works in units of the largest
+    count, so squared residuals stay finite at any finite rate; amplitude, offset and residuals are reported in counts.
     """
-    x, y = scan.delays, scan.counts
+    x, peak = scan.delays, float(scan.counts.max())
     if x.size < 5:
         raise ValidationError(f"need at least 5 points spanning the dip, got {x.size}")
-    if float(np.ptp(y)) == 0.0:
+    if float(np.ptp(scan.counts)) == 0.0:
         raise ConvergenceError("degenerate scan: counts have zero variance")
+    y = scan.counts / peak
 
     offset0 = float(y.max())
     amp0 = float(y.max() - y.min())
@@ -310,7 +310,7 @@ def fit_gaussian(scan: DipScan) -> GaussianFit:
             params, fit = trial, trial_fit
             if not narrowest <= params[2] <= span:
                 raise ConvergenceError(f"dip width {params[2]:.3g} is outside the scan's resolved range "
-                                       f"[{narrowest:.3g}, {span:.3g}]", residual=math.sqrt(fit[1]))
+                                       f"[{narrowest:.3g}, {span:.3g}]", residual=peak * math.sqrt(fit[1]))
             if decrease <= 1e-10 * cost:
                 break
         else:
@@ -318,9 +318,9 @@ def fit_gaussian(scan: DipScan) -> GaussianFit:
             if damping > 1e12:
                 break
     else:
-        raise ConvergenceError(f"dip fit did not converge in {_DIP_MAX_STEPS} steps", residual=math.sqrt(fit[1]))
-    amplitude, center, width, offset = (float(v) for v in params)
-    residual = math.sqrt(fit[1])
+        raise ConvergenceError(f"dip fit did not converge in {_DIP_MAX_STEPS} steps", residual=peak * math.sqrt(fit[1]))
+    amplitude, center, width, offset = (float(v) for v in params * [peak, 1.0, 1.0, peak])
+    residual = peak * math.sqrt(fit[1])
     if offset <= 0:
         raise ConvergenceError(f"unphysical fit: offset {offset:.3g}, width {width:.3g}", residual=residual)
     return GaussianFit(amplitude, center, width, offset, residual)

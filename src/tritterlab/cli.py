@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .calibration import (
     IntensityTable,
+    _stochastic_residual,
     fit_gaussian,
     hom_scan,
     insertion_loss_db,
@@ -349,19 +350,14 @@ def cmd_generate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     table = IntensityTable.from_csv(args.input)
-    magnitudes = sinkhorn_magnitudes(table, max_iter=args.max_iter)
-    squared = magnitudes**2
-    residual = max(
-        float(np.abs(squared.sum(axis=1) - 1.0).max()),
-        float(np.abs(squared.sum(axis=0) - 1.0).max()),
-    )
+    magnitudes = sinkhorn_magnitudes(table)
     unitary, adjustment = interferometer_from_magnitudes(magnitudes)
     report = {
         "magnitudes": magnitudes.tolist(),
         "magnitudes_scaled": (magnitudes * np.sqrt(len(magnitudes))).tolist(),
         "insertion_loss_db": [insertion_loss_db(row) for row in table.fractions],
         "printed_loss_db": list(map(float, table.loss_db)) if table.loss_db is not None else None,
-        "doubly_stochastic_residual": residual,
+        "doubly_stochastic_residual": _stochastic_residual(magnitudes**2),
         "unitary": matrix_to_pairs(unitary.matrix),
         "max_adjustment": adjustment,
     }
@@ -489,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     cal = sub.add_parser("calibrate", help="reconstruct transfer-matrix magnitudes from a ratio CSV")
     cal.add_argument("--input", required=True, help="n x n (+loss column) splitting-ratio CSV")
     cal.add_argument("--out", help="calibration JSON path (default: stdout)")
-    cal.add_argument("--max-iter", type=int, default=10_000, help="rescaling sweep limit")
     cal.set_defaults(func=cmd_calibrate)
 
     hom = sub.add_parser("hom", help="simulate and fit a two-photon coincidence dip")

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .interference import InputConfiguration, InternalState
-from .validation import ValidationError, as_complex_matrix, check_density_matrix, check_square
+from .validation import ValidationError, as_complex_matrix, as_density_matrix, check_square
 
 #: fidelity to a W-type target certifying genuine tripartite entanglement
 W_FIDELITY_THRESHOLD = 2.0 / 3.0
@@ -156,10 +156,7 @@ def witness_report(rho: np.ndarray) -> WitnessReport:
     the canonical ghzprime state exceeds 1/2; membership outside the W class
     passes iff that overlap exceeds 3/4.
     """
-    rho = as_complex_matrix(rho, "rho")
-    if rho.shape != (8, 8):
-        raise ValidationError(f"witness_report needs a 3-qubit density matrix, got shape {rho.shape}")
-    check_density_matrix(rho, name="rho")
+    rho = as_density_matrix(rho, 8)
 
     def _clip(x: float) -> float:
         return min(max(x, 0.0), 1.0)

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .validation import (POISSON_MAX, STATE_TOL, ConvergenceError, ValidationError, as_complex_matrix,
-                         check_density_matrix, csv_cells)
+                         as_density_matrix, csv_cells)
 
 #: certified log-likelihood shortfall at which the reconstruction stops
 MLE_TOL = 1e-2
@@ -466,15 +466,6 @@ def _frozen_steps(face: _Face, tables: np.ndarray) -> list:
     return starts
 
 
-def _checked_start(start, dim: int) -> np.ndarray:
-    """``start`` as a complex array after checking that it is a dim x dim density matrix."""
-    start = as_complex_matrix(start, "start")
-    if start.shape != (dim, dim):
-        raise ValidationError(f"start must be {dim}x{dim}, got {start.shape}")
-    check_density_matrix(start, name="start")
-    return start
-
-
 def reconstruct_mle(
     counts: CountsTable, tol: float = MLE_TOL, max_iter: int = MLE_MAX_ITER, start=None
 ) -> ReconstructionResult:
@@ -518,7 +509,7 @@ def reconstruct_mle(
     if start is None:
         start = _projected_estimate(counts)
     elif not isinstance(start, _Moved):
-        start = _checked_start(start, dim)
+        start = as_density_matrix(start, dim, "start")
 
     born = _born_matrix(n).reshape(-1, dim * dim)  # the shared Born matrix is read, not copied
     scattered = np.zeros(len(born))  # weights / p at the observed outcomes, 0 elsewhere
@@ -655,7 +646,7 @@ def monte_carlo_uncertainty(
     if counts.counts.max() > POISSON_MAX:
         raise ValidationError(f"counts above {POISSON_MAX:.4e} exceed numpy's Poisson sampler")
     if start is not None and not isinstance(start, _Face):  # a bad start is the caller's error, not a failed resample
-        start = _frozen_face(counts, _checked_start(start, 2**counts.n_qubits))
+        start = _frozen_face(counts, as_density_matrix(start, 2**counts.n_qubits, "start"))
     values: list[float] = []
     failures = unconverged = 0
     iterations: list[int] = []

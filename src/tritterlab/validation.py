@@ -73,6 +73,15 @@ def check_density_matrix(rho: np.ndarray, name: str = "rho") -> None:
         raise ValidationError(f"{name} is not positive semidefinite: min eigenvalue = {lo:.3e}")
 
 
+def as_density_matrix(m, dim: int, name: str = "rho") -> np.ndarray:
+    """``m`` as a complex array after checking that it is a dim x dim density matrix."""
+    rho = as_complex_matrix(m, name)
+    if rho.shape != (dim, dim):
+        raise ValidationError(f"{name} must be {dim}x{dim}, got {rho.shape}")
+    check_density_matrix(rho, name)
+    return rho
+
+
 def check_gram(g: np.ndarray, name: str = "gram") -> None:
     """Hermitian, unit diagonal, positive semidefinite within 1e-9."""
     check_square(g, name)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tritterlab.calibration
 import tritterlab.cli
 import tritterlab.tomography
 from tritterlab.cli import ExperimentConfig, build_parser, main, run_generate
@@ -392,17 +393,25 @@ class TestCalibrate:
         assert main(["calibrate", "--input", str(csv_path)]) == 0
         assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
-    def test_non_convergence_exits_3(self, tmp_path):
+    def test_non_convergence_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tritterlab.calibration, "SINKHORN_MAX_ITER", 1)
         csv_path = tmp_path / "table1.csv"
         csv_path.write_text(TABLE1_CSV, encoding="utf-8")
-        assert main(["calibrate", "--input", str(csv_path), "--max-iter", "1"]) == 3
+        assert main(["calibrate", "--input", str(csv_path)]) == 3
 
-    @pytest.mark.parametrize("max_iter", ["0", "-1"])
-    def test_no_sweeps_exits_2(self, tmp_path, capsys, max_iter):
+    def test_sweep_limit_is_not_a_flag(self, tmp_path):
         csv_path = tmp_path / "table1.csv"
         csv_path.write_text(TABLE1_CSV, encoding="utf-8")
-        assert main(["calibrate", "--input", str(csv_path), "--max-iter", max_iter]) == 2
-        assert "max_iter" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--input", str(csv_path), "--max-iter", "1"])
+        assert exc.value.code == 2
+
+    def test_non_finite_loss_exits_2(self, tmp_path, capsys):
+        # a NaN loss would otherwise reach the report, which strict JSON parsers reject
+        csv_path = tmp_path / "table1.csv"
+        csv_path.write_text(TABLE1_CSV.replace("0.363", "nan"), encoding="utf-8")
+        assert main(["calibrate", "--input", str(csv_path)]) == 2
+        assert "insertion-loss column contains non-finite" in capsys.readouterr().err
 
 
 class TestHom:

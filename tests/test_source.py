@@ -23,6 +23,7 @@ from tritterlab import (
     monte_carlo_uncertainty,
     reconstruct_mle,
     simulate_counts,
+    sinkhorn_magnitudes,
     spectral_vectors_from_gram,
     witness_report,
 )
@@ -203,6 +204,12 @@ def test_one_square_check():
     assert sorted(found) == ["tritterlab/calibration.py:__post_init__", "tritterlab/validation.py:check_square"]
 
 
+def test_one_density_matrix_reader():
+    # validation.as_density_matrix alone casts, shape-checks and checks a density matrix the caller passes in
+    found = _owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func).endswith("check_density_matrix"))
+    assert found == ["tritterlab/validation.py:as_density_matrix"]
+
+
 def test_no_environment_reads():
     # behaviour comes from arguments and config files alone, never from the environment
     found = _owners(
@@ -268,6 +275,8 @@ def test_fit_signature_has_no_knobs():
         "counts", "resamples", "functional", "seed", "start"
     ]
     assert list(inspect.signature(spectral_vectors_from_gram).parameters) == ["gram"]
+    # the Sinkhorn tolerance and sweep cap are module constants, not arguments or flags
+    assert list(inspect.signature(sinkhorn_magnitudes).parameters) == ["table"]
 
 
 def test_witnesses_read_the_state_alone():

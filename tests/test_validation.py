@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from tritterlab.validation import (ValidationError, as_complex_matrix, check_density_matrix, check_gram, check_unitary,
-                                   csv_cells)
+from tritterlab.validation import (ValidationError, as_complex_matrix, as_density_matrix, check_density_matrix, check_gram,
+                                   check_unitary, csv_cells)
 
 
 @pytest.mark.parametrize("index", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
@@ -40,6 +40,13 @@ def test_non_square_rejected(check, shape):
 def test_complex_matrix_must_be_2d(data):
     with pytest.raises(ValidationError, match="must be 2-dimensional"):
         as_complex_matrix(data)
+
+
+def test_density_matrix_reader_casts_and_checks_the_dimension():
+    rho = as_density_matrix([[0.5, 0.0], [0.0, 0.5]], 2, "start")
+    assert rho.dtype == complex and rho.shape == (2, 2)
+    with pytest.raises(ValidationError, match=re.escape("start must be 4x4, got (2, 2)")):
+        as_density_matrix(rho, 4, "start")
 
 
 def test_csv_cells_strips_cells_and_skips_blank_rows(tmp_path):
