@@ -120,8 +120,7 @@ def sinkhorn_magnitudes(table: IntensityTable) -> np.ndarray:
             return np.sqrt(s)
     raise ConvergenceError(
         f"row/column rescaling did not reach tol {SINKHORN_TOL:.1e} in {SINKHORN_MAX_ITER} sweeps"
-        f" (residual {residual:.3e})",
-        residual=residual,
+        f" (residual {residual:.3e})"
     )
 
 
@@ -310,7 +309,7 @@ def fit_gaussian(scan: DipScan) -> GaussianFit:
             params, fit = trial, trial_fit
             if not narrowest <= params[2] <= span:
                 raise ConvergenceError(f"dip width {params[2]:.3g} is outside the scan's resolved range "
-                                       f"[{narrowest:.3g}, {span:.3g}]", residual=peak * math.sqrt(fit[1]))
+                                       f"[{narrowest:.3g}, {span:.3g}] (residual {peak * math.sqrt(fit[1]):.3e})")
             if decrease <= 1e-10 * cost:
                 break
         else:
@@ -318,11 +317,12 @@ def fit_gaussian(scan: DipScan) -> GaussianFit:
             if damping > 1e12:
                 break
     else:
-        raise ConvergenceError(f"dip fit did not converge in {_DIP_MAX_STEPS} steps", residual=peak * math.sqrt(fit[1]))
+        raise ConvergenceError(f"dip fit did not converge in {_DIP_MAX_STEPS} steps"
+                               f" (residual {peak * math.sqrt(fit[1]):.3e})")
     amplitude, center, width, offset = (float(v) for v in params * [peak, 1.0, 1.0, peak])
     residual = peak * math.sqrt(fit[1])
     if offset <= 0:
-        raise ConvergenceError(f"unphysical fit: offset {offset:.3g}, width {width:.3g}", residual=residual)
+        raise ConvergenceError(f"unphysical fit: offset {offset:.3g}, width {width:.3g} (residual {residual:.3e})")
     return GaussianFit(amplitude, center, width, offset, residual)
 
 

@@ -38,7 +38,8 @@ from .interference import (
     spectral_vectors_from_gram,
 )
 from .states import GENERATED_KINDS, StateKind, canonical_state, fidelity, purity, recipe, witness_report
-from .tomography import CountsTable, _frozen_face, monte_carlo_uncertainty, reconstruct_mle, simulate_counts
+from .tomography import (MC_MAX_RESAMPLES, CountsTable, _frozen_face, monte_carlo_uncertainty, reconstruct_mle,
+                         simulate_counts)
 from .validation import ConfigError, ConvergenceError, ValidationError, check_gram
 
 
@@ -96,6 +97,8 @@ def _gram(raw) -> np.ndarray:
 
 
 _MOST_SHOTS = int(np.iinfo(np.int64).max)  # the largest trial count numpy's multinomial takes
+#: most delay points hom takes: its scan and dip fit hold about 140 B per point, so about 14 MiB at this bound
+_HOM_MAX_POINTS = 100_000
 #: the noise and tomography fields by section: each field's converter, default, validity test and the
 #: message of a value failing it (see ``_read``); its ``ExperimentConfig`` field and generate flag share its name
 _SECTIONS = {
@@ -108,7 +111,7 @@ _SECTIONS = {
     },
     "tomography": {
         "shots": (_integer, 10_000, lambda n: 1 <= n <= _MOST_SHOTS, f"lies outside [1, {_MOST_SHOTS}]"),
-        "resamples": (_integer, 50, lambda n: n >= 2, "is below 2"),
+        "resamples": (_integer, 50, lambda n: 2 <= n <= MC_MAX_RESAMPLES, f"lies outside [2, {MC_MAX_RESAMPLES}]"),
         "seed": (_integer, 0, lambda n: n >= 0, "is negative"),
     },
 }
@@ -133,8 +136,8 @@ class ExperimentConfig:
     """Resolved generation run: state, splitter, noise, tomography."""
 
     state: StateKind
-    #: 3x3 splitter unitary; None selects the ideal tritter
-    interferometer_matrix: np.ndarray | None
+    #: checked 3x3 splitter; None selects the ideal tritter
+    interferometer: Interferometer | None
     # how a csv source became the embedded matrix, echoed so the config
     # re-runs without the file and reports stay byte-identical
     interferometer_resolved_from: dict | None
@@ -156,7 +159,7 @@ class ExperimentConfig:
         source = _read(interf, "interferometer.source", str, "ideal", reads.__contains__,
                        "is not a splitter source; use ideal, csv or matrix")
         _fields(interf, "interferometer", ("source",) + reads[source])
-        matrix, resolved_from = None, None
+        interferometer, resolved_from = None, None
         if source == "csv":
             path = _read(interf, "interferometer.path", str, "")
             if not path:
@@ -164,14 +167,12 @@ class ExperimentConfig:
             table = IntensityTable.from_csv(path)
             if table.fractions.shape != (3, 3):
                 raise ConfigError("interferometer.path", f"need a 3-port table, got {table.fractions.shape}")
-            u, adjustment = interferometer_from_magnitudes(sinkhorn_magnitudes(table))
-            matrix = u.matrix
+            interferometer, adjustment = interferometer_from_magnitudes(sinkhorn_magnitudes(table))
             resolved_from = {"source": "csv", "path": path, "max_adjustment": adjustment}
         elif source == "matrix":
-            matrix = _read(interf, "interferometer.matrix",
-                           lambda v: Interferometer(matrix_from_pairs(v)).matrix, None,
-                           lambda m: m.shape == (3, 3), "is not a 3x3 matrix")
-            if matrix is None:
+            interferometer = _read(interf, "interferometer.matrix", lambda v: Interferometer(matrix_from_pairs(v)),
+                                   None, lambda u: u.dim == 3, "is not a 3x3 matrix")
+            if interferometer is None:
                 raise ConfigError("interferometer.matrix", "matrix source needs matrix data")
             if interf.get("resolved_from") is not None:
                 resolved_from = _resolved_from(interf["resolved_from"])
@@ -180,12 +181,12 @@ class ExperimentConfig:
         for name, entries in _SECTIONS.items():
             section = _fields(raw.get(name), name, tuple(entries))
             values |= {key: _read(section, f"{name}.{key}", *entry) for key, entry in entries.items()}
-        return cls(state=state, interferometer_matrix=matrix, interferometer_resolved_from=resolved_from, **values)
+        return cls(state=state, interferometer=interferometer, interferometer_resolved_from=resolved_from, **values)
 
     def to_dict(self) -> dict:
         interf: dict = {"source": "ideal"}
-        if self.interferometer_matrix is not None:
-            interf = {"source": "matrix", "matrix": matrix_to_pairs(self.interferometer_matrix)}
+        if self.interferometer is not None:
+            interf = {"source": "matrix", "matrix": matrix_to_pairs(self.interferometer.matrix)}
         if self.interferometer_resolved_from is not None:
             interf["resolved_from"] = dict(self.interferometer_resolved_from)
         # tolist gives each value as plain JSON data: a matrix or a tuple as lists, a number or None as itself
@@ -215,7 +216,7 @@ def run_generate(config: ExperimentConfig) -> tuple[dict, CountsTable]:
     rec = recipe(config.state)
     target = canonical_state(config.state)
     tritter = fourier_unitary(3)
-    u = tritter if config.interferometer_matrix is None else Interferometer(config.interferometer_matrix)
+    u = tritter if config.interferometer is None else config.interferometer
 
     ideal = postselect_coincidence(tritter, rec.input_configuration(), (1, 1, 1))
 
@@ -268,8 +269,8 @@ def _state_block(probability: float, rho: np.ndarray, target: np.ndarray) -> dic
 
 
 def _record(result) -> dict:
-    """Report data of a result record: one key per field, matrices as ``[re, im]`` pairs, no ``repr=False`` field."""
-    data = {f.name: getattr(result, f.name) for f in fields(result) if f.repr}
+    """Report data of a result record: one key per field, matrices as ``[re, im]`` pairs."""
+    data = {f.name: getattr(result, f.name) for f in fields(result)}
     for key, value in data.items():
         if isinstance(value, np.ndarray):
             data[key] = matrix_to_pairs(value)
@@ -370,7 +371,9 @@ def cmd_hom(args) -> int:
         raise ValidationError(f"--overlap is a squared overlap and must lie in [0, 1], got {args.overlap}")
     if args.points < 5:
         raise ValidationError("need at least 5 scan points")
-    for flag, value in (("--rate", args.rate), ("--coherence", args.coherence), ("--span", args.span)):
+    if args.points > _HOM_MAX_POINTS:
+        raise ValidationError(f"--points must be at most {_HOM_MAX_POINTS}, got {args.points}")
+    for flag, value in (("--coherence", args.coherence), ("--span", args.span)):
         if not np.isfinite(value):
             raise ValidationError(f"{flag} must be finite, got {value}")
     u = fourier_unitary(3)

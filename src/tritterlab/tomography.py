@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -39,6 +39,8 @@ MLE_MAX_ITER = 10_000
 #: hard bound on the qubit count: the Born matrix has 3^n * 8^n complex entries
 #: (5.3 MB at 4 qubits, 127 MB at 5)
 TOMOGRAPHY_MAX_QUBITS = 4
+#: most resamples a pass takes: it draws every table at once, about 12 KiB each on 3-qubit counts (120 MiB in all)
+MC_MAX_RESAMPLES = 10_000
 #: step halvings before a likelihood step counts as stalled
 _MAX_HALVINGS = 60
 #: iterations in a row that accept no step before a fit counts as stalled
@@ -600,10 +602,9 @@ def reconstruct_mle(
 class MonteCarloResult:
     """Sample statistics of a state functional under Poisson count resampling.
 
-    ``values`` holds converged resamples only and is declared ``repr=False``,
-    which keeps it out of reports; ``failures`` counts resamples
-    whose reconstruction raised and ``unconverged`` those that stopped short
-    of the likelihood tolerance. ``iterations`` (total), ``iterations_max``
+    ``mean`` and ``std`` run over converged resamples only; ``failures`` counts
+    resamples whose reconstruction raised and ``unconverged`` those that stopped
+    short of the likelihood tolerance. ``iterations`` (total), ``iterations_max``
     and ``gap_max`` (the largest certified gap) run over every
     reconstruction that returned, converged or not.
     """
@@ -615,7 +616,6 @@ class MonteCarloResult:
     iterations: int
     iterations_max: int
     gap_max: float
-    values: tuple[float, ...] = field(repr=False, default=())
 
 
 def monte_carlo_uncertainty(
@@ -641,8 +641,8 @@ def monte_carlo_uncertainty(
     do not converge are counted and excluded; fewer than two converged resamples
     raise ``ConvergenceError``. An error ``functional`` raises is the caller's.
     """
-    if int(resamples) < 2:
-        raise ValidationError("resamples must be at least 2")
+    if not 2 <= int(resamples) <= MC_MAX_RESAMPLES:
+        raise ValidationError(f"resamples must be at least 2 and at most {MC_MAX_RESAMPLES}, got {resamples}")
     if counts.counts.max() > POISSON_MAX:
         raise ValidationError(f"counts above {POISSON_MAX:.4e} exceed numpy's Poisson sampler")
     if start is not None and not isinstance(start, _Face):  # a bad start is the caller's error, not a failed resample
@@ -678,5 +678,4 @@ def monte_carlo_uncertainty(
         iterations=sum(iterations),
         iterations_max=max(iterations),
         gap_max=max(gaps),
-        values=tuple(values),
     )

@@ -21,19 +21,14 @@ class ValidationError(ValueError):
 
 
 class ConfigError(ValidationError):
-    """A run configuration failed validation; carries the offending field path."""
+    """A run configuration failed validation; the message starts with the offending field path."""
 
     def __init__(self, field: str, message: str):
-        self.field = field
         super().__init__(f"{field}: {message}")
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative numerical procedure failed (no convergence, bad fit, ...)."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        self.residual = residual
-        super().__init__(message)
+    """An iterative numerical procedure failed (no convergence, bad fit, ...); the message states any residual."""
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:

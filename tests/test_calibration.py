@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import warnings
 
 import numpy as np
@@ -46,6 +47,15 @@ DISPLAY_MAGNITUDES = np.array(
 )
 
 
+#: the end of a ConvergenceError message that states its residual
+_RESIDUAL = r" \(residual (\S+)\)$"
+
+
+def _residual(err: ConvergenceError) -> float:
+    """The residual that ``err``'s message states."""
+    return float(re.search(_RESIDUAL, str(err)).group(1))
+
+
 class TestSinkhorn:
     def test_uniform_table_gives_balanced_magnitudes(self):
         table = IntensityTable(np.full((3, 3), 33.33))
@@ -81,10 +91,9 @@ class TestSinkhorn:
 
     def test_non_convergence_reports_residual(self, monkeypatch):
         monkeypatch.setattr(tritterlab.calibration, "SINKHORN_MAX_ITER", 1)
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ConvergenceError, match=_RESIDUAL) as err:
             sinkhorn_magnitudes(IntensityTable(RATIOS))
-        assert err.value.residual is not None
-        assert err.value.residual > 0
+        assert _residual(err.value) > 0
 
 
 class TestIntensityTableChecks:
@@ -300,7 +309,7 @@ class TestGaussianFit:
         scan = hom_scan(tritter, (1, 2), (1, 2), np.linspace(-4, 4, 41), 1.0, 4.5e4, seed=0)
         with pytest.raises(ConvergenceError, match="did not converge in 1 steps") as err:
             fit_gaussian(scan)
-        assert err.value.residual > 0
+        assert _residual(err.value) > 0
 
     def test_peak_fits_the_deepest_dip_its_baseline_allows(self):
         # a peak has no dip: unbounded, the fit went 14% below zero at its center (visibility 1.14)
@@ -404,6 +413,25 @@ def test_runaway_width_ends_the_fit_early(name, monkeypatch):
     counts = DEGENERATE_SCANS[name]
     with pytest.raises(ConvergenceError, match="dip width .* is outside the scan's resolved range"):
         fit_gaussian(DipScan(np.linspace(-4.0, 4.0, counts.size), counts))
+
+
+@pytest.mark.parametrize(
+    "counts, steps, message",
+    [(DEGENERATE_SCANS["linear-ramp"], 500, "dip width .* is outside the scan's resolved range"),
+     (50.0 - 25.0 * np.exp(-np.linspace(-4.0, 4.0, 41) ** 2 / 2.0), 1, "dip fit did not converge in 1 steps"),
+     (np.array([8.0, 0.0, 5.0, 8.0, 0.0, 0.0, 0.0, 0.0, 0.0]), 500, "unphysical fit: offset -")],
+    ids=["width", "steps", "offset"],
+)
+def test_each_dip_fit_failure_states_its_residual_in_counts(counts, steps, message, monkeypatch):
+    # the fit works in units of the largest count, so a power-of-2 scale leaves its steps bit for bit
+    # the same and scales the residual it states exactly
+    monkeypatch.setattr("tritterlab.calibration._DIP_MAX_STEPS", steps)
+    residuals = []
+    for scale in (1.0, 1024.0):
+        with pytest.raises(ConvergenceError, match=f"^{message}.*{_RESIDUAL}") as err:
+            fit_gaussian(DipScan(np.linspace(-4.0, 4.0, counts.size), scale * counts))
+        residuals.append(_residual(err.value))
+    assert residuals[0] > 0 and residuals[1] == pytest.approx(1024.0 * residuals[0], rel=1e-3)
 
 
 class TestIntensityTableCsv:

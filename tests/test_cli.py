@@ -5,6 +5,7 @@ import functools
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,10 +15,13 @@ import pytest
 
 import tritterlab.calibration
 import tritterlab.cli
+import tritterlab.interference
 import tritterlab.tomography
-from tritterlab.cli import ExperimentConfig, build_parser, main, run_generate
+from tritterlab import (CountsTable, DipScan, GaussianFit, MonteCarloResult, ReconstructionResult, WitnessReport,
+                        canonical_state, monte_carlo_uncertainty, purity, simulate_counts, witness_report)
+from tritterlab.cli import _HOM_MAX_POINTS, ExperimentConfig, build_parser, main, run_generate
 from tritterlab.interference import fourier_unitary, matrix_to_pairs
-from tritterlab.tomography import MLE_TOL, reconstruct_mle
+from tritterlab.tomography import MC_MAX_RESAMPLES, MLE_TOL, reconstruct_mle
 
 TABLE1_CSV = (
     "Output 1 (%),Output 2 (%),Output 3 (%),Insertion loss (dB)\n"
@@ -309,6 +313,20 @@ class TestGenerate:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
 
+    @pytest.mark.parametrize("flags", [[], ["--resamples", str(MC_MAX_RESAMPLES + 1)]], ids=["config", "flag"])
+    def test_resamples_above_the_bound_exit_2_naming_the_field(self, tmp_path, capsys, flags):
+        # a resample pass draws every table at once; without this check the pass itself would reject the count
+        # after the 300-shot main fit, as a validation error that names no field
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"tomography": {"shots": 300, "resamples": MC_MAX_RESAMPLES + 1}}),
+                            encoding="utf-8")
+        rc = main(["generate", "--config", str(cfg_path), *flags, "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"configuration error: tomography.resamples: {MC_MAX_RESAMPLES + 1} "
+                                           f"lies outside [2, {MC_MAX_RESAMPLES}]\n")
+        assert list(tmp_path.iterdir()) == [cfg_path]
+        assert ExperimentConfig.from_dict({"tomography": {"resamples": MC_MAX_RESAMPLES}}).resamples == MC_MAX_RESAMPLES
+
     @pytest.mark.parametrize("flags", [[], ["--shots", str(2**63)]], ids=["config", "flag"])
     def test_shots_above_int64_exit_2(self, tmp_path, capsys, flags):
         # numpy's multinomial takes at most 2**63 - 1 trials
@@ -453,6 +471,28 @@ class TestHom:
         assert main(["hom", "--overlap", "1.5", "--rate", "100",
                      "--out", str(tmp_path / "z")]) == 2
 
+    def test_points_above_the_bound_exit_2_writing_nothing(self, tmp_path, capsys):
+        # without this check the scan and its fit would hold about 14 MiB, for well under a second
+        points = str(_HOM_MAX_POINTS + 1)
+        assert main(["hom", "--rate", "100", "--points", points, "--out", str(tmp_path / "z")]) == 2
+        assert capsys.readouterr().err == f"validation error: --points must be at most {_HOM_MAX_POINTS}, got {points}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_rate_exits_2_with_the_scan_message(self, tmp_path, capsys):
+        # hom_scan is the one check of the rate
+        assert main(["hom", "--rate", "nan", "--out", str(tmp_path / "z")]) == 2
+        assert capsys.readouterr().err == "validation error: count rate must be positive and finite, got nan\n"
+
+    def test_failed_dip_fit_prints_its_residual(self, tmp_path, capsys, monkeypatch):
+        # a ramp has no dip: its fit width runs past the span, and the message states the residual in counts
+        scan = DipScan(np.linspace(-4.0, 4.0, 9), np.linspace(10.0, 50.0, 9))
+        monkeypatch.setattr(tritterlab.cli, "hom_scan", lambda *args, **kwargs: scan)
+        assert main(["hom", "--rate", "100", "--out", str(tmp_path / "dip")]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numerical failure: dip width \S+ is outside the scan's resolved range "
+                            r"\[\S+, 8\] \(residual \d\.\d{3}e[+-]\d+\)\n", err), err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "flags",
         [["--rate", "nan"], ["--rate", "inf"], ["--rate", "1e20"], ["--rate", "1", "--coherence", "inf"],
@@ -483,6 +523,19 @@ class TestTomo:
         mc = payload["fidelity_mc"]
         assert 1 <= mc["iterations_max"] <= mc["iterations"] <= 4 * mc["iterations_max"]
         assert 0.0 <= mc["gap_max"] <= MLE_TOL
+
+    def test_resamples_above_the_bound_exit_2(self, tmp_path, capsys):
+        # one count per setting: nearly every resample draws an empty setting and fails at once, so without
+        # the bound the pass would take a few seconds and tens of MiB, then exit 3
+        counts = np.zeros((27, 8), dtype=np.int64)
+        counts[:, 0] = 1
+        CountsTable(counts).to_csv(tmp_path / "sparse.csv")
+        out = tmp_path / "recon.json"
+        assert main(["tomo", "--counts", str(tmp_path / "sparse.csv"), "--target", "w",
+                     "--resamples", str(MC_MAX_RESAMPLES + 1), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("validation error: resamples must be at least 2 and at most "
+                                           f"{MC_MAX_RESAMPLES}, got {MC_MAX_RESAMPLES + 1}\n")
+        assert not out.exists()
 
     def test_resamples_without_target_exits_2(self, tmp_path, capsys):
         counts = tmp_path / "one-qubit.csv"
@@ -757,6 +810,22 @@ def test_record_blocks_keep_their_keys(tmp_path):
     assert set(_read_json(tmp_path / "dip.fit.json")) == DIP_KEYS
 
 
+def test_record_encodes_every_field():
+    # a record holds only what its report block shows: _record keeps out no field
+    v = canonical_state("w")
+    counts = simulate_counts(np.outer(v, v.conj()), 300, seed=1)
+    recon = reconstruct_mle(counts)
+    records = {
+        ReconstructionResult: recon,
+        MonteCarloResult: monte_carlo_uncertainty(counts, 2, purity, seed=0),
+        WitnessReport: witness_report(recon.rho),
+        GaussianFit: GaussianFit(amplitude=1.0, center=0.0, width=1.0, offset=2.0, residual_norm=0.0),
+    }
+    for kind, record in records.items():
+        assert type(record) is kind
+        assert list(tritterlab.cli._record(record)) == [f.name for f in dataclasses.fields(kind)]
+
+
 class TestExperimentConfig:
     def test_round_trip_through_dict(self):
         config = ExperimentConfig.from_dict(
@@ -793,4 +862,29 @@ class TestExperimentConfig:
         run_generate(config)
         assert config.to_dict() == before
         with pytest.raises(dataclasses.FrozenInstanceError):
-            config.interferometer_matrix = None
+            config.interferometer = None
+
+    @pytest.mark.parametrize("source", ["csv", "matrix"])
+    def test_run_generate_checks_no_splitter_again(self, tmp_path, monkeypatch, source):
+        # the config keeps the Interferometer it read, unitarity checked; run_generate uses that object
+        csv_path = tmp_path / "table1.csv"
+        csv_path.write_text(TABLE1_CSV, encoding="utf-8")
+        interferometer = {"source": "csv", "path": str(csv_path)}
+        if source == "matrix":
+            interferometer = ExperimentConfig.from_dict({"interferometer": interferometer}).to_dict()["interferometer"]
+        checked = []
+        check_unitary = tritterlab.interference.check_unitary
+
+        def counting(m, name="matrix"):
+            checked.append(np.array(m))
+            check_unitary(m, name)
+
+        monkeypatch.setattr(tritterlab.interference, "check_unitary", counting)
+        config = ExperimentConfig.from_dict(
+            {"interferometer": interferometer, "tomography": {"shots": 400, "resamples": 2, "seed": 3}}
+        )
+        assert any(np.array_equal(m, config.interferometer.matrix) for m in checked)
+        checked.clear()
+        run_generate(config)
+        assert checked  # the ideal tritter is still built and checked
+        assert not any(np.array_equal(m, config.interferometer.matrix) for m in checked)
