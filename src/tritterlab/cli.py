@@ -38,8 +38,8 @@ from .interference import (
     spectral_vectors_from_gram,
 )
 from .states import GENERATED_KINDS, StateKind, canonical_state, fidelity, purity, recipe, witness_report
-from .tomography import (MC_MAX_RESAMPLES, CountsTable, _frozen_face, monte_carlo_uncertainty, reconstruct_mle,
-                         simulate_counts)
+from .tomography import (MAX_SHOTS, MC_MAX_RESAMPLES, CountsTable, _frozen_face, monte_carlo_uncertainty,
+                         reconstruct_mle, simulate_counts)
 from .validation import ConfigError, ConvergenceError, ValidationError, check_gram
 
 
@@ -96,7 +96,6 @@ def _gram(raw) -> np.ndarray:
     return gram
 
 
-_MOST_SHOTS = int(np.iinfo(np.int64).max)  # the largest trial count numpy's multinomial takes
 #: most delay points hom takes: its scan and dip fit hold about 140 B per point, so about 14 MiB at this bound
 _HOM_MAX_POINTS = 100_000
 #: the noise and tomography fields by section: each field's converter, default, validity test and the
@@ -110,7 +109,7 @@ _SECTIONS = {
         "white_noise": (_number, 0.0, lambda x: 0.0 <= x <= 1.0, "lies outside [0, 1]"),
     },
     "tomography": {
-        "shots": (_integer, 10_000, lambda n: 1 <= n <= _MOST_SHOTS, f"lies outside [1, {_MOST_SHOTS}]"),
+        "shots": (_integer, 10_000, lambda n: 1 <= n <= MAX_SHOTS, f"lies outside [1, {MAX_SHOTS}]"),
         "resamples": (_integer, 50, lambda n: 2 <= n <= MC_MAX_RESAMPLES, f"lies outside [2, {MC_MAX_RESAMPLES}]"),
         "seed": (_integer, 0, lambda n: n >= 0, "is negative"),
     },
@@ -238,6 +237,8 @@ def run_generate(config: ExperimentConfig) -> tuple[dict, CountsTable]:
     mc_fid = monte_carlo_uncertainty(counts, config.resamples, lambda r: fidelity(r, target), seed_mc_f, start=face)
     mc_pur = monte_carlo_uncertainty(counts, config.resamples, purity, seed_mc_p, start=face)
     witness = witness_report(recon.rho)
+    fit = _record(recon)
+    del fit["rho"]  # the report keeps the fit's numbers; tomo prints its state
 
     report = {
         "config": config.to_dict(),
@@ -245,15 +246,7 @@ def run_generate(config: ExperimentConfig) -> tuple[dict, CountsTable]:
         | {"expected_probability": list(rec.expected_probability.as_integer_ratio())},
         "noisy": _state_block(noisy.probability, rho_noisy, target),
         "tomography": {
-            "reconstruction": {
-                "fidelity": fidelity(recon.rho, target),
-                "purity": purity(recon.rho),
-                "log_likelihood": recon.log_likelihood,
-                "iterations": recon.iterations,
-                "converged": recon.converged,
-                "gap": recon.gap,
-                "rank": recon.rank,
-            },
+            "reconstruction": fit | {"fidelity": fidelity(recon.rho, target), "purity": purity(recon.rho)},
             "monte_carlo": {"fidelity": _record(mc_fid), "purity": _record(mc_pur)},
         },
         "witness": _record(witness),
@@ -408,8 +401,12 @@ def cmd_hom(args) -> int:
 
 
 def cmd_tomo(args) -> int:
-    if args.resamples and args.target is None:
-        raise ValidationError("--resamples needs --target: the error bars are on the fidelity to it")
+    if args.resamples:  # 0 skips the error bars; any other count is checked before the fit, by generate's rule
+        if args.target is None:
+            raise ValidationError("--resamples needs --target: the error bars are on the fidelity to it")
+        _, _, valid, why = _SECTIONS["tomography"]["resamples"]
+        if not valid(args.resamples):
+            raise ValidationError(f"--resamples {args.resamples} {why}")
     counts = CountsTable.from_csv(args.counts)
     recon = reconstruct_mle(counts)
     payload = _record(recon)
@@ -534,7 +531,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

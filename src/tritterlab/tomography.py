@@ -41,6 +41,8 @@ MLE_MAX_ITER = 10_000
 TOMOGRAPHY_MAX_QUBITS = 4
 #: most resamples a pass takes: it draws every table at once, about 12 KiB each on 3-qubit counts (120 MiB in all)
 MC_MAX_RESAMPLES = 10_000
+#: most shots a setting takes: numpy's multinomial sampler takes at most 2^63 - 1 trials
+MAX_SHOTS = int(np.iinfo(np.int64).max)
 #: step halvings before a likelihood step counts as stalled
 _MAX_HALVINGS = 60
 #: iterations in a row that accept no step before a fit counts as stalled
@@ -212,8 +214,8 @@ def simulate_counts(rho: np.ndarray, shots: int, seed) -> CountsTable:
     Each setting's probabilities are rounded to multiples of 2^-40 with the
     residual on the largest, so rows sum to exactly 1 and the sampler is exact.
     """
-    if int(shots) < 1:
-        raise ValidationError("shots must be positive")
+    if not 1 <= int(shots) <= MAX_SHOTS:
+        raise ValidationError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
     p = np.clip(_born_rows(rho), 0.0, None)
     p = np.round(p / p.sum(axis=1, keepdims=True) * _GRID) / _GRID
     p[np.arange(len(p)), p.argmax(axis=1)] += 1.0 - p.sum(axis=1)

@@ -471,6 +471,12 @@ class TestHom:
         assert main(["hom", "--overlap", "1.5", "--rate", "100",
                      "--out", str(tmp_path / "z")]) == 2
 
+    def test_negative_points_exit_2_writing_nothing(self, tmp_path, capsys):
+        # the five-point minimum also keeps np.linspace from a negative count, a ValueError with exit 1
+        assert main(["hom", "--rate", "100", "--points", "-3", "--out", str(tmp_path / "z")]) == 2
+        assert capsys.readouterr().err == "validation error: need at least 5 scan points\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_points_above_the_bound_exit_2_writing_nothing(self, tmp_path, capsys):
         # without this check the scan and its fit would hold about 14 MiB, for well under a second
         points = str(_HOM_MAX_POINTS + 1)
@@ -533,8 +539,21 @@ class TestTomo:
         out = tmp_path / "recon.json"
         assert main(["tomo", "--counts", str(tmp_path / "sparse.csv"), "--target", "w",
                      "--resamples", str(MC_MAX_RESAMPLES + 1), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == ("validation error: resamples must be at least 2 and at most "
-                                           f"{MC_MAX_RESAMPLES}, got {MC_MAX_RESAMPLES + 1}\n")
+        assert capsys.readouterr().err == (f"validation error: --resamples {MC_MAX_RESAMPLES + 1} "
+                                           f"lies outside [2, {MC_MAX_RESAMPLES}]\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("resamples", [1, MC_MAX_RESAMPLES + 1, -2])
+    def test_resamples_outside_the_bound_exit_2_before_any_fit(self, tmp_path, capsys, monkeypatch, resamples):
+        # the count is checked by generate's tomography.resamples rule, before the main fit
+        counts = _small_counts_csv(tmp_path)
+        fits = []
+        monkeypatch.setattr(tritterlab.cli, "reconstruct_mle", lambda *args, **kwargs: fits.append(args))
+        out = tmp_path / "recon.json"
+        assert main(["tomo", "--counts", counts, "--target", "w", "--resamples", str(resamples),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"validation error: --resamples {resamples} lies outside [2, ")
+        assert fits == []
         assert not out.exists()
 
     def test_resamples_without_target_exits_2(self, tmp_path, capsys):
@@ -790,6 +809,7 @@ def test_record_blocks_keep_their_keys(tmp_path):
     report = _read_json(tmp_path / "small.json")
     assert set(report) == {"config", "ideal", "noisy", "tomography", "witness", "provenance"}
     assert set(report["tomography"]) == {"reconstruction", "monte_carlo"}
+    assert set(report["tomography"]["reconstruction"]) == FIT_KEYS - {"rho"} | {"fidelity", "purity"}
     assert set(report["tomography"]["monte_carlo"]) == {"fidelity", "purity"}
     assert set(report["provenance"]) == {"package_version", "numpy_version"}
     assert set(report["tomography"]["monte_carlo"]["fidelity"]) == MC_KEYS

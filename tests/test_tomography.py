@@ -26,7 +26,7 @@ from tritterlab import (
 )
 from tritterlab.cli import ExperimentConfig, run_generate
 from tritterlab.interference import matrix_from_pairs
-from tritterlab.tomography import MLE_TOL
+from tritterlab.tomography import MAX_SHOTS, MLE_TOL
 
 #: the README's noisy GHZ' generation config
 NOISY_GHZPRIME = {
@@ -316,6 +316,13 @@ class TestSimulateCounts:
         rho = np.eye(2) / 2
         with pytest.raises(ValidationError):
             simulate_counts(rho, 0, seed=0)
+
+    def test_shots_above_the_multinomial_bound_rejected(self):
+        # numpy's multinomial takes at most 2**63 - 1 trials and raises OverflowError beyond
+        assert MAX_SHOTS == 2**63 - 1
+        with pytest.raises(ValidationError, match=f"shots must lie in \\[1, {MAX_SHOTS}\\], got {2**63}"):
+            simulate_counts(np.eye(2) / 2, 2**63, seed=0)
+        assert simulate_counts(np.eye(2) / 2, MAX_SHOTS, seed=0).counts.sum(axis=1).tolist() == [MAX_SHOTS] * 3
 
     def test_last_bits_of_rho_change_no_count(self):
         # several noisy GHZ' settings have two outcomes of equal probability, where
