@@ -1,0 +1,20 @@
+#!/usr/bin/env bash
+# The command-line checks of the tier-1 workflow, run in the current directory, which they fill with outputs.
+# Usage: bash -e ci/console.sh PREFIX, where PREFIX is the command that runs the CLI, split at whitespace:
+# `tritterlab` for the installed console script, or "python -m tritterlab.cli" with src/ on PYTHONPATH.
+set -e
+read -r -a tl <<< "$1"
+"${tl[@]}" generate --shots 500 --resamples 2 --seed 3 --out r.json && "${tl[@]}" report --input r.json --check
+"${tl[@]}" tomo --counts r.counts.csv --target w --resamples 2 --out t.json
+# a size above its bound exits 2 before anything is allocated
+rc=0; "${tl[@]}" hom --rate 100 --points 100001 --out big || rc=$?; test "$rc" -eq 2
+rc=0; "${tl[@]}" generate --shots 500 --resamples 10001 --out big.json || rc=$?; test "$rc" -eq 2
+# a warning is an error here: a dip fit that overflows at a large rate fails the step
+printf '32.01,30.24,29.86,0.356\n33.05,29.18,29.75,0.363\n32.97,27.92,29.94,0.409\n' > table.csv
+PYTHONWARNINGS=error "${tl[@]}" calibrate --input table.csv --out cal.json
+PYTHONWARNINGS=error "${tl[@]}" hom --rate 1e200 --no-poisson --out dip
+# the README noisy GHZ' example: the Gram, leaky-polarisation and white-noise path, reproduced by its check
+PYTHONWARNINGS=error "${tl[@]}" generate --state ghzprime \
+  --gram '[[1,1,0.9778],[1,1,0.9778],[0.9778,0.9778,1]]' --white-noise 0.02 --extinction-ratio 335 \
+  --out noisy.json
+PYTHONWARNINGS=error "${tl[@]}" report --input noisy.json --check

@@ -40,7 +40,7 @@ from .interference import (
 from .states import GENERATED_KINDS, StateKind, canonical_state, fidelity, purity, recipe, witness_report
 from .tomography import (MAX_SHOTS, MC_MAX_RESAMPLES, CountsTable, _frozen_face, monte_carlo_uncertainty,
                          reconstruct_mle, simulate_counts)
-from .validation import ConfigError, ConvergenceError, ValidationError, check_gram
+from .validation import POISSON_MAX, ConfigError, ConvergenceError, ValidationError, check_gram
 
 
 def _fields(section, name: str, known: tuple[str, ...] | None = None) -> dict:
@@ -230,29 +230,45 @@ def run_generate(config: ExperimentConfig) -> tuple[dict, CountsTable]:
     lam = config.white_noise
     rho_noisy = (1.0 - lam) * noisy.rho + lam * np.eye(8) / 8.0
 
-    seed_counts, seed_mc_f, seed_mc_p = np.random.SeedSequence(config.seed).spawn(3)
-    counts = simulate_counts(rho_noisy, config.shots, seed_counts)
-    recon = reconstruct_mle(counts)
-    face = _frozen_face(counts, recon.rho)  # the main estimate's Newton model, if any, built once for both passes
-    mc_fid = monte_carlo_uncertainty(counts, config.resamples, lambda r: fidelity(r, target), seed_mc_f, start=face)
-    mc_pur = monte_carlo_uncertainty(counts, config.resamples, purity, seed_mc_p, start=face)
-    witness = witness_report(recon.rho)
-    fit = _record(recon)
-    del fit["rho"]  # the report keeps the fit's numbers; tomo prints its state
-
+    counts = simulate_counts(rho_noisy, config.shots, np.random.SeedSequence(config.seed).spawn(1)[0])
     report = {
         "config": config.to_dict(),
         "ideal": _state_block(ideal.probability, ideal.rho, target)
         | {"expected_probability": list(rec.expected_probability.as_integer_ratio())},
         "noisy": _state_block(noisy.probability, rho_noisy, target),
-        "tomography": {
-            "reconstruction": fit | {"fidelity": fidelity(recon.rho, target), "purity": purity(recon.rho)},
-            "monte_carlo": {"fidelity": _record(mc_fid), "purity": _record(mc_pur)},
-        },
-        "witness": _record(witness),
+        **_analysis(counts, target, config.resamples, config.seed)[1],
         "provenance": _provenance(),
     }
     return report, counts
+
+
+def _analysis(counts: CountsTable, target: np.ndarray | None, resamples: int, seed: int) -> tuple[np.ndarray, dict]:
+    """The main estimate of ``counts`` and its ``tomography`` and (3 qubits) ``witness`` report blocks. Non-zero
+    ``resamples`` add error bars from passes seeded by spawns 1 and 2 of ``SeedSequence(seed)`` (generate draws its
+    counts from spawn 0), checked before the main fit and started from its one frozen face."""
+    if resamples:
+        _, _, valid, why = _SECTIONS["tomography"]["resamples"]
+        if target is None:
+            raise ValidationError("--resamples needs --target: the error bars are on the fidelity to it")
+        if not valid(resamples):
+            raise ValidationError(f"--resamples {resamples} {why}")
+        if counts.counts.max() > POISSON_MAX:
+            raise ValidationError(f"counts above {POISSON_MAX:.4e} exceed numpy's Poisson sampler")
+    recon = reconstruct_mle(counts)
+    reconstruction = _record(recon) | {"purity": purity(recon.rho)}
+    del reconstruction["rho"]  # the report keeps the fit's numbers; tomo writes the state beside them
+    if target is not None:
+        reconstruction["fidelity"] = fidelity(recon.rho, target)
+    blocks = {"tomography": {"reconstruction": reconstruction}}
+    if resamples:
+        face = _frozen_face(counts, recon.rho)  # the main estimate's Newton model, if any, built once for both passes
+        seed_f, seed_p = np.random.SeedSequence(seed).spawn(3)[1:]
+        mc_fid = monte_carlo_uncertainty(counts, resamples, lambda r: fidelity(r, target), seed_f, start=face)
+        mc_pur = monte_carlo_uncertainty(counts, resamples, purity, seed_p, start=face)
+        blocks["tomography"]["monte_carlo"] = {"fidelity": _record(mc_fid), "purity": _record(mc_pur)}
+    if counts.n_qubits == 3:
+        blocks["witness"] = _record(witness_report(recon.rho))
+    return recon.rho, blocks
 
 
 def _state_block(probability: float, rho: np.ndarray, target: np.ndarray) -> dict:
@@ -401,26 +417,11 @@ def cmd_hom(args) -> int:
 
 
 def cmd_tomo(args) -> int:
-    if args.resamples:  # 0 skips the error bars; any other count is checked before the fit, by generate's rule
-        if args.target is None:
-            raise ValidationError("--resamples needs --target: the error bars are on the fidelity to it")
-        _, _, valid, why = _SECTIONS["tomography"]["resamples"]
-        if not valid(args.resamples):
-            raise ValidationError(f"--resamples {args.resamples} {why}")
-    counts = CountsTable.from_csv(args.counts)
-    recon = reconstruct_mle(counts)
-    payload = _record(recon)
-    if args.target is not None:
-        target = canonical_state(args.target)
-        payload["target"] = args.target
-        payload["fidelity"] = fidelity(recon.rho, target)
-        payload["purity"] = purity(recon.rho)
-        if args.resamples:
-            mc = monte_carlo_uncertainty(
-                counts, args.resamples, lambda r: fidelity(r, target), args.seed, start=recon.rho
-            )
-            payload["fidelity_mc"] = _record(mc)
-    _write_or_print(payload, args.out, f"reconstruction -> {args.out} (converged={recon.converged})")
+    target = None if args.target is None else canonical_state(args.target)
+    rho, blocks = _analysis(CountsTable.from_csv(args.counts), target, args.resamples, args.seed)
+    payload = {"rho": matrix_to_pairs(rho), **blocks} | ({} if args.target is None else {"target": args.target})
+    converged = blocks["tomography"]["reconstruction"]["converged"]
+    _write_or_print(payload, args.out, f"reconstruction -> {args.out} (converged={converged})")
     return 0
 
 
@@ -503,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     tomo.add_argument("--counts", required=True, help="counts CSV (setting, outcome, count)")
     tomo.add_argument("--target", type=str.lower, choices=[k.value for k in StateKind],
                       help="canonical state for fidelity")
-    tomo.add_argument("--resamples", type=int, default=0, help="fidelity resamples (0 = skip; needs --target)")
+    tomo.add_argument("--resamples", type=int, default=0, help="Monte-Carlo resamples (0 = skip; needs --target)")
     tomo.add_argument("--seed", type=_seed, default=0)
     tomo.add_argument("--out", help="reconstruction JSON path (default: stdout)")
     tomo.set_defaults(func=cmd_tomo)

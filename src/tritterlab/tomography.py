@@ -625,30 +625,28 @@ def monte_carlo_uncertainty(
     resamples: int,
     functional: Callable[[np.ndarray], float],
     seed,
-    start=None,
+    start: _Face | None = None,
 ) -> MonteCarloResult:
     """Poisson-resample counts, re-reconstruct, and evaluate a functional.
 
     Resample ``i`` draws every outcome count Poissonian around the observed
     value with the ``i``-th generator of ``np.random.default_rng(seed).spawn``,
     re-runs the likelihood reconstruction at its default tolerance and
-    iteration limit and applies ``functional`` to the estimate. A ``start`` is
-    checked, and its Newton model at ``counts`` built (see ``_frozen_face``),
-    unless it is that model already (``generate`` builds one for both passes);
-    the pass draws every table, takes that model's step and finishes each moved
-    state for all at once (``_frozen_steps``), and fits each from there; a fit
-    whose step was rejected, or with no start or model, starts from its own
-    projected estimate (``reconstruct_mle``'s default). Fits that fail
-    (``ValidationError`` for a setting that drew no count, ``LinAlgError``) or
-    do not converge are counted and excluded; fewer than two converged resamples
-    raise ``ConvergenceError``. An error ``functional`` raises is the caller's.
+    iteration limit and applies ``functional`` to the estimate. ``start`` is
+    the main estimate's Newton model at ``counts`` (``_frozen_face``; the CLI
+    builds one for both its passes) or None: the pass draws every table, takes
+    that model's step and finishes each moved state for all at once
+    (``_frozen_steps``), and fits each from there; a fit whose step was
+    rejected, or with no model, starts from its own projected estimate
+    (``reconstruct_mle``'s default). Fits that fail (``ValidationError`` for a
+    setting that drew no count, ``LinAlgError``) or do not converge are counted
+    and excluded; fewer than two converged resamples raise ``ConvergenceError``.
+    An error ``functional`` raises is the caller's.
     """
     if not 2 <= int(resamples) <= MC_MAX_RESAMPLES:
         raise ValidationError(f"resamples must be at least 2 and at most {MC_MAX_RESAMPLES}, got {resamples}")
     if counts.counts.max() > POISSON_MAX:
         raise ValidationError(f"counts above {POISSON_MAX:.4e} exceed numpy's Poisson sampler")
-    if start is not None and not isinstance(start, _Face):  # a bad start is the caller's error, not a failed resample
-        start = _frozen_face(counts, as_density_matrix(start, 2**counts.n_qubits, "start"))
     values: list[float] = []
     failures = unconverged = 0
     iterations: list[int] = []

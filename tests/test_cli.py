@@ -521,12 +521,13 @@ class TestTomo:
                    "--target", "w", "--resamples", "4", "--out", str(recon_out)])
         assert rc == 0
         payload = _read_json(recon_out)
-        assert payload["fidelity"] > 0.98
-        assert payload["converged"] is True
-        assert "fidelity_mc" in payload
+        recon = payload["tomography"]["reconstruction"]
+        assert recon["fidelity"] > 0.98
+        assert recon["converged"] is True
+        assert "monte_carlo" in payload["tomography"]
         assert len(payload["rho"]) == 8
-        assert 0.0 <= payload["gap"] <= MLE_TOL
-        mc = payload["fidelity_mc"]
+        assert 0.0 <= recon["gap"] <= MLE_TOL
+        mc = payload["tomography"]["monte_carlo"]["fidelity"]
         assert 1 <= mc["iterations_max"] <= mc["iterations"] <= 4 * mc["iterations_max"]
         assert 0.0 <= mc["gap_max"] <= MLE_TOL
 
@@ -565,6 +566,7 @@ class TestTomo:
         assert "--target" in capsys.readouterr().err
         assert not out.exists()
         assert main(["tomo", "--counts", str(counts), "--out", str(out)]) == 0
+        assert set(_read_json(out)) == {"rho", "tomography"}  # the witnesses are of 3 qubits
 
     def test_monte_carlo_block_counts_unconverged(self, tmp_path):
         main(["generate", "--state", "w", "--shots", "1000", "--seed", "2",
@@ -572,7 +574,25 @@ class TestTomo:
         recon_out = tmp_path / "recon.json"
         assert main(["tomo", "--counts", str(tmp_path / "report.counts.csv"),
                      "--target", "w", "--resamples", "3", "--out", str(recon_out)]) == 0
-        assert _read_json(recon_out)["fidelity_mc"]["unconverged"] == 0
+        assert _read_json(recon_out)["tomography"]["monte_carlo"]["fidelity"]["unconverged"] == 0
+
+    @pytest.mark.parametrize("seed", ["1", "7"])
+    @pytest.mark.parametrize("state, noise, resamples", [
+        ("w", [], "50"),
+        ("ghzprime", ["--gram", "[[1,1,0.9778],[1,1,0.9778],[0.9778,0.9778,1]]", "--white-noise", "0.02",
+                      "--extinction-ratio", "335"], "4"),
+    ], ids=["ideal-w", "readme-ghzprime"])
+    def test_report_counts_give_the_report_blocks(self, tmp_path, state, noise, resamples, seed):
+        # one analysis of a counts table: tomo on a report's counts, given its state, resamples and seed, writes the
+        # report's own tomography and witness blocks, byte for byte
+        run = ["--resamples", resamples, "--seed", seed]
+        assert main(["generate", "--state", state, *noise, *run, "--out", str(tmp_path / "report.json")]) == 0
+        assert main(["tomo", "--counts", str(tmp_path / "report.counts.csv"), "--target", state, *run,
+                     "--out", str(tmp_path / "recon.json")]) == 0
+        report, recon = _read_json(tmp_path / "report.json"), _read_json(tmp_path / "recon.json")
+        assert set(recon) == {"rho", "target", "tomography", "witness"}
+        for block in ("tomography", "witness"):
+            assert json.dumps(recon[block], sort_keys=True) == json.dumps(report[block], sort_keys=True)
 
     def test_repeated_counts_row_exits_2(self, tmp_path, capsys):
         counts = _small_counts_csv(tmp_path)
@@ -603,14 +623,18 @@ class TestTomo:
     @pytest.mark.parametrize(
         "count, message", [(10**23, "line 2: count"), (2**63 - 1, "Poisson")], ids=["above-int64", "beyond-poisson"]
     )
-    def test_oversized_count_exits_2(self, tmp_path, capsys, count, message):
+    def test_oversized_count_exits_2(self, tmp_path, capsys, monkeypatch, count, message):
+        # counts that the passes cannot resample exit 2 before the main fit
         counts = _small_counts_csv(tmp_path)
         lines = Path(counts).read_text(encoding="utf-8").splitlines()
         lines[1] = lines[1].rpartition(",")[0] + f",{count}"
         Path(counts).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        fits = []
+        monkeypatch.setattr(tritterlab.cli, "reconstruct_mle", lambda *args, **kwargs: fits.append(args))
         out = tmp_path / "recon.json"
         assert main(["tomo", "--counts", counts, "--target", "w", "--resamples", "3", "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert fits == []
         assert not out.exists()
 
     def test_counts_above_the_qubit_bound_exit_2(self, tmp_path, capsys):
@@ -773,6 +797,16 @@ class TestReport:
                  for path in (out, tmp_path / "missing.json", tampered)]
         assert codes == [0, 2, 3]
 
+    def test_workflow_console_checks_pass(self, tmp_path):
+        # the CI workflow runs ci/console.sh on the installed console script; the same checks run here on src/
+        script = Path(__file__).resolve().parents[1] / "ci" / "console.sh"
+        src = str(Path(tritterlab.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(["bash", "-e", str(script), f"{sys.executable} -m tritterlab.cli"], cwd=tmp_path,
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert "check:        reproducible" in result.stdout
+
     def test_malformed_report_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -816,15 +850,26 @@ def test_record_blocks_keep_their_keys(tmp_path):
     assert set(report["tomography"]["monte_carlo"]["purity"]) == MC_KEYS
     assert set(report["witness"]) == WITNESS_KEYS
 
+    # tomo writes its estimate beside the report's tomography and witness blocks: the fidelity needs a target,
+    # the Monte-Carlo block resamples
     out = tmp_path / "recon.json"
     assert main(["tomo", "--counts", counts, "--out", str(out)]) == 0
-    assert set(_read_json(out)) == FIT_KEYS
+    payload = _read_json(out)
+    assert set(payload) == {"rho", "tomography", "witness"}
+    assert set(payload["tomography"]) == {"reconstruction"}
+    assert set(payload["tomography"]["reconstruction"]) == FIT_KEYS - {"rho"} | {"purity"}
+    assert set(payload["witness"]) == WITNESS_KEYS
     assert main(["tomo", "--counts", counts, "--target", "w", "--out", str(out)]) == 0
-    assert set(_read_json(out)) == FIT_KEYS | {"target", "fidelity", "purity"}
+    payload = _read_json(out)
+    assert set(payload) == {"rho", "target", "tomography", "witness"}
+    assert set(payload["tomography"]) == {"reconstruction"}
+    assert set(payload["tomography"]["reconstruction"]) == set(report["tomography"]["reconstruction"])
     assert main(["tomo", "--counts", counts, "--target", "w", "--resamples", "2", "--out", str(out)]) == 0
     payload = _read_json(out)
-    assert set(payload) == FIT_KEYS | {"target", "fidelity", "purity", "fidelity_mc"}
-    assert set(payload["fidelity_mc"]) == MC_KEYS
+    assert set(payload) == {"rho", "target", "tomography", "witness"}
+    assert set(payload["tomography"]) == {"reconstruction", "monte_carlo"}
+    assert set(payload["tomography"]["monte_carlo"]) == {"fidelity", "purity"}
+    assert all(set(block) == MC_KEYS for block in payload["tomography"]["monte_carlo"].values())
 
     assert main(["hom", "--rate", "1e4", "--out", str(tmp_path / "dip")]) == 0
     assert set(_read_json(tmp_path / "dip.fit.json")) == DIP_KEYS

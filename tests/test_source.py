@@ -193,6 +193,20 @@ def test_one_likelihood_setup_per_counts_table():
     assert _owners(lambda node: isinstance(node, ast.Nonlocal)) == []
 
 
+def test_one_analysis_of_a_counts_table():
+    # generate and tomo fit and resample a counts table through cli._analysis alone, so a table gets the same
+    # estimate, error bars and witnesses from either; a pass takes the one face that it builds and reads no
+    # density matrix of its own
+    def cli_calls(name):
+        found = _owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == name)
+        return [owner for owner in found if owner.startswith("tritterlab/cli.py:")]
+
+    assert cli_calls("reconstruct_mle") == cli_calls("_frozen_face") == ["tritterlab/cli.py:_analysis"]
+    assert set(cli_calls("monte_carlo_uncertainty")) == {"tritterlab/cli.py:_analysis"}
+    found = _owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "as_density_matrix")
+    assert "tritterlab/tomography.py:monte_carlo_uncertainty" not in found
+
+
 def test_one_square_check():
     # validation.check_square alone compares a matrix's row and column counts; the intensity table keeps its own
     # test, which also rejects an empty table under its "must be square" message
@@ -303,3 +317,46 @@ def test_pyproject_version_is_the_package_version():
     assert re.findall(r"^version = .*$", text, flags=re.MULTILINE) == ['version = {attr = "tritterlab.__version__"}']
     assert 'dynamic = ["version"]' in text.splitlines()
     assert read_configuration(path)["project"]["version"] == __version__
+
+
+#: names that numpy 2 added (NumPy 2.0, 2.1 and 2.2 release notes) and numpy 1.25, the declared floor, lacks: the
+#: array-API functions and aliases, and the ndarray attributes
+NUMPY2_NAMES = {
+    "acos", "acosh", "asin", "asinh", "atan", "atan2", "atanh", "astype", "bitwise_invert", "bitwise_left_shift",
+    "bitwise_right_shift", "bool", "concat", "cumulative_prod", "cumulative_sum", "isdtype", "long", "matrix_transpose",
+    "matvec", "permute_dims", "pow", "strings", "trapezoid", "ulong", "unique_all", "unique_counts", "unique_inverse",
+    "unique_values", "unstack", "vecdot", "vecmat",
+}
+NUMPY2_LINALG_NAMES = {
+    "cross", "diagonal", "matmul", "matrix_norm", "matrix_transpose", "outer", "svdvals", "tensordot", "trace",
+    "vecdot", "vector_norm",
+}
+NUMPY2_ATTRIBUTES = {"mT", "to_device"}
+
+
+def _numpy2_only(node) -> bool:
+    """Whether ``node`` reads a name that numpy 1.25 lacks: ``np.<name>``, ``np.linalg.<name>``, an ndarray
+    attribute, or an import of one."""
+    if isinstance(node, ast.Attribute):
+        owner = ast.unparse(node.value)
+        return (node.attr in NUMPY2_ATTRIBUTES or owner in ("np", "numpy") and node.attr in NUMPY2_NAMES
+                or owner in ("np.linalg", "numpy.linalg") and node.attr in NUMPY2_LINALG_NAMES)
+    if isinstance(node, ast.ImportFrom):
+        names = {"numpy": NUMPY2_NAMES, "numpy.linalg": NUMPY2_LINALG_NAMES}.get(node.module, set())
+        return any(alias.name in names for alias in node.names)
+    return False
+
+
+def test_no_name_beyond_the_numpy_floor():
+    # CI runs src/, tests/ and perfbench/ on numpy 1.25 too, where each of these names is an AttributeError or an
+    # ImportError; this finds one without that install
+    root = PACKAGE.parents[1]
+    sources = sorted(path for folder in ("src", "tests", "perfbench") for path in (root / folder).rglob("*.py"))
+    assert any(path.parent.name == "perfbench" for path in sources)
+    found = [f"{path.relative_to(root)}:{node.lineno}: {ast.unparse(node)}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+             if _numpy2_only(node)]
+    assert found == []
+    probes = ["np.vecdot(a, b)", "numpy.linalg.matrix_norm(a)", "a.mT", "from numpy import concat"]
+    assert all(any(_numpy2_only(node) for node in ast.walk(ast.parse(probe))) for probe in probes)
+    assert not any(_numpy2_only(node) for node in ast.walk(ast.parse("np.linalg.norm(a.T) + np.trace(a)")))

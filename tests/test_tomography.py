@@ -670,8 +670,8 @@ def _main_and_warm_fits(source, monkeypatch, resamples=5):
     """(counts, fit) of the main fit and of each resample fit started from its estimate."""
     counts = _source_counts(source)
     main = reconstruct_mle(counts)
-    fits = _pass_fits(counts, resamples, 7, main.rho, monkeypatch)
     face = tritterlab.tomography._frozen_face(counts, main.rho)
+    fits = _pass_fits(counts, resamples, 7, face, monkeypatch)
     for table, start, fit in fits:
         # the pass hands each fit its state after the accepted frozen step from the main estimate (the state that
         # the estimate's face reaches for that table alone, up to rounding), else no start: the fit is the default
@@ -736,8 +736,6 @@ class TestStart:
         counts = simulate_counts(np.eye(2) / 2, 200, seed=3)
         with pytest.raises(ValidationError, match="start"):
             reconstruct_mle(counts, start=start)
-        with pytest.raises(ValidationError, match="start"):
-            monte_carlo_uncertainty(counts, 2, purity, seed=0, start=start)
 
     def test_warm_start_keeps_noisy_ghzprime_error_bar(self):
         # without a model at the main estimate (seed 7) every warm fit starts, as a cold one, from its own estimate
@@ -746,7 +744,8 @@ class TestStart:
             counts = _source_counts("noisy-ghzprime", seed=seed)
             main = reconstruct_mle(counts)
             cold = monte_carlo_uncertainty(counts, 10, lambda r: fidelity(r, target), seed=7)
-            warm = monte_carlo_uncertainty(counts, 10, lambda r: fidelity(r, target), seed=7, start=main.rho)
+            face = tritterlab.tomography._frozen_face(counts, main.rho)
+            warm = monte_carlo_uncertainty(counts, 10, lambda r: fidelity(r, target), seed=7, start=face)
             if seed == 7:
                 assert warm == cold
             else:
@@ -759,7 +758,8 @@ class TestStart:
         for seed in (1, 2, 7, 4242):
             counts = _source_counts("ideal-w", seed=seed)
             main = reconstruct_mle(counts)
-            mc = monte_carlo_uncertainty(counts, 50, purity, seed=seed, start=main.rho)
+            mc = monte_carlo_uncertainty(counts, 50, purity, seed=seed,
+                                         start=tritterlab.tomography._frozen_face(counts, main.rho))
             assert (mc.unconverged, mc.failures) == (0, 0)
             assert (mc.iterations, mc.iterations_max) == (50, 1)
 
@@ -809,9 +809,10 @@ class TestFrozenFace:
         counts = _source_counts("ideal-w")
         start = np.zeros((8, 8))
         start[0, 0] = 1.0
-        assert tritterlab.tomography._frozen_face(counts, start) is None
+        face = tritterlab.tomography._frozen_face(counts, start)
+        assert face is None
         functional, values = _recorded(purity)
-        mc = monte_carlo_uncertainty(counts, 4, functional, seed=7, start=start)
+        mc = monte_carlo_uncertainty(counts, 4, functional, seed=7, start=face)
         assert (mc.failures, mc.unconverged, len(values)) == (0, 0, 4)
 
     def test_no_model_where_the_hessian_is_singular(self, monkeypatch):
@@ -819,39 +820,22 @@ class TestFrozenFace:
         # fit starts from its own projected estimate, as in a pass with no start
         counts = _source_counts("noisy-ghzprime-2")
         main = reconstruct_mle(counts)
-        faces, inverted = [], []
-        frozen_face = tritterlab.tomography._frozen_face
+        inverted = []
 
         def singular(matrix):
             inverted.append(matrix)
             raise np.linalg.LinAlgError("Singular matrix")
 
-        def recording(table, rho):
-            faces.append(frozen_face(table, rho))
-            return faces[-1]
-
         functional, values = _recorded(purity)
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "inv", singular)
-            patch.setattr(tritterlab.tomography, "_frozen_face", recording)
-            mc = monte_carlo_uncertainty(counts, 10, functional, seed=5, start=main.rho)
-        assert faces == [None] and len(inverted) == 1
+            face = tritterlab.tomography._frozen_face(counts, main.rho)
+            mc = monte_carlo_uncertainty(counts, 10, functional, seed=5, start=face)
+        assert face is None and len(inverted) == 1
         default_functional, default_values = _recorded(purity)
         default = monte_carlo_uncertainty(counts, 10, default_functional, seed=5)
         assert (mc.failures, mc.unconverged) == (0, 0)
         assert values == default_values and mc.iterations == default.iterations
-
-    @pytest.mark.parametrize("source", ["ideal-w", "noisy-ghzprime", "noisy-ghzprime-2"])
-    def test_prebuilt_face_gives_the_matrix_start_result(self, source):
-        # generate hands both passes one face; a pass that builds it from the matrix start fits the same
-        counts = _source_counts(source)
-        main = reconstruct_mle(counts)
-        face = tritterlab.tomography._frozen_face(counts, main.rho)
-        for functional in (purity, lambda r: fidelity(r, canonical_state("w"))):
-            prebuilt = monte_carlo_uncertainty(counts, 10, functional, seed=7, start=face)
-            matrix = monte_carlo_uncertainty(counts, 10, functional, seed=7, start=main.rho)
-            for name in [f.name for f in dataclasses.fields(matrix)]:
-                assert getattr(prebuilt, name) == getattr(matrix, name), name
 
     def test_generate_builds_one_face(self, monkeypatch):
         # both Monte-Carlo passes of generate start from the one face of the main estimate
@@ -927,7 +911,8 @@ class TestBatchedFrozenStep:
         # a fit that the step does not settle goes on from the moved state, so it takes the iterations it took
         # when it stepped itself, not one more
         counts = _source_counts("noisy-ghzprime", seed=seed)
-        fits = _pass_fits(counts, 20, seed, reconstruct_mle(counts).rho, monkeypatch)
+        fits = _pass_fits(counts, 20, seed, tritterlab.tomography._frozen_face(counts, reconstruct_mle(counts).rho),
+                          monkeypatch)
         assert all(fit.converged for _, _, fit in fits)
         moved = [isinstance(start, tritterlab.tomography._Moved) for _, start, _ in fits]
         iterations, ranks = (list(itertools.compress(pinned, moved)) for pinned in _PER_FIT_STEP_FITS[seed])
