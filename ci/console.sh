@@ -13,6 +13,9 @@ rc=0; "${tl[@]}" generate --shots 500 --resamples 10001 --out big.json || rc=$?;
 printf '32.01,30.24,29.86,0.356\n33.05,29.18,29.75,0.363\n32.97,27.92,29.94,0.409\n' > table.csv
 PYTHONWARNINGS=error "${tl[@]}" calibrate --input table.csv --out cal.json
 PYTHONWARNINGS=error "${tl[@]}" hom --rate 1e200 --no-poisson --out dip
+# and so does a dip scan at a coherence scale whose square underflows or overflows
+PYTHONWARNINGS=error "${tl[@]}" hom --rate 1e4 --coherence 1e-300 --out dip
+PYTHONWARNINGS=error "${tl[@]}" hom --rate 1e4 --coherence 1e300 --out dip
 # the README noisy GHZ' example: the Gram, leaky-polarisation and white-noise path, reproduced by its check
 PYTHONWARNINGS=error "${tl[@]}" generate --state ghzprime \
   --gram '[[1,1,0.9778],[1,1,0.9778],[0.9778,0.9778,1]]' --white-noise 0.02 --extinction-ratio 335 \

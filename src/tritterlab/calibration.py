@@ -192,9 +192,9 @@ def hom_scan(
 ) -> DipScan:
     """Simulate a two-photon coincidence dip over a delay grid.
 
-    The spectral overlap at delay d is ``peak_overlap * exp(-d^2 / (2 coherence^2))``
-    and counts are drawn Poissonian around rate * probability (seeded, so the
-    scan is reproducible); ``poisson=False`` returns the expected counts.
+    The spectral overlap at delay d is ``peak_overlap * exp(-d^2 / (2 coherence^2))``, whose square is 0 in floats
+    beyond 28 coherence scales (clipped there, so it cannot overflow), and counts are drawn Poissonian around
+    rate * probability (seeded, so the scan is reproducible); ``poisson=False`` returns the expected counts.
     """
     if not 0 < coherence < np.inf:
         raise ValidationError(f"coherence scale must be positive and finite, got {coherence}")
@@ -208,7 +208,7 @@ def hom_scan(
     # the coincidence probability is affine in |overlap|^2, so its two ends give every delay
     ceiling = rate * pair_coincidence_probability(u, pair, outs, 0.0)
     slope = rate * pair_coincidence_probability(u, pair, outs, 1.0) - ceiling
-    overlaps_sq = peak_overlap**2 * np.exp(-(delays**2) / coherence**2)
+    overlaps_sq = peak_overlap**2 * np.exp(-np.square(np.clip(delays / coherence, -28.0, 28.0)))
     expected = ceiling + slope * overlaps_sq
     if poisson:
         if expected.max() > POISSON_MAX:
@@ -251,9 +251,10 @@ def fit_gaussian(scan: DipScan) -> GaussianFit:
     most the offset, tied to it while the bound binds. Stops once a step lowers the squared residual by
     at most 1e-10 of itself, or once no resolvable step lowers it. Raises once a step takes the width
     below a fifth of the smallest delay spacing or above the span: no dip resolved. Works in units of the largest
-    count, so squared residuals stay finite at any finite rate; amplitude, offset and residuals are reported in counts.
+    count and of the delays' power of two, both exact, so sums stay finite on any finite scan; it reports scan units.
     """
-    x, peak = scan.delays, float(scan.counts.max())
+    exponent = int(np.frexp(np.abs(scan.delays).max())[1])
+    x, peak = np.ldexp(scan.delays, -exponent), float(scan.counts.max())
     if x.size < 5:
         raise ValidationError(f"need at least 5 points spanning the dip, got {x.size}")
     if float(np.ptp(scan.counts)) == 0.0:
@@ -308,8 +309,9 @@ def fit_gaussian(scan: DipScan) -> GaussianFit:
             damping, growth = max(damping * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-7), 2.0
             params, fit = trial, trial_fit
             if not narrowest <= params[2] <= span:
-                raise ConvergenceError(f"dip width {params[2]:.3g} is outside the scan's resolved range "
-                                       f"[{narrowest:.3g}, {span:.3g}] (residual {peak * math.sqrt(fit[1]):.3e})")
+                width, low, high = np.ldexp([params[2], narrowest, span], exponent)
+                raise ConvergenceError(f"dip width {width:.3g} is outside the scan's resolved range "
+                                       f"[{low:.3g}, {high:.3g}] (residual {peak * math.sqrt(fit[1]):.3e})")
             if decrease <= 1e-10 * cost:
                 break
         else:
@@ -319,7 +321,7 @@ def fit_gaussian(scan: DipScan) -> GaussianFit:
     else:
         raise ConvergenceError(f"dip fit did not converge in {_DIP_MAX_STEPS} steps"
                                f" (residual {peak * math.sqrt(fit[1]):.3e})")
-    amplitude, center, width, offset = (float(v) for v in params * [peak, 1.0, 1.0, peak])
+    amplitude, center, width, offset = (float(v) for v in np.ldexp(params, [0, exponent, exponent, 0]) * [peak, 1, 1, peak])
     residual = peak * math.sqrt(fit[1])
     if offset <= 0:
         raise ConvergenceError(f"unphysical fit: offset {offset:.3g}, width {width:.3g} (residual {residual:.3e})")

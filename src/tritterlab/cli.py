@@ -38,9 +38,9 @@ from .interference import (
     spectral_vectors_from_gram,
 )
 from .states import GENERATED_KINDS, StateKind, canonical_state, fidelity, purity, recipe, witness_report
-from .tomography import (MAX_SHOTS, MC_MAX_RESAMPLES, CountsTable, _frozen_face, monte_carlo_uncertainty,
-                         reconstruct_mle, simulate_counts)
-from .validation import POISSON_MAX, ConfigError, ConvergenceError, ValidationError, check_gram
+from .tomography import (MAX_SHOTS, MC_MAX_RESAMPLES, CountsTable, _check_pass, _frozen_face,
+                         monte_carlo_uncertainty, reconstruct_mle, simulate_counts)
+from .validation import ConfigError, ConvergenceError, ValidationError, check_gram
 
 
 def _fields(section, name: str, known: tuple[str, ...] | None = None) -> dict:
@@ -243,17 +243,15 @@ def run_generate(config: ExperimentConfig) -> tuple[dict, CountsTable]:
 
 
 def _analysis(counts: CountsTable, target: np.ndarray | None, resamples: int, seed: int) -> tuple[np.ndarray, dict]:
-    """The main estimate of ``counts`` and its ``tomography`` and (3 qubits) ``witness`` report blocks. Non-zero
-    ``resamples`` add error bars from passes seeded by spawns 1 and 2 of ``SeedSequence(seed)`` (generate draws its
-    counts from spawn 0), checked before the main fit and started from its one frozen face."""
+    """The main estimate of ``counts`` and its ``tomography`` and (3 qubits) ``witness`` report blocks; the target and
+    the passes' inputs are checked before the main fit. Non-zero ``resamples`` add error bars from passes seeded by
+    spawns 1 and 2 of ``SeedSequence(seed)`` (generate draws its counts from spawn 0), from one frozen face."""
+    if target is not None and target.size != counts.counts.shape[1]:
+        raise ValidationError(f"--target has {target.size} amplitudes, the counts {counts.counts.shape[1]} outcomes")
     if resamples:
-        _, _, valid, why = _SECTIONS["tomography"]["resamples"]
         if target is None:
             raise ValidationError("--resamples needs --target: the error bars are on the fidelity to it")
-        if not valid(resamples):
-            raise ValidationError(f"--resamples {resamples} {why}")
-        if counts.counts.max() > POISSON_MAX:
-            raise ValidationError(f"counts above {POISSON_MAX:.4e} exceed numpy's Poisson sampler")
+        _check_pass(counts, resamples)
     recon = reconstruct_mle(counts)
     reconstruction = _record(recon) | {"purity": purity(recon.rho)}
     del reconstruction["rho"]  # the report keeps the fit's numbers; tomo writes the state beside them
@@ -278,12 +276,8 @@ def _state_block(probability: float, rho: np.ndarray, target: np.ndarray) -> dic
 
 
 def _record(result) -> dict:
-    """Report data of a result record: one key per field, matrices as ``[re, im]`` pairs."""
-    data = {f.name: getattr(result, f.name) for f in fields(result)}
-    for key, value in data.items():
-        if isinstance(value, np.ndarray):
-            data[key] = matrix_to_pairs(value)
-    return data
+    """Report data of a result record: one key per field, each value as the record holds it."""
+    return {f.name: getattr(result, f.name) for f in fields(result)}
 
 
 def report_to_json(report: dict) -> str:
@@ -382,7 +376,8 @@ def cmd_hom(args) -> int:
         raise ValidationError("need at least 5 scan points")
     if args.points > _HOM_MAX_POINTS:
         raise ValidationError(f"--points must be at most {_HOM_MAX_POINTS}, got {args.points}")
-    for flag, value in (("--coherence", args.coherence), ("--span", args.span)):
+    for flag, value in (("--coherence", args.coherence), ("--span", args.span),
+                        ("the scan range, 2 * --span * --coherence,", 2 * args.span * args.coherence)):
         if not np.isfinite(value):
             raise ValidationError(f"{flag} must be finite, got {value}")
     u = fourier_unitary(3)

@@ -620,6 +620,14 @@ class MonteCarloResult:
     gap_max: float
 
 
+def _check_pass(counts: CountsTable, resamples: int) -> None:
+    """The input rules of a resampling pass, which the CLI also checks before its main fit."""
+    if not 2 <= int(resamples) <= MC_MAX_RESAMPLES:
+        raise ValidationError(f"resamples {resamples} lies outside [2, {MC_MAX_RESAMPLES}]")
+    if counts.counts.max() > POISSON_MAX:
+        raise ValidationError(f"counts above {POISSON_MAX:.4e} exceed numpy's Poisson sampler")
+
+
 def monte_carlo_uncertainty(
     counts: CountsTable,
     resamples: int,
@@ -643,10 +651,7 @@ def monte_carlo_uncertainty(
     and excluded; fewer than two converged resamples raise ``ConvergenceError``.
     An error ``functional`` raises is the caller's.
     """
-    if not 2 <= int(resamples) <= MC_MAX_RESAMPLES:
-        raise ValidationError(f"resamples must be at least 2 and at most {MC_MAX_RESAMPLES}, got {resamples}")
-    if counts.counts.max() > POISSON_MAX:
-        raise ValidationError(f"counts above {POISSON_MAX:.4e} exceed numpy's Poisson sampler")
+    _check_pass(counts, resamples)
     values: list[float] = []
     failures = unconverged = 0
     iterations: list[int] = []

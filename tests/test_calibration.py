@@ -216,6 +216,13 @@ class TestHomScan:
         scan = hom_scan(tritter, (2, 3), (1, 3), delays, 0.7, 5e3, seed=0, poisson=False)
         assert np.abs(scan.counts - scan.counts[::-1]).max() < 1e-9
 
+    def test_delays_far_beyond_the_coherence_scan_the_ceiling(self, tritter):
+        # the squared overlap is 0 in floats beyond 28 coherence scales, so (delay / coherence)**2 is clipped there and
+        # cannot overflow
+        scan = hom_scan(tritter, (1, 2), (1, 2), [-1e300, -1e200, -28.0, 0.0, 1e160], 1.0, 9000.0, seed=0,
+                        poisson=False)
+        assert list(scan.counts) == [scan.ceiling_rate] * 3 + [scan.floor_rate, scan.ceiling_rate]
+
     def test_same_seed_reproduces_counts(self, tritter):
         delays = np.linspace(-3, 3, 21)
         a = hom_scan(tritter, (1, 2), (1, 2), delays, 1.0, 1e4, seed=42)

@@ -460,6 +460,18 @@ class TestHom:
         fit = _read_json(tmp_path / "dip.fit.json")
         assert fit["visibility"] == pytest.approx(0.5, abs=1e-6)
 
+    @pytest.mark.parametrize("power", [-1000, 1000])
+    def test_fit_at_any_coherence_is_the_unit_fit_scaled(self, tmp_path, power):
+        # the overlap reads delays in coherence units and the fit rescales them by a power of two, so at coherence
+        # 2**power, where delays**2 underflows to 0 or overflows, the fit is the coherence-1 fit scaled exactly
+        fits = []
+        for coherence in (1.0, 2.0**power):
+            assert main(["hom", "--rate", "1e4", "--overlap", "0.956", "--coherence", repr(coherence),
+                         "--out", str(tmp_path / f"dip{len(fits)}")]) == 0
+            fits.append(_read_json(tmp_path / f"dip{len(fits)}.fit.json"))
+        unit, scaled = fits
+        assert scaled == unit | {key: unit[key] * 2.0**power for key in ("center", "width", "coherence")}
+
     def test_zero_rate_exits_2(self, tmp_path):
         assert main(["hom", "--rate", "0", "--out", str(tmp_path / "z")]) == 2
 
@@ -502,8 +514,9 @@ class TestHom:
     @pytest.mark.parametrize(
         "flags",
         [["--rate", "nan"], ["--rate", "inf"], ["--rate", "1e20"], ["--rate", "1", "--coherence", "inf"],
-         ["--rate", "1", "--span", "nan"], ["--rate", "nan", "--no-poisson"]],
-        ids=["rate-nan", "rate-inf", "rate-beyond-poisson", "coherence-inf", "span-nan", "rate-nan-expected"],
+         ["--rate", "1", "--span", "nan"], ["--rate", "nan", "--no-poisson"], ["--rate", "1", "--span", "1e308"]],
+        ids=["rate-nan", "rate-inf", "rate-beyond-poisson", "coherence-inf", "span-nan", "rate-nan-expected",
+             "range-beyond-floats"],
     )
     def test_non_finite_or_oversized_arguments_exit_2(self, tmp_path, capsys, flags):
         assert main(["hom", *flags, "--out", str(tmp_path / "z")]) == 2
@@ -540,20 +553,33 @@ class TestTomo:
         out = tmp_path / "recon.json"
         assert main(["tomo", "--counts", str(tmp_path / "sparse.csv"), "--target", "w",
                      "--resamples", str(MC_MAX_RESAMPLES + 1), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (f"validation error: --resamples {MC_MAX_RESAMPLES + 1} "
+        assert capsys.readouterr().err == (f"validation error: resamples {MC_MAX_RESAMPLES + 1} "
                                            f"lies outside [2, {MC_MAX_RESAMPLES}]\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("resamples", [1, MC_MAX_RESAMPLES + 1, -2])
     def test_resamples_outside_the_bound_exit_2_before_any_fit(self, tmp_path, capsys, monkeypatch, resamples):
-        # the count is checked by generate's tomography.resamples rule, before the main fit
+        # the count is checked by the pass's own rule, before the main fit
         counts = _small_counts_csv(tmp_path)
         fits = []
         monkeypatch.setattr(tritterlab.cli, "reconstruct_mle", lambda *args, **kwargs: fits.append(args))
         out = tmp_path / "recon.json"
         assert main(["tomo", "--counts", counts, "--target", "w", "--resamples", str(resamples),
                      "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"validation error: --resamples {resamples} lies outside [2, ")
+        assert capsys.readouterr().err == f"validation error: resamples {resamples} lies outside [2, 10000]\n"
+        assert fits == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("resamples", [[], ["--resamples", "2"]], ids=["fit", "passes"])
+    def test_target_of_another_qubit_count_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch, resamples):
+        counts = tmp_path / "one-qubit.csv"
+        counts.write_text("setting,outcome,count\nX,0,60\nX,1,40\nY,0,55\nY,1,45\nZ,0,70\nZ,1,30\n",
+                          encoding="utf-8")
+        fits = []
+        monkeypatch.setattr(tritterlab.cli, "reconstruct_mle", lambda *args, **kwargs: fits.append(args))
+        out = tmp_path / "recon.json"
+        assert main(["tomo", "--counts", str(counts), "--target", "w", *resamples, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "validation error: --target has 8 amplitudes, the counts 2 outcomes\n"
         assert fits == []
         assert not out.exists()
 
@@ -593,6 +619,20 @@ class TestTomo:
         assert set(recon) == {"rho", "target", "tomography", "witness"}
         for block in ("tomography", "witness"):
             assert json.dumps(recon[block], sort_keys=True) == json.dumps(report[block], sort_keys=True)
+
+    def test_counts_out_path_holds_the_table_tomo_analyses(self, tmp_path):
+        # --counts-out moves the counts CSV from its default path beside the report; the table there is the report's
+        run = ["--resamples", "3", "--seed", "5"]
+        counts = tmp_path / "table.csv"
+        assert main(["generate", "--state", "w", "--shots", "2000", *run, "--out", str(tmp_path / "report.json"),
+                     "--counts-out", str(counts)]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["report.json", "table.csv"]
+        assert main(["tomo", "--counts", str(counts), "--target", "w", *run,
+                     "--out", str(tmp_path / "recon.json")]) == 0
+        report, recon = _read_json(tmp_path / "report.json"), _read_json(tmp_path / "recon.json")
+        assert {block: recon[block] for block in ("tomography", "witness")} == {
+            block: report[block] for block in ("tomography", "witness")
+        }
 
     def test_repeated_counts_row_exits_2(self, tmp_path, capsys):
         counts = _small_counts_csv(tmp_path)

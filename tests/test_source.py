@@ -118,8 +118,8 @@ def test_package_root_exports_each_submodule_object():
 
 
 def test_records_encoded_only_by_the_cli():
-    # result records are plain dataclasses; cli._record turns every one into report data, so
-    # the complex-matrix format is written by the interference module's helper, called from cli alone
+    # result records are plain dataclasses, which cli._record turns into report data field by field; the
+    # complex-matrix format is written by the interference module's helper, called from cli alone
     assert _owners(lambda node: isinstance(node, ast.FunctionDef) and node.name == "to_json_dict") == []
     found = _owners(
         # the definition and every use; the package root's re-export names it only as an alias
@@ -205,6 +205,25 @@ def test_one_analysis_of_a_counts_table():
     assert set(cli_calls("monte_carlo_uncertainty")) == {"tritterlab/cli.py:_analysis"}
     found = _owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "as_density_matrix")
     assert "tritterlab/tomography.py:monte_carlo_uncertainty" not in found
+
+
+def test_each_pass_rule_stated_once():
+    # a resampling pass's input rules, its resample range and its counts within numpy's Poisson sampler, are stated
+    # in tomography._check_pass, which the pass and cli._analysis (before its main fit) call; the config table states
+    # the range once more, as the rule of the tomography.resamples field, and hom_scan checks its own expected counts
+    def compares(name):
+        return sorted(_owners(lambda node: isinstance(node, ast.Compare) and any(
+            isinstance(side, ast.Name) and side.id == name for side in (node.left, *node.comparators)
+        )))
+
+    assert compares("MC_MAX_RESAMPLES") == ["tritterlab/cli.py:<module>", "tritterlab/tomography.py:_check_pass"]
+    assert compares("POISSON_MAX") == ["tritterlab/calibration.py:hom_scan", "tritterlab/tomography.py:_check_pass"]
+    found = _owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "_check_pass")
+    assert sorted(found) == ["tritterlab/cli.py:_analysis", "tritterlab/tomography.py:monte_carlo_uncertainty"]
+    # only config parsing reads the config table, and the command line names no Poisson bound of its own
+    found = _owners(lambda node: isinstance(node, ast.Name) and node.id == "_SECTIONS")
+    assert "tritterlab/cli.py:_analysis" not in found
+    assert "POISSON_MAX" not in (PACKAGE / "cli.py").read_text(encoding="utf-8")
 
 
 def test_one_square_check():
@@ -360,3 +379,57 @@ def test_no_name_beyond_the_numpy_floor():
     probes = ["np.vecdot(a, b)", "numpy.linalg.matrix_norm(a)", "a.mT", "from numpy import concat"]
     assert all(any(_numpy2_only(node) for node in ast.walk(ast.parse(probe))) for probe in probes)
     assert not any(_numpy2_only(node) for node in ast.walk(ast.parse("np.linalg.norm(a.T) + np.trace(a)")))
+
+
+#: names that Python 3.11 added (What's New In Python 3.11) and Python 3.10, the declared floor, lacks, by the module
+#: that holds them; "" holds the builtins
+PYTHON311_NAMES = {
+    "": {"BaseExceptionGroup", "ExceptionGroup"},
+    "asyncio": {"Barrier", "Runner", "TaskGroup", "timeout", "timeout_at"},
+    "contextlib": {"chdir"},
+    "datetime": {"UTC"},
+    "enum": {"EnumCheck", "FlagBoundary", "ReprEnum", "StrEnum", "global_enum", "member", "nonmember", "verify"},
+    "hashlib": {"file_digest"},
+    "locale": {"getencoding"},
+    "logging": {"getLevelNamesMapping"},
+    "math": {"cbrt", "exp2"},
+    "operator": {"call"},
+    "re": {"NOFLAG"},
+    "sys": {"exception"},
+    "typing": {"LiteralString", "Never", "NotRequired", "Required", "Self", "TypeVarTuple", "Unpack", "assert_never",
+               "assert_type", "clear_overloads", "dataclass_transform", "get_overloads", "reveal_type"},
+}
+PYTHON311_MODULES = {"tomllib", "wsgiref.types"}
+
+
+def _python311_only(node) -> bool:
+    """Whether ``node`` needs Python 3.11: a name or module above, ``except*`` or an exception's ``add_note``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "add_note" or node.attr in PYTHON311_NAMES.get(ast.unparse(node.value), ())
+    if isinstance(node, ast.Name):
+        return node.id in PYTHON311_NAMES[""]
+    if isinstance(node, ast.ImportFrom):
+        return node.module in PYTHON311_MODULES or any(alias.name in PYTHON311_NAMES.get(node.module, ())
+                                                       for alias in node.names)
+    if isinstance(node, ast.Import):
+        return any(alias.name in PYTHON311_MODULES for alias in node.names)
+    return type(node).__name__ == "TryStar"
+
+
+def test_no_name_beyond_the_python_floor():
+    # CI runs src/, tests/ and perfbench/ on Python 3.10 too, where each of these is an AttributeError, an
+    # ImportError or a SyntaxError; this finds one without that interpreter
+    root = PACKAGE.parents[1]
+    sources = sorted(path for folder in ("src", "tests", "perfbench") for path in (root / folder).rglob("*.py"))
+    assert any(path.parent.name == "perfbench" for path in sources)
+    found = [f"{path.relative_to(root)}:{node.lineno}: {ast.unparse(node)}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+             if _python311_only(node)]
+    assert found == []
+    probes = ["import tomllib", "from typing import Self", "class K(enum.StrEnum): pass", "datetime.UTC",
+              "raise ExceptionGroup('x', [])", "contextlib.chdir(path)", "exc.add_note('x')"]
+    if sys.version_info >= (3, 11):  # Python 3.10 cannot parse except*
+        probes.append("try:\n    pass\nexcept* ValueError:\n    pass")
+    assert all(any(_python311_only(node) for node in ast.walk(ast.parse(probe))) for probe in probes)
+    negatives = "from typing import Callable, NamedTuple\nclass K(str, enum.Enum): pass\ndatetime.timezone.utc"
+    assert not any(_python311_only(node) for node in ast.walk(ast.parse(negatives)))

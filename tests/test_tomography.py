@@ -25,7 +25,7 @@ from tritterlab import (
     simulate_counts,
 )
 from tritterlab.cli import ExperimentConfig, run_generate
-from tritterlab.interference import matrix_from_pairs
+from tritterlab.interference import matrix_from_pairs, matrix_to_pairs
 from tritterlab.tomography import MAX_SHOTS, MLE_TOL
 
 #: the README's noisy GHZ' generation config
@@ -995,7 +995,7 @@ class TestMonteCarlo:
     def test_single_resample_rejected(self):
         rho = np.eye(2) / 2
         counts = simulate_counts(rho, 100, seed=0)
-        with pytest.raises(ValidationError, match="at least 2"):
+        with pytest.raises(ValidationError, match=r"^resamples 1 lies outside \[2, 10000\]$"):
             monte_carlo_uncertainty(counts, 1, purity, seed=0)
 
     def test_functional_error_propagates(self):
@@ -1202,11 +1202,14 @@ class TestCountsTableCsv:
         expected[1, 1], expected[8, 3] = 3, 4
         assert np.array_equal(CountsTable.from_csv(path).counts, expected)
 
-    def test_reconstruction_result_serializes(self):
-        rho = np.eye(2) / 2
-        counts = simulate_counts(rho, 2000, seed=6)
-        result = reconstruct_mle(counts)
-        payload = json.loads(json.dumps(tritterlab.cli._record(result)))
-        assert payload["converged"] is True
+    def test_reconstruction_result_serializes(self, tmp_path):
+        # tomo writes the estimate as [re, im] pairs beside the fit's record, which holds numbers alone
+        counts = simulate_counts(np.eye(2) / 2, 2000, seed=6)
+        counts.to_csv(tmp_path / "counts.csv")
+        assert tritterlab.cli.main(["tomo", "--counts", str(tmp_path / "counts.csv"),
+                                    "--out", str(tmp_path / "recon.json")]) == 0
+        payload = json.loads((tmp_path / "recon.json").read_text(encoding="utf-8"))
+        assert payload["tomography"]["reconstruction"]["converged"] is True
+        assert payload["rho"] == matrix_to_pairs(reconstruct_mle(counts).rho)
         assert len(payload["rho"]) == 2
         assert len(payload["rho"][0][0]) == 2  # [re, im] pairs
