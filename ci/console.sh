@@ -6,9 +6,13 @@ set -e
 read -r -a tl <<< "$1"
 "${tl[@]}" generate --shots 500 --resamples 2 --seed 3 --out r.json && "${tl[@]}" report --input r.json --check
 "${tl[@]}" tomo --counts r.counts.csv --target w --resamples 2 --out t.json
+# without a target the pass gives the purity error bar alone
+"${tl[@]}" tomo --counts r.counts.csv --resamples 2 --out p.json
 # a size above its bound exits 2 before anything is allocated
 rc=0; "${tl[@]}" hom --rate 100 --points 100001 --out big || rc=$?; test "$rc" -eq 2
 rc=0; "${tl[@]}" generate --shots 500 --resamples 10001 --out big.json || rc=$?; test "$rc" -eq 2
+# a scan with one point inside the dip resolves none: the fit exits 3
+rc=0; "${tl[@]}" hom --rate 1e4 --span 1e301 --out wide || rc=$?; test "$rc" -eq 3
 # a warning is an error here: a dip fit that overflows at a large rate fails the step
 printf '32.01,30.24,29.86,0.356\n33.05,29.18,29.75,0.363\n32.97,27.92,29.94,0.409\n' > table.csv
 PYTHONWARNINGS=error "${tl[@]}" calibrate --input table.csv --out cal.json

@@ -245,13 +245,13 @@ class GaussianFit:
 def fit_gaussian(scan: DipScan) -> GaussianFit:
     """Fit an inverted Gaussian to a dip scan, initialized from moments.
 
-    Levenberg-Marquardt (Marquardt, J. SIAM 11, 431 (1963)) on the analytic Jacobian, damped by the
-    largest diagonal of ``J^T J`` seen so far times a factor that follows each step's gain ratio
-    (Nielsen, IMM-REP-1999-05); a step may shrink the width at most tenfold, and the amplitude stays at
-    most the offset, tied to it while the bound binds. Stops once a step lowers the squared residual by
-    at most 1e-10 of itself, or once no resolvable step lowers it. Raises once a step takes the width
-    below a fifth of the smallest delay spacing or above the span: no dip resolved. Works in units of the largest
-    count and of the delays' power of two, both exact, so sums stay finite on any finite scan; it reports scan units.
+    Levenberg-Marquardt (Marquardt, J. SIAM 11, 431 (1963)) on the analytic Jacobian, damped by the largest diagonal
+    of ``J^T J`` seen so far times a factor that follows each step's gain ratio (Nielsen, IMM-REP-1999-05); a step
+    may shrink the width at most tenfold, and the amplitude stays at most the offset, tied to it while the bound
+    binds. Stops once a step lowers the squared residual by at most 1e-10 of itself, or once no resolvable step
+    lowers it. Raises once a step takes the width below half the smallest delay spacing, where at most one point
+    lies within a width of the centre, or above the span: no dip resolved. Works in units of the largest count and
+    of the delays' power of two, both exact, so sums stay finite on any finite scan; it reports scan units.
     """
     exponent = int(np.frexp(np.abs(scan.delays).max())[1])
     x, peak = np.ldexp(scan.delays, -exponent), float(scan.counts.max())
@@ -279,7 +279,7 @@ def fit_gaussian(scan: DipScan) -> GaussianFit:
         residual = params[3] - params[0] * g - y
         return residual, float(residual @ residual), g, t
 
-    narrowest, span = float(np.diff(x).min()) / 5.0, float(x[-1] - x[0])
+    narrowest, span = float(np.diff(x).min()) / 2.0, float(x[-1] - x[0])
     params = np.array([amp0, center0, width0, offset0])
     fit = evaluate(params)
     jac = np.empty((4, x.size))  # row k: d(model)/d(params[k])

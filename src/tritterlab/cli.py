@@ -244,26 +244,25 @@ def run_generate(config: ExperimentConfig) -> tuple[dict, CountsTable]:
 
 def _analysis(counts: CountsTable, target: np.ndarray | None, resamples: int, seed: int) -> tuple[np.ndarray, dict]:
     """The main estimate of ``counts`` and its ``tomography`` and (3 qubits) ``witness`` report blocks; the target and
-    the passes' inputs are checked before the main fit. Non-zero ``resamples`` add error bars from passes seeded by
-    spawns 1 and 2 of ``SeedSequence(seed)`` (generate draws its counts from spawn 0), from one frozen face."""
+    the passes' inputs are checked before the main fit. Non-zero ``resamples`` add an error bar to each measure, each
+    from its own pass from one frozen face (generate draws its counts from spawn 0 of ``SeedSequence(seed)``)."""
     if target is not None and target.size != counts.counts.shape[1]:
         raise ValidationError(f"--target has {target.size} amplitudes, the counts {counts.counts.shape[1]} outcomes")
     if resamples:
-        if target is None:
-            raise ValidationError("--resamples needs --target: the error bars are on the fidelity to it")
         _check_pass(counts, resamples)
+    # each measure by name (purity always, fidelity given a target) with the spawn of SeedSequence(seed) for its pass
+    measures = ({} if target is None else {"fidelity": (lambda r: fidelity(r, target), 1)}) | {"purity": (purity, 2)}
     recon = reconstruct_mle(counts)
-    reconstruction = _record(recon) | {"purity": purity(recon.rho)}
+    reconstruction = _record(recon) | {name: measure(recon.rho) for name, (measure, _) in measures.items()}
     del reconstruction["rho"]  # the report keeps the fit's numbers; tomo writes the state beside them
-    if target is not None:
-        reconstruction["fidelity"] = fidelity(recon.rho, target)
     blocks = {"tomography": {"reconstruction": reconstruction}}
     if resamples:
-        face = _frozen_face(counts, recon.rho)  # the main estimate's Newton model, if any, built once for both passes
-        seed_f, seed_p = np.random.SeedSequence(seed).spawn(3)[1:]
-        mc_fid = monte_carlo_uncertainty(counts, resamples, lambda r: fidelity(r, target), seed_f, start=face)
-        mc_pur = monte_carlo_uncertainty(counts, resamples, purity, seed_p, start=face)
-        blocks["tomography"]["monte_carlo"] = {"fidelity": _record(mc_fid), "purity": _record(mc_pur)}
+        face = _frozen_face(counts, recon.rho)  # the main estimate's Newton model, if any, built once for every pass
+        spawns = np.random.SeedSequence(seed).spawn(3)
+        blocks["tomography"]["monte_carlo"] = {
+            name: _record(monte_carlo_uncertainty(counts, resamples, measure, spawns[k], start=face))
+            for name, (measure, k) in measures.items()
+        }
     if counts.n_qubits == 3:
         blocks["witness"] = _record(witness_report(recon.rho))
     return recon.rho, blocks
@@ -378,8 +377,8 @@ def cmd_hom(args) -> int:
         raise ValidationError(f"--points must be at most {_HOM_MAX_POINTS}, got {args.points}")
     for flag, value in (("--coherence", args.coherence), ("--span", args.span),
                         ("the scan range, 2 * --span * --coherence,", 2 * args.span * args.coherence)):
-        if not np.isfinite(value):
-            raise ValidationError(f"{flag} must be finite, got {value}")
+        if not 0.0 < value < np.inf:  # a NaN fails too
+            raise ValidationError(f"{flag} must be positive and finite, got {value}")
     u = fourier_unitary(3)
     delays = np.linspace(-args.span * args.coherence, args.span * args.coherence, args.points)
     scan = hom_scan(
@@ -499,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     tomo.add_argument("--counts", required=True, help="counts CSV (setting, outcome, count)")
     tomo.add_argument("--target", type=str.lower, choices=[k.value for k in StateKind],
                       help="canonical state for fidelity")
-    tomo.add_argument("--resamples", type=int, default=0, help="Monte-Carlo resamples (0 = skip; needs --target)")
+    tomo.add_argument("--resamples", type=int, default=0, help="Monte-Carlo resamples for error bars (0 = skip)")
     tomo.add_argument("--seed", type=_seed, default=0)
     tomo.add_argument("--out", help="reconstruction JSON path (default: stdout)")
     tomo.set_defaults(func=cmd_tomo)

@@ -510,10 +510,6 @@ def reconstruct_mle(
     if empty.size:
         names = ["".join(measurement_settings(n)[i]) for i in empty[:5]]
         raise ValidationError(f"every setting needs a recorded count; {empty.size} have none: {names}")
-    if start is None:
-        start = _projected_estimate(counts)
-    elif not isinstance(start, _Moved):
-        start = as_density_matrix(start, dim, "start")
 
     born = _born_matrix(n).reshape(-1, dim * dim)  # the shared Born matrix is read, not copied
     scattered = np.zeros(len(born))  # weights / p at the observed outcomes, 0 elsewhere
@@ -550,6 +546,7 @@ def reconstruct_mle(
         rho, p, r, gap, log_likelihood, rank, _ = start
         iterations, steady = 1, _STEADY_STEPS
     else:
+        start = _projected_estimate(counts) if start is None else as_density_matrix(start, dim, "start")
         rho = 0.99 * start + 0.01 * np.eye(dim, dtype=complex) / dim
         p = _probabilities(born, rho)[observed]
         r, gap = r_and_gap(p)

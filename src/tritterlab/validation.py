@@ -54,11 +54,13 @@ def check_unitary(m: np.ndarray, name: str = "matrix") -> None:
         raise ValidationError(f"{name} is not unitary: max |U U^dag - I| = {dev:.3e} > {STATE_TOL:.0e}")
 
 
-def check_density_matrix(rho: np.ndarray, name: str = "rho") -> None:
-    """Hermitian, unit trace and positive semidefinite within 1e-10."""
-    check_square(rho, name)
+def as_density_matrix(m, dim: int, name: str = "rho") -> np.ndarray:
+    """``m`` as a complex dim x dim array, checked Hermitian, unit trace and positive semidefinite within 1e-10."""
+    rho = as_complex_matrix(m, name)
+    if rho.shape != (dim, dim):
+        raise ValidationError(f"{name} must be {dim}x{dim}, got {rho.shape}")
     herm = np.abs(rho - rho.conj().T).max()
-    if not herm <= STATE_TOL:  # a NaN entry fails too
+    if not herm <= STATE_TOL:
         raise ValidationError(f"{name} is not Hermitian: max |rho - rho^dag| = {herm:.3e}")
     tr = complex(np.trace(rho))
     if not abs(tr - 1.0) <= STATE_TOL:
@@ -66,14 +68,6 @@ def check_density_matrix(rho: np.ndarray, name: str = "rho") -> None:
     lo = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
     if not -lo <= STATE_TOL:
         raise ValidationError(f"{name} is not positive semidefinite: min eigenvalue = {lo:.3e}")
-
-
-def as_density_matrix(m, dim: int, name: str = "rho") -> np.ndarray:
-    """``m`` as a complex array after checking that it is a dim x dim density matrix."""
-    rho = as_complex_matrix(m, name)
-    if rho.shape != (dim, dim):
-        raise ValidationError(f"{name} must be {dim}x{dim}, got {rho.shape}")
-    check_density_matrix(rho, name)
     return rho
 
 

@@ -338,6 +338,10 @@ class TestGaussianFit:
             fit_gaussian(scan)
 
 
+#: the Poisson scan of ``_dip_scans`` whose best fit is a spike narrower than half the delay spacing
+_SPIKE_SEED = 27
+
+
 def _dip_scans(poisson: bool):
     """120 seeded dip scans over point counts, coherences, rates and peak overlaps, each with
     its generating parameters (amplitude, center, width, offset)."""
@@ -362,21 +366,27 @@ def _residual_norm(scan, params) -> float:
 class TestGaussianFitOptimality:
     @pytest.mark.parametrize("poisson", [True, False], ids=["poisson", "noiseless"])
     def test_residual_at_most_that_of_the_generating_parameters(self, poisson):
-        for scan, truth in _dip_scans(poisson):
+        for seed, (scan, truth) in enumerate(_dip_scans(poisson)):
+            if poisson and seed == _SPIKE_SEED:
+                with pytest.raises(ConvergenceError, match="outside the scan's resolved range"):
+                    fit_gaussian(scan)
+                continue
             fit = fit_gaussian(scan)
             fitted = _residual_norm(scan, (fit.amplitude, fit.center, fit.width, fit.offset))
             assert fitted <= _residual_norm(scan, truth) + 1e-12 * np.linalg.norm(scan.counts)
             assert fit.residual_norm == pytest.approx(fitted, rel=1e-9, abs=1e-9)
 
     def test_no_dip_deeper_than_its_baseline(self):
-        # unbounded, scan 27 (21 points, coherence 0.5, 1e3 counts per point) fits a spike of visibility 1.97;
-        # bounded, it fits visibility 1 at the least residual any such dip reaches (a bounded solver, from 264 starts)
+        # unbounded, scan 27 (21 points, coherence 0.5, 1e3 counts per point, true visibility 0.25) fits a spike of
+        # visibility 1.97; bounded, a spike of visibility 1 and width 0.27 spacings, one low point and no resolved
+        # dip, so the fit raises
         for seed, (scan, _) in enumerate(_dip_scans(poisson=True)):
+            if seed == _SPIKE_SEED:
+                with pytest.raises(ConvergenceError, match="outside the scan's resolved range"):
+                    fit_gaussian(scan)
+                continue
             fit = fit_gaussian(scan)
             assert 0.0 <= fit.amplitude <= fit.offset
-            if seed == 27:
-                assert fit.amplitude == fit.offset
-                assert fit.residual_norm == pytest.approx(62.945317152849, rel=1e-10)
 
     def test_noiseless_scans_recover_the_generating_parameters(self):
         for scan, truth in _dip_scans(poisson=False):

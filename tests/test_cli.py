@@ -501,6 +501,21 @@ class TestHom:
         assert main(["hom", "--rate", "nan", "--out", str(tmp_path / "z")]) == 2
         assert capsys.readouterr().err == "validation error: count rate must be positive and finite, got nan\n"
 
+    @pytest.mark.parametrize("flag, value", [("--span", "0"), ("--span", "-4"), ("--coherence", "0"),
+                                             ("--coherence", "-1")])
+    def test_non_positive_coherence_or_span_exits_2_naming_it(self, tmp_path, capsys, flag, value):
+        assert main(["hom", "--rate", "1e4", flag, value, "--out", str(tmp_path / "z")]) == 2
+        assert capsys.readouterr().err == f"validation error: {flag} must be positive and finite, got {float(value)}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [["--span", "1e-320", "--points", "5"], ["--span", "1e301"]],
+                             ids=["floor-only", "one-point-in-dip"])
+    def test_unresolved_dip_exits_3_writing_nothing(self, tmp_path, capsys, flags):
+        # a scan of the dip's floor alone, or with one point inside the dip, fits a width below half the spacing
+        assert main(["hom", "--rate", "1e4", *flags, "--out", str(tmp_path / "dip")]) == 3
+        assert "is outside the scan's resolved range" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_dip_fit_prints_its_residual(self, tmp_path, capsys, monkeypatch):
         # a ramp has no dip: its fit width runs past the span, and the message states the residual in counts
         scan = DipScan(np.linspace(-4.0, 4.0, 9), np.linspace(10.0, 50.0, 9))
@@ -583,16 +598,31 @@ class TestTomo:
         assert fits == []
         assert not out.exists()
 
-    def test_resamples_without_target_exits_2(self, tmp_path, capsys):
+    def test_resamples_without_target_give_purity_alone(self, tmp_path):
         counts = tmp_path / "one-qubit.csv"
         counts.write_text("setting,outcome,count\nX,0,60\nX,1,40\nY,0,55\nY,1,45\nZ,0,70\nZ,1,30\n",
                           encoding="utf-8")
         out = tmp_path / "recon.json"
-        assert main(["tomo", "--counts", str(counts), "--resamples", "5", "--out", str(out)]) == 2
-        assert "--target" in capsys.readouterr().err
-        assert not out.exists()
-        assert main(["tomo", "--counts", str(counts), "--out", str(out)]) == 0
-        assert set(_read_json(out)) == {"rho", "tomography"}  # the witnesses are of 3 qubits
+        assert main(["tomo", "--counts", str(counts), "--resamples", "5", "--out", str(out)]) == 0
+        payload = _read_json(out)
+        assert set(payload) == {"rho", "tomography"}  # the witnesses are of 3 qubits
+        assert "fidelity" not in payload["tomography"]["reconstruction"]
+        assert set(payload["tomography"]["monte_carlo"]) == {"purity"}
+
+    def test_purity_pass_is_the_same_with_or_without_target(self, tmp_path):
+        # on the README GHZ' counts the purity pass keeps its own seed, whether a fidelity pass runs beside it or not
+        assert main(["generate", "--state", "ghzprime", "--gram", "[[1,1,0.9778],[1,1,0.9778],[0.9778,0.9778,1]]",
+                     "--white-noise", "0.02", "--extinction-ratio", "335", "--resamples", "2", "--seed", "1",
+                     "--out", str(tmp_path / "report.json")]) == 0
+        blocks = []
+        for target in ([], ["--target", "ghzprime"]):
+            out = tmp_path / f"recon{len(blocks)}.json"
+            assert main(["tomo", "--counts", str(tmp_path / "report.counts.csv"), *target, "--resamples", "10",
+                         "--seed", "1", "--out", str(out)]) == 0
+            blocks.append(_read_json(out)["tomography"]["monte_carlo"])
+        alone, beside = blocks
+        assert set(alone) == {"purity"} and set(beside) == {"fidelity", "purity"}
+        assert json.dumps(alone["purity"], sort_keys=True) == json.dumps(beside["purity"], sort_keys=True)
 
     def test_monte_carlo_block_counts_unconverged(self, tmp_path):
         main(["generate", "--state", "w", "--shots", "1000", "--seed", "2",

@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from tritterlab.validation import (ValidationError, as_complex_matrix, as_density_matrix, check_density_matrix, check_gram,
-                                   check_unitary, csv_cells)
+from tritterlab.validation import (ValidationError, as_complex_matrix, as_density_matrix, check_gram, check_unitary,
+                                   csv_cells)
 
 
 @pytest.mark.parametrize("index", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
@@ -14,7 +14,7 @@ from tritterlab.validation import (ValidationError, as_complex_matrix, as_densit
     "check, valid, message",
     [
         (check_unitary, np.eye(2), "is not unitary"),
-        (check_density_matrix, np.eye(2) / 2, "is not Hermitian"),
+        (lambda m: as_density_matrix(m, 2), np.eye(2) / 2, "contains non-finite entries"),
         (check_gram, np.ones((2, 2)), "must be Hermitian"),
         (as_complex_matrix, np.eye(2), "contains non-finite entries"),
     ],
@@ -29,7 +29,7 @@ def test_nan_entry_rejected(check, valid, message, index):
         check(m)
 
 
-@pytest.mark.parametrize("check", [check_unitary, check_density_matrix, check_gram])
+@pytest.mark.parametrize("check", [check_unitary, check_gram])
 @pytest.mark.parametrize("shape", [(2, 3), (4,)], ids=["rectangular", "vector"])
 def test_non_square_rejected(check, shape):
     with pytest.raises(ValidationError, match=re.escape(f"must be square, got shape {shape}")):
@@ -47,6 +47,8 @@ def test_density_matrix_reader_casts_and_checks_the_dimension():
     assert rho.dtype == complex and rho.shape == (2, 2)
     with pytest.raises(ValidationError, match=re.escape("start must be 4x4, got (2, 2)")):
         as_density_matrix(rho, 4, "start")
+    with pytest.raises(ValidationError, match=re.escape("start must be 2x2, got (2, 3)")):
+        as_density_matrix(np.ones((2, 3)), 2, "start")
 
 
 def test_csv_cells_strips_cells_and_skips_blank_rows(tmp_path):
