@@ -29,11 +29,23 @@ def test_nan_entry_rejected(check, valid, message, index):
         check(m)
 
 
-@pytest.mark.parametrize("check", [check_unitary, check_gram])
-@pytest.mark.parametrize("shape", [(2, 3), (4,)], ids=["rectangular", "vector"])
-def test_non_square_rejected(check, shape):
-    with pytest.raises(ValidationError, match=re.escape(f"must be square, got shape {shape}")):
-        check(np.ones(shape))
+@pytest.mark.parametrize(
+    "check, shape, message",
+    [
+        pytest.param(check_unitary, (2, 3), "must be square, got shape (2, 3)", id="rectangular-check_unitary"),
+        pytest.param(check_gram, (2, 3), "must be square, got shape (2, 3)", id="rectangular-check_gram"),
+        pytest.param(as_density_matrix, (2, 3), "rho must be 2x2, got (2, 3)", id="rectangular-check_density_matrix"),
+        pytest.param(check_unitary, (4,), "must be square, got shape (4,)", id="vector-check_unitary"),
+        pytest.param(check_gram, (4,), "must be square, got shape (4,)", id="vector-check_gram"),
+        # as_complex_matrix rejects a 1-d input before the density-matrix reader compares the shape
+        pytest.param(as_density_matrix, (4,), "rho must be 2-dimensional, got ndim=1",
+                     id="vector-check_density_matrix"),
+    ],
+)
+def test_non_square_rejected(check, shape, message):
+    args = (np.ones(shape), 2) if check is as_density_matrix else (np.ones(shape),)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        check(*args)
 
 
 @pytest.mark.parametrize("data", [[1.0, 0.0], [[[1.0]]]], ids=["vector", "3-d"])
