@@ -4,7 +4,10 @@
 # `tritterlab` for the installed console script, or "python -m tritterlab.cli" with src/ on PYTHONPATH.
 set -e
 read -r -a tl <<< "$1"
-"${tl[@]}" generate --shots 500 --resamples 2 --seed 3 --out r.json && "${tl[@]}" report --input r.json --check
+# a warning is an error in every check below: a step that overflows, underflows or divides by zero fails
+export PYTHONWARNINGS=error
+# the state flag is read as the config reads a state, in any case
+"${tl[@]}" generate --state W --shots 500 --resamples 2 --seed 3 --out r.json && "${tl[@]}" report --input r.json --check
 "${tl[@]}" tomo --counts r.counts.csv --target w --resamples 2 --out t.json
 # without a target the pass gives the purity error bar alone
 "${tl[@]}" tomo --counts r.counts.csv --resamples 2 --out p.json
@@ -13,15 +16,15 @@ rc=0; "${tl[@]}" hom --rate 100 --points 100001 --out big || rc=$?; test "$rc" -
 rc=0; "${tl[@]}" generate --shots 500 --resamples 10001 --out big.json || rc=$?; test "$rc" -eq 2
 # a scan with one point inside the dip resolves none: the fit exits 3
 rc=0; "${tl[@]}" hom --rate 1e4 --span 1e301 --out wide || rc=$?; test "$rc" -eq 3
-# a warning is an error here: a dip fit that overflows at a large rate fails the step
+# a calibration, and a dip fit at a rate where a sum of squares would overflow
 printf '32.01,30.24,29.86,0.356\n33.05,29.18,29.75,0.363\n32.97,27.92,29.94,0.409\n' > table.csv
-PYTHONWARNINGS=error "${tl[@]}" calibrate --input table.csv --out cal.json
-PYTHONWARNINGS=error "${tl[@]}" hom --rate 1e200 --no-poisson --out dip
-# and so does a dip scan at a coherence scale whose square underflows or overflows
-PYTHONWARNINGS=error "${tl[@]}" hom --rate 1e4 --coherence 1e-300 --out dip
-PYTHONWARNINGS=error "${tl[@]}" hom --rate 1e4 --coherence 1e300 --out dip
+"${tl[@]}" calibrate --input table.csv --out cal.json
+"${tl[@]}" hom --rate 1e200 --no-poisson --out dip
+# a dip scan at a coherence scale whose square underflows or overflows
+"${tl[@]}" hom --rate 1e4 --coherence 1e-300 --out dip
+"${tl[@]}" hom --rate 1e4 --coherence 1e300 --out dip
 # the README noisy GHZ' example: the Gram, leaky-polarisation and white-noise path, reproduced by its check
-PYTHONWARNINGS=error "${tl[@]}" generate --state ghzprime \
+"${tl[@]}" generate --state ghzprime \
   --gram '[[1,1,0.9778],[1,1,0.9778],[0.9778,0.9778,1]]' --white-noise 0.02 --extinction-ratio 335 \
   --out noisy.json
-PYTHONWARNINGS=error "${tl[@]}" report --input noisy.json --check
+"${tl[@]}" report --input noisy.json --check

@@ -7,7 +7,7 @@ chain: splitter calibration, coincidence-dip visibilities, state tomography
 with Monte-Carlo error bars, and entanglement witnesses.
 """
 
-__version__ = "0.35.0"
+__version__ = "0.36.0"
 
 from .calibration import (
     DipScan,

@@ -8,7 +8,6 @@ delay-dependent spectral overlap, and Gaussian dip fitting.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .interference import Interferometer, fourier_unitary, pair_coincidence_probability
-from .validation import POISSON_MAX, ConvergenceError, ValidationError, check_square, csv_cells
+from .validation import POISSON_MAX, ConvergenceError, ValidationError, check_square, csv_cells, write_csv
 
 SINKHORN_TOL = 1e-9
 SINKHORN_MAX_ITER = 10_000
@@ -172,11 +171,8 @@ class DipScan:
         object.__setattr__(self, "counts", counts)
 
     def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["delay", "counts"])
-            for d, c in zip(self.delays, self.counts):
-                writer.writerow([repr(float(d)), repr(float(c))])
+        write_csv(path, [("delay", "counts")] + [(repr(float(d)), repr(float(c)))
+                                                 for d, c in zip(self.delays, self.counts)])
 
 
 def hom_scan(
@@ -338,8 +334,8 @@ def interferometer_from_magnitudes(magnitudes) -> tuple[Interferometer, float]:
     """
     mag = np.array(magnitudes, dtype=float)
     check_square(mag, "magnitude matrix")
-    if (mag < 0).any():
-        raise ValidationError("magnitudes must be non-negative")
+    if not ((mag >= 0) & (mag < np.inf)).all():  # NaN fails both
+        raise ValidationError("magnitudes must be finite and non-negative")
     phases = np.exp(1j * np.angle(fourier_unitary(mag.shape[0]).matrix))
     raw = mag * phases
     left, _, right = np.linalg.svd(raw)

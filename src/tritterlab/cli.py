@@ -40,7 +40,7 @@ from .interference import (
 from .states import GENERATED_KINDS, StateKind, canonical_state, fidelity, purity, recipe, witness_report
 from .tomography import (MAX_SHOTS, MC_MAX_RESAMPLES, CountsTable, _check_pass, _frozen_face,
                          monte_carlo_uncertainty, reconstruct_mle, simulate_counts)
-from .validation import ConfigError, ConvergenceError, ValidationError, check_gram
+from .validation import ConfigError, ConvergenceError, ValidationError, as_integer, check_gram
 
 
 def _fields(section, name: str, known: tuple[str, ...] | None = None) -> dict:
@@ -74,13 +74,6 @@ def _read(section: dict, field: str, convert, default, valid=lambda value: True,
     return value
 
 
-def _integer(raw) -> int:
-    """A whole JSON number as an int; a string, a boolean or a fraction is rejected, not converted or rounded."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or raw != int(raw):
-        raise ValueError(f"{raw!r} is not an integer")
-    return int(raw)
-
-
 def _number(raw) -> float:
     """A JSON number as a float; a string or a boolean is rejected, not converted."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
@@ -109,9 +102,9 @@ _SECTIONS = {
         "white_noise": (_number, 0.0, lambda x: 0.0 <= x <= 1.0, "lies outside [0, 1]"),
     },
     "tomography": {
-        "shots": (_integer, 10_000, lambda n: 1 <= n <= MAX_SHOTS, f"lies outside [1, {MAX_SHOTS}]"),
-        "resamples": (_integer, 50, lambda n: 2 <= n <= MC_MAX_RESAMPLES, f"lies outside [2, {MC_MAX_RESAMPLES}]"),
-        "seed": (_integer, 0, lambda n: n >= 0, "is negative"),
+        "shots": (as_integer, 10_000, lambda n: 1 <= n <= MAX_SHOTS, f"lies outside [1, {MAX_SHOTS}]"),
+        "resamples": (as_integer, 50, lambda n: 2 <= n <= MC_MAX_RESAMPLES, f"lies outside [2, {MC_MAX_RESAMPLES}]"),
+        "seed": (as_integer, 0, lambda n: n >= 0, "is negative"),
     },
 }
 
@@ -465,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="run the full generation + tomography pipeline")
     gen.add_argument("--config", help="JSON config file (flags override its fields)")
-    gen.add_argument("--state", choices=[k.value for k in GENERATED_KINDS], help="target state kind")
+    gen.add_argument("--state", type=str.lower, choices=[k.value for k in GENERATED_KINDS], help="target state kind")
     gen.add_argument("--shots", type=int, help="tomography shots per setting")
     gen.add_argument("--resamples", type=int, help="Monte-Carlo resamples for error bars")
     gen.add_argument("--seed", type=_seed, help="master seed")

@@ -39,13 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .validation import (
-    ValidationError,
-    as_complex_matrix,
-    check_gram,
-    check_square,
-    check_unitary,
-)
+from .validation import ValidationError, as_complex_matrix, as_integer, check_gram, check_square, check_unitary
 
 STATE_NORM_TOL = 1e-12
 
@@ -134,7 +128,7 @@ class Interferometer:
 
 def fourier_unitary(n: int) -> Interferometer:
     """Balanced n-port splitter: entry (k, j) = exp(2 pi i (k-1)(j-1) / n) / sqrt(n)."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if (n := as_integer(n, "port count")) < 1:
         raise ValidationError(f"invalid dimension {n!r}: port count must be a positive integer")
     k = np.arange(n)
     phases = np.exp(2j * np.pi * np.outer(k, k) / n)
@@ -186,7 +180,7 @@ class InputConfiguration:
         if not photons:
             raise ValidationError("need at least one photon")
         for port, state in photons:
-            port = int(port)
+            port = as_integer(port, "input port")
             if port < 1:
                 raise ValidationError(f"input port {port} out of range: ports are 1-based")
             if not isinstance(state, InternalState):
@@ -315,7 +309,7 @@ def postselect_coincidence(
     """
     n = u.dim
     _check_config(config, n)
-    pattern = tuple(int(c) for c in pattern)
+    pattern = tuple(as_integer(c, "pattern count") for c in pattern)
     if len(pattern) != n:
         raise ValidationError(f"pattern length {len(pattern)} != port count {n}")
     if any(c < 0 for c in pattern):
@@ -360,8 +354,8 @@ def pair_coincidence_probability(
     overlap = complex(overlap)
     if not abs(overlap) <= 1.0 + 1e-12:  # a NaN overlap fails too
         raise ValidationError(f"invalid overlap {overlap}: magnitude must be at most 1")
-    j, k = int(ports[0]), int(ports[1])
-    x, y = int(outs[0]), int(outs[1])
+    j, k = as_integer(ports[0], "input port"), as_integer(ports[1], "input port")
+    x, y = as_integer(outs[0], "output port"), as_integer(outs[1], "output port")
     if j == k:
         raise ValidationError("input ports must be distinct")
     if x == y:

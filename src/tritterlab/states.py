@@ -176,7 +176,7 @@ def witness_report(rho: np.ndarray) -> WitnessReport:
 def apply_local_unitary(state: np.ndarray, single_qubit: np.ndarray) -> np.ndarray:
     """Apply the same single-qubit unitary to every qubit of a state vector."""
     v = np.asarray(state, dtype=complex).reshape(-1)
-    n = int(np.log2(v.size))
+    n = v.size.bit_length() - 1
     if 2**n != v.size:
         raise ValidationError(f"state dimension {v.size} is not a power of 2")
     u = as_complex_matrix(single_qubit, "single-qubit unitary")

@@ -21,7 +21,6 @@ step fails. Resamples whose fit does not converge are counted and left out.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .validation import (POISSON_MAX, STATE_TOL, ConvergenceError, ValidationError, as_complex_matrix,
-                         as_density_matrix, csv_cells)
+                         as_density_matrix, as_integer, csv_cells, write_csv)
 
 #: certified log-likelihood shortfall at which the reconstruction stops
 MLE_TOL = 1e-2
@@ -69,11 +68,11 @@ def measurement_settings(n: int) -> list[Setting]:
     Every tomography path starts here, so ``n`` above ``TOMOGRAPHY_MAX_QUBITS``
     is rejected before any Born or outcome-vector array is built.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if (n := as_integer(n, "qubit count")) < 1:
         raise ValidationError(f"qubit count must be a positive integer, got {n!r}")
     if n > TOMOGRAPHY_MAX_QUBITS:
         raise ValidationError(f"qubit count {n} exceeds bound {TOMOGRAPHY_MAX_QUBITS}")
-    return list(itertools.product("XYZ", repeat=int(n)))
+    return list(itertools.product("XYZ", repeat=n))
 
 
 @functools.cache
@@ -123,7 +122,8 @@ def _born_rows(rho: np.ndarray) -> np.ndarray:
 
 
 def born_probabilities(rho: np.ndarray, setting: Setting) -> np.ndarray:
-    """Outcome probabilities for one measurement setting; sums to 1 within 1e-10."""
+    """Outcome probabilities for one measurement setting, linear in ``rho``: they sum to 1 within 1e-10 for a density
+    matrix, and ``rho`` may be any 2^n x 2^n matrix, such as a Pauli operator."""
     setting = tuple(setting)
     settings = measurement_settings(len(setting))
     if setting not in settings:
@@ -161,12 +161,9 @@ class CountsTable:
 
     def to_csv(self, path) -> None:
         n = self.n_qubits
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["setting", "outcome", "count"])
-            for setting, row in zip(measurement_settings(n), self.counts):
-                for outcome, value in enumerate(row):
-                    writer.writerow(["".join(setting), format(outcome, f"0{n}b"), int(value)])
+        write_csv(path, [("setting", "outcome", "count")] + [
+            ("".join(setting), format(outcome, f"0{n}b"), int(value))
+            for setting, row in zip(measurement_settings(n), self.counts) for outcome, value in enumerate(row)])
 
     @classmethod
     def from_csv(cls, path) -> "CountsTable":
@@ -209,17 +206,18 @@ class CountsTable:
 
 
 def simulate_counts(rho: np.ndarray, shots: int, seed) -> CountsTable:
-    """Multinomial outcome counts of every setting; reproducible for a given seed.
+    """Multinomial outcome counts of every setting for density matrix ``rho``; reproducible for a given seed.
 
     Each setting's probabilities are rounded to multiples of 2^-40 with the
     residual on the largest, so rows sum to exactly 1 and the sampler is exact.
     """
-    if not 1 <= int(shots) <= MAX_SHOTS:
+    if not 1 <= (shots := as_integer(shots, "shots")) <= MAX_SHOTS:
         raise ValidationError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
-    p = np.clip(_born_rows(rho), 0.0, None)
+    rho = as_complex_matrix(rho, "rho")
+    p = np.clip(_born_rows(as_density_matrix(rho, len(rho))), 0.0, None)
     p = np.round(p / p.sum(axis=1, keepdims=True) * _GRID) / _GRID
     p[np.arange(len(p)), p.argmax(axis=1)] += 1.0 - p.sum(axis=1)
-    counts = np.random.default_rng(seed).multinomial(int(shots), p)
+    counts = np.random.default_rng(seed).multinomial(shots, p)
     return CountsTable(counts)
 
 
@@ -617,12 +615,13 @@ class MonteCarloResult:
     gap_max: float
 
 
-def _check_pass(counts: CountsTable, resamples: int) -> None:
-    """The input rules of a resampling pass, which the CLI also checks before its main fit."""
-    if not 2 <= int(resamples) <= MC_MAX_RESAMPLES:
+def _check_pass(counts: CountsTable, resamples: int) -> int:
+    """The input rules of a resampling pass, which the CLI also checks before its main fit; gives ``resamples``."""
+    if not 2 <= (resamples := as_integer(resamples, "resamples")) <= MC_MAX_RESAMPLES:
         raise ValidationError(f"resamples {resamples} lies outside [2, {MC_MAX_RESAMPLES}]")
     if counts.counts.max() > POISSON_MAX:
         raise ValidationError(f"counts above {POISSON_MAX:.4e} exceed numpy's Poisson sampler")
+    return resamples
 
 
 def monte_carlo_uncertainty(
@@ -648,12 +647,12 @@ def monte_carlo_uncertainty(
     and excluded; fewer than two converged resamples raise ``ConvergenceError``.
     An error ``functional`` raises is the caller's.
     """
-    _check_pass(counts, resamples)
+    resamples = _check_pass(counts, resamples)
     values: list[float] = []
     failures = unconverged = 0
     iterations: list[int] = []
     gaps: list[float] = []
-    tables = np.array([rng.poisson(counts.counts) for rng in np.random.default_rng(seed).spawn(int(resamples))])
+    tables = np.array([rng.poisson(counts.counts) for rng in np.random.default_rng(seed).spawn(resamples)])
     for table, fit_start in zip(tables, [start] * len(tables) if start is None else _frozen_steps(start, tables)):
         try:
             result = reconstruct_mle(CountsTable(table), start=fit_start)

@@ -1,10 +1,10 @@
-"""Error hierarchy, validation helpers and the CSV row reader shared across the package."""
+"""Error hierarchy, validation helpers and the CSV row reader and writer shared across the package."""
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -29,6 +29,15 @@ class ConfigError(ValidationError):
 
 class ConvergenceError(RuntimeError):
     """An iterative numerical procedure failed (no convergence, bad fit, ...); the message states any residual."""
+
+
+def as_integer(raw, name: str = "value") -> int:
+    """An integer of any size, or a float with no fractional part, as an int; a boolean, a string or a fraction is
+    rejected, not converted or rounded."""
+    if (type(raw) is int or isinstance(raw, (int, np.integer)) and not isinstance(raw, bool)  # the fast case first
+            or isinstance(raw, float) and raw.is_integer()):
+        return int(raw)
+    raise ValidationError(f"{name} must be an integer, got {raw!r}")
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -103,3 +112,9 @@ def csv_cells(path) -> Iterator[tuple[int, list[str]]]:
         raise ValidationError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise ValidationError(f"{path.name}: line {last + 1}: {exc}") from None
+
+
+def write_csv(path, rows: Iterable[tuple]) -> None:
+    """Write ``rows``, its header first, as a UTF-8 CSV file in the csv module's default dialect."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)

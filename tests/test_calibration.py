@@ -603,3 +603,11 @@ class TestMagnitudesToUnitary:
         mag[0, 0] = -mag[0, 0]
         with pytest.raises(ValidationError, match="non-negative"):
             interferometer_from_magnitudes(mag)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_magnitude_rejected(self, entry):
+        # NaN passed a `< 0` test and ended in an SVD that did not converge; inf gave a RuntimeWarning
+        mag = np.full((3, 3), 1 / np.sqrt(3))
+        mag[1, 2] = entry
+        with pytest.raises(ValidationError, match="magnitudes must be finite and non-negative"):
+            interferometer_from_magnitudes(mag)

@@ -360,6 +360,16 @@ class TestGenerate:
         with pytest.raises(SystemExit):
             main(["generate", "--state", "bogus", "--out", str(tmp_path / "x.json")])
 
+    def test_state_flag_read_in_any_case(self, tmp_path):
+        # as the config and tomo --target read a state name
+        assert build_parser().parse_args(["generate", "--state", "GHZPrime"]).state == "ghzprime"
+        reports = []
+        for state in ("W", "w"):
+            out = tmp_path / f"{state}.json"
+            assert main(["generate", "--state", state, "--shots", "300", "--resamples", "2", "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestCalibrate:
     def test_published_table(self, tmp_path):

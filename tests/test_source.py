@@ -15,6 +15,7 @@ import pytest
 from setuptools.config.pyprojecttoml import read_configuration
 
 import tritterlab
+import tritterlab.cli
 from tritterlab import (
     CountsTable,
     Recipe,
@@ -27,6 +28,7 @@ from tritterlab import (
     spectral_vectors_from_gram,
     witness_report,
 )
+from tritterlab.validation import as_integer
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tritterlab"
 
@@ -84,6 +86,47 @@ def test_csv_files_read_only_by_the_shared_reader():
     assert found == ["tritterlab/validation.py:csv_cells"]
     found = _owners(lambda node: isinstance(node, ast.Constant) and node.value == "utf-8-sig")
     assert sorted(found) == ["tritterlab/cli.py:_load_json_file", "tritterlab/validation.py:csv_cells"]
+
+
+def test_csv_files_written_only_by_the_shared_writer():
+    # validation.write_csv alone writes both CSV formats, and validation alone imports the csv module; the two CSV
+    # helpers are the package's only file opens
+    found = _owners(
+        lambda node: (isinstance(node, ast.Attribute) and node.attr == "writer")
+        or (isinstance(node, ast.alias) and node.name == "writer")
+    )
+    assert found == ["tritterlab/validation.py:write_csv"]
+    found = _owners(
+        lambda node: (isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "csv")
+    )
+    assert found == ["tritterlab/validation.py:<module>"]
+    found = _owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func).endswith("open"))
+    assert sorted(found) == ["tritterlab/validation.py:csv_cells", "tritterlab/validation.py:write_csv"]
+
+
+#: the functions that take a whole-number argument, each read through validation.as_integer
+WHOLE_NUMBER_READERS = {
+    "tritterlab/interference.py:fourier_unitary", "tritterlab/interference.py:__init__",
+    "tritterlab/interference.py:postselect_coincidence", "tritterlab/interference.py:pair_coincidence_probability",
+    "tritterlab/tomography.py:measurement_settings", "tritterlab/tomography.py:simulate_counts",
+    "tritterlab/tomography.py:_check_pass", "tritterlab/tomography.py:monte_carlo_uncertainty",
+}
+
+
+def test_whole_numbers_read_by_one_rule():
+    # validation.as_integer alone decides what a whole number is, for the library and the config alike: no reader
+    # truncates with int() or keeps an integer-type test of its own, and the cli has no rule beside it
+    found = _owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "as_integer")
+    # a pass reads its resamples through _check_pass, the one statement of its input rules
+    assert WHOLE_NUMBER_READERS - set(found) == {"tritterlab/tomography.py:monte_carlo_uncertainty"}
+    found = _owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "int")
+    assert WHOLE_NUMBER_READERS.isdisjoint(found)
+    found = _owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+                    and "integer" in ast.unparse(node.args[1]))
+    assert found == ["tritterlab/validation.py:as_integer"]
+    assert _owners(lambda node: isinstance(node, ast.FunctionDef) and node.name == "_integer") == []
+    assert {converter for converter, *_ in tritterlab.cli._SECTIONS["tomography"].values()} == {as_integer}
 
 
 #: the public names of the package root, by the submodule that defines each

@@ -144,6 +144,11 @@ class TestLocalTransforms:
         with pytest.raises(ValidationError, match="state dimension 3 is not a power of 2"):
             apply_local_unitary(np.ones(3), np.eye(2))
 
+    def test_empty_state_rejected(self):
+        # log2(0) warned and then overflowed on its way to an int
+        with pytest.raises(ValidationError, match="state dimension 0 is not a power of 2"):
+            apply_local_unitary(np.zeros(0), np.eye(2))
+
     def test_single_qubit_unitary_must_be_two_by_two(self):
         with pytest.raises(ValidationError, match=r"single-qubit unitary must be 2x2, got \(3, 3\)"):
             apply_local_unitary(canonical_state("w"), np.eye(3))

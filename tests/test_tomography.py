@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -126,7 +127,8 @@ class TestBornProbabilities:
     def test_dimension_not_a_power_of_two_rejected(self):
         with pytest.raises(ValidationError, match=r"rho must be 2\^n x 2\^n, got \(3, 3\)"):
             born_probabilities(np.eye(3) / 3, ("Z",))
-        with pytest.raises(ValidationError, match=r"rho must be 2\^n x 2\^n, got \(2, 3\)"):
+        # the sampler reads rho as a density matrix at its own row count before the Born rule sees it
+        with pytest.raises(ValidationError, match=r"rho must be 2x2, got \(2, 3\)"):
             simulate_counts(np.ones((2, 3)) / 2, 100, seed=0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -323,6 +325,17 @@ class TestSimulateCounts:
         with pytest.raises(ValidationError, match=f"shots must lie in \\[1, {MAX_SHOTS}\\], got {2**63}"):
             simulate_counts(np.eye(2) / 2, 2**63, seed=0)
         assert simulate_counts(np.eye(2) / 2, MAX_SHOTS, seed=0).counts.sum(axis=1).tolist() == [MAX_SHOTS] * 3
+
+    @pytest.mark.parametrize("rho, message", [
+        (np.zeros((8, 8)), "rho trace deviates from 1 by 1.000e+00"),
+        (np.eye(8), "rho trace deviates from 1 by 7.000e+00"),
+        (np.diag([1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]),
+         "rho is not positive semidefinite: min eigenvalue = -1.000e+00"),
+    ], ids=["zero", "identity", "indefinite"])
+    def test_sampled_matrix_must_be_a_state(self, rho, message):
+        # clipped and renormalized Born rows drew counts from any of these, or ended in numpy's ValueError
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            simulate_counts(rho, 100, seed=0)
 
     def test_last_bits_of_rho_change_no_count(self):
         # several noisy GHZ' settings have two outcomes of equal probability, where

@@ -5,8 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from tritterlab.validation import (ValidationError, as_complex_matrix, as_density_matrix, check_gram, check_unitary,
-                                   csv_cells)
+from tritterlab import (InputConfiguration, InternalState, fourier_unitary, measurement_settings,
+                        monte_carlo_uncertainty, pair_coincidence_probability, postselect_coincidence, purity, recipe,
+                        simulate_counts)
+from tritterlab.cli import ExperimentConfig
+from tritterlab.validation import (ValidationError, as_complex_matrix, as_density_matrix, as_integer, check_gram,
+                                   check_unitary, csv_cells, write_csv)
 
 
 @pytest.mark.parametrize("index", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
@@ -68,3 +72,52 @@ def test_csv_cells_strips_cells_and_skips_blank_rows(tmp_path):
     path = tmp_path / "rows.csv"
     path.write_text('\ufeff a , b ,\n\n , \n c,"d "\n', encoding="utf-8")
     assert list(csv_cells(path)) == [(1, ["a", "b"]), (4, ["c", "d"])]
+
+
+def test_csv_writer_output_reads_back_cell_for_cell(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_csv(path, [("a", "b"), ("1,5", 'say "x"'), (2, 0.5)])
+    assert path.read_bytes() == b'a,b\r\n"1,5","say ""x"""\r\n2,0.5\r\n'
+    assert list(csv_cells(path)) == [(1, ["a", "b"]), (2, ["1,5", 'say "x"']), (3, ["2", "0.5"])]
+
+
+@pytest.mark.parametrize("raw", [0, -3, 2**70, np.int64(5), np.uint8(7), 4.0, np.float64(-2.0), 1e20])
+def test_whole_numbers_read_as_ints(raw):
+    value = as_integer(raw)
+    assert type(value) is int and value == raw
+
+
+@pytest.mark.parametrize("raw", [True, np.bool_(False), 1.5, np.nan, np.inf, "3", None, 2 + 0j, np.float32(2.0)])
+def test_other_values_are_not_integers(raw):
+    # nothing is rounded, truncated or parsed
+    with pytest.raises(ValidationError, match=re.escape(f"count must be an integer, got {raw!r}")):
+        as_integer(raw, "count")
+
+
+_H = InternalState([1.0, 0.0])
+_W_INPUTS = recipe("w").input_configuration()
+_ONE_QUBIT = simulate_counts(np.eye(2) / 2, 1000, seed=0)
+#: every whole-number argument of the library and of the config, as a call taking that argument alone, and a value
+#: that the call accepts
+WHOLE_NUMBER_ARGUMENTS = {
+    "fourier_unitary": (fourier_unitary, 3),
+    "measurement_settings": (measurement_settings, 2),
+    "input_port": (lambda port: InputConfiguration([(port, _H)]), 2),
+    "pattern": (lambda count: postselect_coincidence(fourier_unitary(3), _W_INPUTS, (count, 1, 1)), 1),
+    "pair_input_port": (lambda port: pair_coincidence_probability(fourier_unitary(3), (port, 3), (1, 2), 1.0), 2),
+    "pair_output_port": (lambda port: pair_coincidence_probability(fourier_unitary(3), (1, 3), (2, port), 1.0), 3),
+    "shots": (lambda shots: simulate_counts(np.eye(2) / 2, shots, seed=0), 3),
+    "resamples": (lambda resamples: monte_carlo_uncertainty(_ONE_QUBIT, resamples, purity, seed=0), 2),
+    **{f"tomography.{key}": (lambda value, key=key: ExperimentConfig.from_dict({"tomography": {key: value}}), value)
+       for key, value in (("shots", 100), ("resamples", 3), ("seed", 1))},
+}
+
+
+@pytest.mark.parametrize("name", WHOLE_NUMBER_ARGUMENTS)
+def test_whole_number_arguments_read_by_one_rule(name):
+    # a fraction used to be truncated (port 1.7 became port 1, 2.7 shots drew 2) and a boolean read as 0 or 1
+    call, valid = WHOLE_NUMBER_ARGUMENTS[name]
+    call(np.int64(valid))
+    for raw in (valid + 0.5, True):
+        with pytest.raises(ValidationError, match=re.escape(f"must be an integer, got {raw!r}")):
+            call(raw)
