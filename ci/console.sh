@@ -8,6 +8,10 @@ read -r -a tl <<< "$1"
 export PYTHONWARNINGS=error
 # the state flag is read as the config reads a state, in any case
 "${tl[@]}" generate --state W --shots 500 --resamples 2 --seed 3 --out r.json && "${tl[@]}" report --input r.json --check
+# each generate flag takes its config field's JSON value, read as the config reads it (two commands, since
+# bash -e ignores a failure on the left of &&)
+"${tl[@]}" generate --state w --shots 5e2 --resamples 2 --seed 3 --out r2.json
+cmp r.json r2.json
 "${tl[@]}" tomo --counts r.counts.csv --target w --resamples 2 --out t.json
 # without a target the pass gives the purity error bar alone
 "${tl[@]}" tomo --counts r.counts.csv --resamples 2 --out p.json

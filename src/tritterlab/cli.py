@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -40,7 +41,7 @@ from .interference import (
 from .states import GENERATED_KINDS, StateKind, canonical_state, fidelity, purity, recipe, witness_report
 from .tomography import (MAX_SHOTS, MC_MAX_RESAMPLES, CountsTable, _check_pass, _frozen_face,
                          monte_carlo_uncertainty, reconstruct_mle, simulate_counts)
-from .validation import ConfigError, ConvergenceError, ValidationError, as_integer, check_gram
+from .validation import ConfigError, ConvergenceError, ValidationError, as_integer, as_number, check_gram
 
 
 def _fields(section, name: str, known: tuple[str, ...] | None = None) -> dict:
@@ -74,16 +75,9 @@ def _read(section: dict, field: str, convert, default, valid=lambda value: True,
     return value
 
 
-def _number(raw) -> float:
-    """A JSON number as a float; a string or a boolean is rejected, not converted."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ValueError(f"{raw!r} is not a number")
-    return float(raw)
-
-
 def _gram(raw) -> np.ndarray:
     """A checked Gram matrix, read-only so that a frozen config holds it unchanged."""
-    gram = np.array([[_number(v) for v in row] for row in raw], dtype=float)
+    gram = np.array([[as_number(v) for v in row] for row in raw], dtype=float)
     check_gram(gram.astype(complex), name="Gram matrix")
     gram.setflags(write=False)
     return gram
@@ -96,10 +90,10 @@ _HOM_MAX_POINTS = 100_000
 _SECTIONS = {
     "noise": {
         "gram": (_gram, _gram([[1] * 3] * 3), lambda g: g.shape == (3, 3), "is not 3x3"),
-        "extinction_ratio": (lambda r: tuple(_number(v) for v in ([r] * 3 if np.isscalar(r) else r)), None,
+        "extinction_ratio": (lambda r: tuple(as_number(v) for v in ([r] * 3 if np.isscalar(r) else r)), None,
                              lambda r: len(r) == 3 and all(1 < v < np.inf for v in r),
                              "is not one ratio or three, each finite and above 1"),
-        "white_noise": (_number, 0.0, lambda x: 0.0 <= x <= 1.0, "lies outside [0, 1]"),
+        "white_noise": (as_number, 0.0, lambda x: 0.0 <= x <= 1.0, "lies outside [0, 1]"),
     },
     "tomography": {
         "shots": (as_integer, 10_000, lambda n: 1 <= n <= MAX_SHOTS, f"lies outside [1, {MAX_SHOTS}]"),
@@ -298,36 +292,26 @@ def _load_json_file(path, what: str):
         raise ValidationError(f"{what} file {path} is not valid JSON: {exc}")
 
 
-class _JsonText(str):
-    """A flag's JSON value: inline when it starts with "[", else the path of a JSON file."""
-
-    def read(self, field: str):
-        """The JSON this text gives as config ``field``."""
-        if self.strip().startswith("["):
-            try:
-                return json.loads(self)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(field, f"inline JSON invalid: {exc}")
-        return _load_json_file(self, field.rpartition(".")[2])
-
-
-#: config fields that a generate flag overrides; each flag is named after its key
-_FLAG_FIELDS = ("state", *(f"{name}.{key}" for name, entries in _SECTIONS.items() for key in entries))
+def _flag_value(text: str, field: str):
+    """The JSON value a generate flag's ``text`` gives config ``field``: inline JSON, else the path of a JSON file."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        if not os.path.isfile(text):  # False for any text that names no file, too long a name included
+            raise ConfigError(field, f"inline JSON invalid ({exc}) and no file of that name") from None
+    return _load_json_file(text, field.rpartition(".")[2])
 
 
 def cmd_generate(args) -> int:
     raw = _fields(_load_json_file(args.config, "config") if args.config else None, "")
     if args.interferometer_csv is not None:
         raw["interferometer"] = {"source": "csv", "path": args.interferometer_csv}
-    for field in _FLAG_FIELDS:
-        section, _, key = field.rpartition(".")
-        value = getattr(args, key)
-        if value is None:
-            continue
-        target = raw
-        if section:
-            target = raw[section] = _fields(raw.get(section), section)
-        target[key] = value.read(field) if isinstance(value, _JsonText) else value
+    if args.state is not None:
+        raw["state"] = args.state
+    for name, entries in _SECTIONS.items():
+        for key in entries:
+            if (text := getattr(args, key)) is not None:
+                raw[name] = _fields(raw.get(name), name) | {key: _flag_value(text, f"{name}.{key}")}
 
     config = ExperimentConfig.from_dict(raw)
     report, counts = run_generate(config)
@@ -441,11 +425,19 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _json_int(text: str) -> int:
+    """argparse type of hom's and tomo's whole-number flags: JSON text read as the config reads a whole number."""
+    try:
+        return as_integer(json.loads(text))
+    except ValueError:  # a JSONDecodeError or a ValidationError
+        raise argparse.ArgumentTypeError(f"must be a whole JSON number, got {text!r}") from None
+
+
 def _seed(text: str) -> int:
-    """argparse type of every --seed: numpy seeds are non-negative integers."""
-    if not text.isdecimal():
+    """argparse type of hom's and tomo's --seed: a whole number, non-negative as numpy's seeds are."""
+    if (seed := _json_int(text)) < 0:
         raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
-    return int(text)
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,12 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="run the full generation + tomography pipeline")
     gen.add_argument("--config", help="JSON config file (flags override its fields)")
     gen.add_argument("--state", type=str.lower, choices=[k.value for k in GENERATED_KINDS], help="target state kind")
-    gen.add_argument("--shots", type=int, help="tomography shots per setting")
-    gen.add_argument("--resamples", type=int, help="Monte-Carlo resamples for error bars")
-    gen.add_argument("--seed", type=_seed, help="master seed")
-    gen.add_argument("--gram", type=_JsonText, help="spectral-overlap Gram matrix: JSON file or inline JSON")
-    gen.add_argument("--extinction-ratio", type=float, help="preparation extinction ratio (> 1)")
-    gen.add_argument("--white-noise", type=float, help="white-noise admixture in [0, 1]")
+    for name, entries in _SECTIONS.items():
+        for key in entries:
+            gen.add_argument(f"--{key.replace('_', '-')}", metavar="JSON",
+                             help=f"the config's {name}.{key}, as inline JSON or a JSON file")
     gen.add_argument("--interferometer-csv", help="splitting-ratio CSV replacing the ideal splitter")
     gen.add_argument("--out", default="report.json", help="report JSON path")
     gen.add_argument("--counts-out", help="counts CSV path (default: <out>.counts.csv)")
@@ -480,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     hom.add_argument("--rate", type=float, required=True, help="count-rate scale (counts per unit probability)")
     hom.add_argument("--coherence", type=float, default=1.0, help="coherence scale of the overlap decay")
     hom.add_argument("--span", type=float, default=4.0, help="scan half-range in coherence units")
-    hom.add_argument("--points", type=int, default=41, help="number of delay points")
-    hom.add_argument("--seed", type=_seed, default=0)
+    hom.add_argument("--points", type=_json_int, default=41, help="number of delay points")
+    hom.add_argument("--seed", type=_seed, default=0, help="seed of the Poisson draws (a non-negative integer)")
     hom.add_argument("--poisson", action=argparse.BooleanOptionalAction, default=True,
                      help="draw Poisson counts (--no-poisson for expected values)")
     hom.add_argument("--out", default="hom", help="output prefix for .scan.csv and .fit.json")
@@ -491,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     tomo.add_argument("--counts", required=True, help="counts CSV (setting, outcome, count)")
     tomo.add_argument("--target", type=str.lower, choices=[k.value for k in StateKind],
                       help="canonical state for fidelity")
-    tomo.add_argument("--resamples", type=int, default=0, help="Monte-Carlo resamples for error bars (0 = skip)")
-    tomo.add_argument("--seed", type=_seed, default=0)
+    tomo.add_argument("--resamples", type=_json_int, default=0, help="Monte-Carlo resamples for error bars (0 = skip)")
+    tomo.add_argument("--seed", type=_seed, default=0, help="seed of the resample passes (a non-negative integer)")
     tomo.add_argument("--out", help="reconstruction JSON path (default: stdout)")
     tomo.set_defaults(func=cmd_tomo)
 

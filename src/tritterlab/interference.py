@@ -39,7 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .validation import ValidationError, as_complex_matrix, as_integer, check_gram, check_square, check_unitary
+from .validation import (ValidationError, as_complex_matrix, as_integer, as_number, check_gram, check_square,
+                         check_unitary)
 
 STATE_NORM_TOL = 1e-12
 
@@ -397,10 +398,10 @@ def matrix_to_pairs(m: np.ndarray) -> list:
 
 
 def matrix_from_pairs(data) -> np.ndarray:
-    """Inverse of :func:`matrix_to_pairs`."""
+    """Inverse of :func:`matrix_to_pairs`: each entry is exactly two numbers, its real and imaginary parts."""
     try:
-        rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
-    except (TypeError, IndexError) as exc:
+        rows = [[complex(as_number(real), as_number(imag)) for real, imag in row] for row in data]
+    except (TypeError, ValueError) as exc:  # an entry that is no pair, or a ValidationError from as_number
         raise ValidationError(f"malformed complex-matrix payload: {exc}") from exc
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValidationError("malformed complex-matrix payload: ragged rows")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import numbers
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -38,6 +39,13 @@ def as_integer(raw, name: str = "value") -> int:
             or isinstance(raw, float) and raw.is_integer()):
         return int(raw)
     raise ValidationError(f"{name} must be an integer, got {raw!r}")
+
+
+def as_number(raw) -> float:
+    """A real number (an int or a float, numpy's too) as a float; a boolean, a string or a complex is rejected."""
+    if isinstance(raw, numbers.Real) and not isinstance(raw, bool):
+        return float(raw)
+    raise ValidationError(f"{raw!r} is not a number")
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:

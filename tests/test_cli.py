@@ -33,11 +33,22 @@ TABLE1_CSV = (
 RESOLVED = "interferometer.resolved_from"
 #: the record generate writes there for a csv source
 RESOLVED_FROM = {"source": "csv", "path": "table1.csv", "max_adjustment": 0.01}
+#: every noise and tomography field, "section.key"; each has a generate flag
+FIELDS = [f"{name}.{key}" for name, entries in tritterlab.cli._SECTIONS.items() for key in entries]
+#: the README noisy GHZ' Gram matrix as JSON text
+GRAM = "[[1, 1, 0.9778], [1, 1, 0.9778], [0.9778, 0.9778, 1]]"
 
 
-def _matrix_source(resolved_from) -> dict:
-    """A config whose splitter is the ideal tritter's matrix, echoed with ``resolved_from``."""
+class Resolved(Exception):
+    """Raised in place of the pipeline with the resolved config, to see what generate read."""
+
+
+def _matrix_source(resolved_from, entry=None) -> dict:
+    """A config whose splitter is the ideal tritter's matrix, echoed with ``resolved_from``; a given ``entry``
+    replaces the matrix's first."""
     matrix = matrix_to_pairs(fourier_unitary(3).matrix)
+    if entry is not None:
+        matrix[0][0] = entry
     return {"interferometer": {"source": "matrix", "matrix": matrix, "resolved_from": resolved_from}}
 
 
@@ -292,6 +303,8 @@ class TestGenerate:
             (_matrix_source(dict(RESOLVED_FROM, tag=1)), [], f"{RESOLVED}.tag"),
             ({"interferometer": {"source": "csv"}}, [], "interferometer.path"),
             ({"interferometer": {"source": "matrix"}}, [], "interferometer.matrix"),
+            (_matrix_source(None, entry=[True, 0.0]), [], "interferometer.matrix"),
+            (_matrix_source(None, entry=[1 / 3**0.5, 0.0, 99]), [], "interferometer.matrix"),
         ],
         ids=["white_noise", "shots", "array", "array-with-state", "noise", "gram", "seed",
              # whole-number fields take no fractions or booleans, number fields no booleans
@@ -304,7 +317,9 @@ class TestGenerate:
              "text-adjustment", "list-adjustment", "null-adjustment", "negative-adjustment",
              "bool-adjustment", "resolved-source", "resolved-no-path", "resolved-unknown-key",
              # a csv source reads a file and a matrix source a matrix: neither has a default
-             "csv-no-path", "matrix-no-matrix"],
+             "csv-no-path", "matrix-no-matrix",
+             # a matrix entry is two numbers, read as every other number of the config
+             "bool-matrix-entry", "three-part-matrix-entry"],
     )
     def test_malformed_config_exits_2_naming_field(self, tmp_path, capsys, config, flags, field):
         cfg_path = tmp_path / "config.json"
@@ -369,6 +384,55 @@ class TestGenerate:
             assert main(["generate", "--state", state, "--shots", "300", "--resamples", "2", "--out", str(out)]) == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+    def test_flags_are_the_config_fields(self):
+        # one generate flag per config field, named after it, beside the run's files and the csv splitter
+        fields = {key for entries in tritterlab.cli._SECTIONS.values() for key in entries}
+        assert set(vars(build_parser().parse_args(["generate"]))) == fields | {
+            "command", "func", "config", "state", "interferometer_csv", "out", "counts_out"}
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [(field, text) for field in FIELDS for text in ("1e4", "200.7", "true", "-1")]
+        + [("noise.extinction_ratio", "[300, 335, 400]"), ("noise.gram", GRAM), ("noise.gram", "gram.json")],
+        ids=[f"{field}-{text}" for field in FIELDS for text in ("1e4", "200.7", "true", "-1")]
+        + ["noise.extinction_ratio-three", "noise.gram-inline", "noise.gram-file"],
+    )
+    def test_flag_reads_as_its_config_field(self, tmp_path, monkeypatch, capsys, field, text):
+        # a flag's JSON value reaches its field's own reader and check: the same resolved config or the same error
+        (tmp_path / "gram.json").write_text(GRAM, encoding="utf-8")
+        value = json.loads((tmp_path / text).read_text(encoding="utf-8") if text.endswith(".json") else text)
+        section, _, key = field.partition(".")
+        (tmp_path / "config.json").write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+
+        def stop(config):
+            raise Resolved(config.to_dict())
+
+        monkeypatch.setattr(tritterlab.cli, "run_generate", stop)
+        monkeypatch.chdir(tmp_path)
+        reads = []
+        for argv in ([f"--{key.replace('_', '-')}", text], ["--config", "config.json"]):
+            try:
+                reads.append((main(["generate", *argv]), capsys.readouterr().err))
+            except Resolved as resolved:
+                reads.append(resolved.args[0])
+        assert reads[0] == reads[1]
+        assert isinstance(reads[0], dict) or reads[0][1].startswith(f"configuration error: {field}: ")
+
+    def test_whole_number_flag_writes_the_config_field_report(self, tmp_path):
+        # --shots 1e4 exited 2 under argparse's int() while the config field read 1e4 as 10000
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"tomography": {"shots": 1e4, "resamples": 2, "seed": 3}}), encoding="utf-8")
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "a.json")]) == 0
+        assert main(["generate", "--shots", "1e4", "--resamples", "2", "--seed", "3",
+                     "--out", str(tmp_path / "b.json")]) == 0
+        for suffix in (".json", ".counts.csv"):
+            assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+
+    def test_value_that_is_neither_json_nor_a_file_names_the_field(self, tmp_path, capsys):
+        # a file-name test on a long text fails with "File name too long" unless it reads as no file
+        assert main(["generate", "--gram", "[" * 300, "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: noise.gram: inline JSON invalid")
 
 
 class TestCalibrate:
@@ -767,12 +831,35 @@ class TestTomo:
     ids=["generate", "hom", "tomo"],
 )
 def test_negative_seed_rejected_by_argparse(tmp_path, capsys, argv):
+    # generate reads its --seed as the config's tomography.seed; hom and tomo read theirs by the same whole-number
+    # rule, so a non-ASCII digit, a digit separator or a leading zero is an error as in JSON, not read by int()
     if argv[0] == "tomo":
         argv = argv + ["--counts", _small_counts_csv(tmp_path)]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--seed", "-1", "--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
-    assert "non-negative" in capsys.readouterr().err
+    for seed in ("-1", "٣", "4_1", "007"):
+        if argv[0] == "generate":
+            assert main(argv + ["--seed", seed, "--out", str(tmp_path / "x")]) == 2
+            assert capsys.readouterr().err.startswith("configuration error: tomography.seed: ")
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", seed, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert ("non-negative" if seed == "-1" else "a whole JSON number") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, dest", [(["hom", "--rate", "100", "--points"], "points"),
+                                        (["tomo", "--counts", "c.csv", "--resamples"], "resamples")],
+                         ids=["hom-points", "tomo-resamples"])
+def test_whole_number_flags_read_by_the_config_rule(capsys, argv, dest):
+    # as a config's whole numbers: a whole float is that integer; int()'s digit separators, non-ASCII digits and
+    # leading zeros, and a fraction or a boolean, are errors
+    parser = build_parser()
+    assert getattr(parser.parse_args(argv + ["4.1e1"]), dest) == 41
+    assert getattr(parser.parse_args(argv + ["1e1"]), dest) == 10
+    for text in ("4_1", "٣", "007", "4.5", "true"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv + [text])
+        assert exc.value.code == 2
+        assert f"must be a whole JSON number, got {text!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -698,3 +698,12 @@ class TestMatrixSerialization:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValidationError, match="ragged rows"):
             matrix_from_pairs([[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]])
+
+    @pytest.mark.parametrize("entry", [[1.0, 0.0, 99], [True, 0.0], [0.0, False], ["1", 0.0], [1.0], []],
+                             ids=["three-numbers", "bool-real", "bool-imag", "text", "one-number", "empty"])
+    def test_entry_that_is_not_two_numbers_rejected(self, tritter, entry):
+        # each part is read as the config reads a number: a third element used to be dropped and true read as 1
+        pairs = matrix_to_pairs(tritter.matrix)
+        pairs[1][2] = entry
+        with pytest.raises(ValidationError, match="malformed complex-matrix payload"):
+            matrix_from_pairs(pairs)

@@ -126,6 +126,9 @@ def test_whole_numbers_read_by_one_rule():
                     and "integer" in ast.unparse(node.args[1]))
     assert found == ["tritterlab/validation.py:as_integer"]
     assert _owners(lambda node: isinstance(node, ast.FunctionDef) and node.name == "_integer") == []
+    # nor does a command-line flag: argparse's int() takes 007, 4_1 and non-ASCII digits
+    assert _owners(lambda node: isinstance(node, ast.keyword) and node.arg == "type"
+                   and ast.unparse(node.value) == "int") == []
     assert {converter for converter, *_ in tritterlab.cli._SECTIONS["tomography"].values()} == {as_integer}
 
 

@@ -9,8 +9,8 @@ from tritterlab import (InputConfiguration, InternalState, fourier_unitary, meas
                         monte_carlo_uncertainty, pair_coincidence_probability, postselect_coincidence, purity, recipe,
                         simulate_counts)
 from tritterlab.cli import ExperimentConfig
-from tritterlab.validation import (ValidationError, as_complex_matrix, as_density_matrix, as_integer, check_gram,
-                                   check_unitary, csv_cells, write_csv)
+from tritterlab.validation import (ValidationError, as_complex_matrix, as_density_matrix, as_integer, as_number,
+                                   check_gram, check_unitary, csv_cells, write_csv)
 
 
 @pytest.mark.parametrize("index", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
@@ -85,6 +85,18 @@ def test_csv_writer_output_reads_back_cell_for_cell(tmp_path):
 def test_whole_numbers_read_as_ints(raw):
     value = as_integer(raw)
     assert type(value) is int and value == raw
+
+
+@pytest.mark.parametrize("raw", [0, -3, 2**70, np.int64(5), 1.5, np.float32(2.5), np.nan, np.inf])
+def test_real_numbers_read_as_floats(raw):
+    value = as_number(raw)
+    assert type(value) is float and (value == raw or np.isnan(raw))
+
+
+@pytest.mark.parametrize("raw", [True, np.bool_(False), "3", None, 2 + 0j, np.complex128(1), [1.0]])
+def test_other_values_are_not_numbers(raw):
+    with pytest.raises(ValidationError, match=re.escape(f"{raw!r} is not a number")):
+        as_number(raw)
 
 
 @pytest.mark.parametrize("raw", [True, np.bool_(False), 1.5, np.nan, np.inf, "3", None, 2 + 0j, np.float32(2.0)])
