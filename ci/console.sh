@@ -6,12 +6,15 @@ set -e
 read -r -a tl <<< "$1"
 # a warning is an error in every check below: a step that overflows, underflows or divides by zero fails
 export PYTHONWARNINGS=error
-# the state flag is read as the config reads a state, in any case
-"${tl[@]}" generate --state W --shots 500 --resamples 2 --seed 3 --out r.json && "${tl[@]}" report --input r.json --check
-# each generate flag takes its config field's JSON value, read as the config reads it (two commands, since
-# bash -e ignores a failure on the left of &&)
+# the state flag is read as the config reads a state, in any case (each check is its own command, since bash -e
+# ignores a failure on the left of &&)
+"${tl[@]}" generate --state W --shots 500 --resamples 2 --seed 3 --out r.json
+"${tl[@]}" report --input r.json --check
+# each generate flag takes its config field's JSON value, read as the config reads it
 "${tl[@]}" generate --state w --shots 5e2 --resamples 2 --seed 3 --out r2.json
 cmp r.json r2.json
+# so does every number flag of hom and tomo: a digit separator, which float() takes, exits 2
+rc=0; "${tl[@]}" hom --rate 100 --overlap 0.9_5 --out sep || rc=$?; test "$rc" -eq 2
 "${tl[@]}" tomo --counts r.counts.csv --target w --resamples 2 --out t.json
 # without a target the pass gives the purity error bar alone
 "${tl[@]}" tomo --counts r.counts.csv --resamples 2 --out p.json

@@ -7,7 +7,7 @@ chain: splitter calibration, coincidence-dip visibilities, state tomography
 with Monte-Carlo error bars, and entanglement witnesses.
 """
 
-__version__ = "0.37.0"
+__version__ = "0.38.0"
 
 from .calibration import (
     DipScan,

@@ -59,12 +59,15 @@ def _fields(section, name: str, known: tuple[str, ...] | None = None) -> dict:
 
 
 def _read(section: dict, field: str, convert, default, valid=lambda value: True, why: str = ""):
-    """Read ``field`` ("section.key") from ``section``; absent or null gives ``default``.
+    """Read ``field`` ("section.key") from ``section``; absent or null gives ``default`` (``...``: a required field).
 
-    A value that ``convert`` rejects or whose result fails ``valid`` is a ConfigError naming the field.
+    A value that ``convert`` rejects or whose result fails ``valid``, or a required field left out, is a ConfigError
+    naming the field.
     """
     raw = section.get(field.rpartition(".")[2])
     if raw is None:
+        if default is ...:
+            raise ConfigError(field, "needs a value")
         return default
     try:
         value = convert(raw)
@@ -101,6 +104,19 @@ _SECTIONS = {
         "seed": (as_integer, 0, lambda n: n >= 0, "is negative"),
     },
 }
+#: hom's and tomo's number flags by subcommand, in the form of ``_SECTIONS``: each flag's JSON text is read as the
+#: config field "<subcommand>.<flag>" would be (``hom_scan`` is the one check of the rate, ``_check_pass`` of resamples)
+_FLAGS = {
+    "hom": {
+        "overlap": (as_number, 1.0, lambda x: 0.0 <= x <= 1.0, "lies outside [0, 1]"),
+        "rate": (as_number, ...),
+        "coherence": (as_number, 1.0, lambda x: 0.0 < x < np.inf, "is not positive and finite"),
+        "span": (as_number, 4.0, lambda x: 0.0 < x < np.inf, "is not positive and finite"),
+        "points": (as_integer, 41, lambda n: 5 <= n <= _HOM_MAX_POINTS, f"lies outside [5, {_HOM_MAX_POINTS}]"),
+        "seed": _SECTIONS["tomography"]["seed"],
+    },
+    "tomo": {"resamples": (as_integer, 0), "seed": _SECTIONS["tomography"]["seed"]},
+}
 
 
 def _resolved_from(raw) -> dict:
@@ -111,10 +127,9 @@ def _resolved_from(raw) -> dict:
         raise ConfigError(f"{name}.source", f"{raw.get('source')!r} is not 'csv'")
     if not isinstance(raw.get("path"), str):
         raise ConfigError(f"{name}.path", f"{raw.get('path')!r} is not a file path")
-    adjustment = raw.get("max_adjustment")
-    if isinstance(adjustment, bool) or not isinstance(adjustment, (int, float)) or not 0 <= adjustment < np.inf:
-        raise ConfigError(f"{name}.max_adjustment", f"{adjustment!r} is not a finite number >= 0")
-    return {"source": "csv", "path": raw["path"], "max_adjustment": float(adjustment)}
+    adjustment = _read(raw, f"{name}.max_adjustment", as_number, ..., lambda x: 0 <= x < np.inf,
+                       "is not a finite number >= 0")
+    return {"source": "csv", "path": raw["path"], "max_adjustment": adjustment}
 
 
 @dataclass(frozen=True)
@@ -147,9 +162,7 @@ class ExperimentConfig:
         _fields(interf, "interferometer", ("source",) + reads[source])
         interferometer, resolved_from = None, None
         if source == "csv":
-            path = _read(interf, "interferometer.path", str, "")
-            if not path:
-                raise ConfigError("interferometer.path", "csv source needs a file path")
+            path = _read(interf, "interferometer.path", str, ..., bool, "is not a file path")
             table = IntensityTable.from_csv(path)
             if table.fractions.shape != (3, 3):
                 raise ConfigError("interferometer.path", f"need a 3-port table, got {table.fractions.shape}")
@@ -157,9 +170,7 @@ class ExperimentConfig:
             resolved_from = {"source": "csv", "path": path, "max_adjustment": adjustment}
         elif source == "matrix":
             interferometer = _read(interf, "interferometer.matrix", lambda v: Interferometer(matrix_from_pairs(v)),
-                                   None, lambda u: u.dim == 3, "is not a 3x3 matrix")
-            if interferometer is None:
-                raise ConfigError("interferometer.matrix", "matrix source needs matrix data")
+                                   ..., lambda u: u.dim == 3, "is not a 3x3 matrix")
             if interf.get("resolved_from") is not None:
                 resolved_from = _resolved_from(interf["resolved_from"])
 
@@ -293,13 +304,24 @@ def _load_json_file(path, what: str):
 
 
 def _flag_value(text: str, field: str):
-    """The JSON value a generate flag's ``text`` gives config ``field``: inline JSON, else the path of a JSON file."""
+    """The JSON value a flag's ``text`` gives config ``field``: inline JSON, else the path of a JSON file."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         if not os.path.isfile(text):  # False for any text that names no file, too long a name included
             raise ConfigError(field, f"inline JSON invalid ({exc}) and no file of that name") from None
     return _load_json_file(text, field.rpartition(".")[2])
+
+
+def _given(args, name: str, entries) -> dict:
+    """The JSON value of each flag of ``entries`` given in ``args``, by key; each is read as field "<name>.<key>"."""
+    return {key: _flag_value(text, f"{name}.{key}") for key in entries if (text := getattr(args, key)) is not None}
+
+
+def _read_flags(args, command: str) -> None:
+    """Replace the JSON text of each of ``command``'s number flags in ``args`` by its value (see ``_FLAGS``)."""
+    given = _given(args, command, _FLAGS[command])
+    vars(args).update({key: _read(given, f"{command}.{key}", *entry) for key, entry in _FLAGS[command].items()})
 
 
 def cmd_generate(args) -> int:
@@ -309,9 +331,8 @@ def cmd_generate(args) -> int:
     if args.state is not None:
         raw["state"] = args.state
     for name, entries in _SECTIONS.items():
-        for key in entries:
-            if (text := getattr(args, key)) is not None:
-                raw[name] = _fields(raw.get(name), name) | {key: _flag_value(text, f"{name}.{key}")}
+        if given := _given(args, name, entries):
+            raw[name] = _fields(raw.get(name), name) | given
 
     config = ExperimentConfig.from_dict(raw)
     report, counts = run_generate(config)
@@ -346,16 +367,9 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    if not 0.0 <= args.overlap <= 1.0:
-        raise ValidationError(f"--overlap is a squared overlap and must lie in [0, 1], got {args.overlap}")
-    if args.points < 5:
-        raise ValidationError("need at least 5 scan points")
-    if args.points > _HOM_MAX_POINTS:
-        raise ValidationError(f"--points must be at most {_HOM_MAX_POINTS}, got {args.points}")
-    for flag, value in (("--coherence", args.coherence), ("--span", args.span),
-                        ("the scan range, 2 * --span * --coherence,", 2 * args.span * args.coherence)):
-        if not 0.0 < value < np.inf:  # a NaN fails too
-            raise ValidationError(f"{flag} must be positive and finite, got {value}")
+    _read_flags(args, "hom")
+    if not 0.0 < (extent := 2 * args.span * args.coherence) < np.inf:
+        raise ValidationError(f"the scan range, 2 * --span * --coherence, must be positive and finite, got {extent}")
     u = fourier_unitary(3)
     delays = np.linspace(-args.span * args.coherence, args.span * args.coherence, args.points)
     scan = hom_scan(
@@ -388,6 +402,7 @@ def cmd_hom(args) -> int:
 
 
 def cmd_tomo(args) -> int:
+    _read_flags(args, "tomo")
     target = None if args.target is None else canonical_state(args.target)
     rho, blocks = _analysis(CountsTable.from_csv(args.counts), target, args.resamples, args.seed)
     payload = {"rho": matrix_to_pairs(rho), **blocks} | ({} if args.target is None else {"target": args.target})
@@ -425,21 +440,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _json_int(text: str) -> int:
-    """argparse type of hom's and tomo's whole-number flags: JSON text read as the config reads a whole number."""
-    try:
-        return as_integer(json.loads(text))
-    except ValueError:  # a JSONDecodeError or a ValidationError
-        raise argparse.ArgumentTypeError(f"must be a whole JSON number, got {text!r}") from None
-
-
-def _seed(text: str) -> int:
-    """argparse type of hom's and tomo's --seed: a whole number, non-negative as numpy's seeds are."""
-    if (seed := _json_int(text)) < 0:
-        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
-    return seed
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tritterlab",
@@ -466,12 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
     cal.set_defaults(func=cmd_calibrate)
 
     hom = sub.add_parser("hom", help="simulate and fit a two-photon coincidence dip")
-    hom.add_argument("--overlap", type=float, default=1.0, help="squared spectral overlap at zero delay")
-    hom.add_argument("--rate", type=float, required=True, help="count-rate scale (counts per unit probability)")
-    hom.add_argument("--coherence", type=float, default=1.0, help="coherence scale of the overlap decay")
-    hom.add_argument("--span", type=float, default=4.0, help="scan half-range in coherence units")
-    hom.add_argument("--points", type=_json_int, default=41, help="number of delay points")
-    hom.add_argument("--seed", type=_seed, default=0, help="seed of the Poisson draws (a non-negative integer)")
+    hom.add_argument("--overlap", help="squared spectral overlap at zero delay")
+    hom.add_argument("--rate", required=True, help="count-rate scale (counts per unit probability)")
+    hom.add_argument("--coherence", help="coherence scale of the overlap decay")
+    hom.add_argument("--span", help="scan half-range in coherence units")
+    hom.add_argument("--points", help="number of delay points")
+    hom.add_argument("--seed", help="seed of the Poisson draws (a non-negative integer)")
     hom.add_argument("--poisson", action=argparse.BooleanOptionalAction, default=True,
                      help="draw Poisson counts (--no-poisson for expected values)")
     hom.add_argument("--out", default="hom", help="output prefix for .scan.csv and .fit.json")
@@ -481,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     tomo.add_argument("--counts", required=True, help="counts CSV (setting, outcome, count)")
     tomo.add_argument("--target", type=str.lower, choices=[k.value for k in StateKind],
                       help="canonical state for fidelity")
-    tomo.add_argument("--resamples", type=_json_int, default=0, help="Monte-Carlo resamples for error bars (0 = skip)")
-    tomo.add_argument("--seed", type=_seed, default=0, help="seed of the resample passes (a non-negative integer)")
+    tomo.add_argument("--resamples", help="Monte-Carlo resamples for error bars (0 = skip)")
+    tomo.add_argument("--seed", help="seed of the resample passes (a non-negative integer)")
     tomo.add_argument("--out", help="reconstruction JSON path (default: stdout)")
     tomo.set_defaults(func=cmd_tomo)
 

@@ -298,6 +298,7 @@ class TestGenerate:
             (_matrix_source(dict(RESOLVED_FROM, max_adjustment=None)), [], f"{RESOLVED}.max_adjustment"),
             (_matrix_source(dict(RESOLVED_FROM, max_adjustment=-1.0)), [], f"{RESOLVED}.max_adjustment"),
             (_matrix_source(dict(RESOLVED_FROM, max_adjustment=True)), [], f"{RESOLVED}.max_adjustment"),
+            (_matrix_source({"source": "csv", "path": "table1.csv"}), [], f"{RESOLVED}.max_adjustment"),
             (_matrix_source(dict(RESOLVED_FROM, source=5)), [], f"{RESOLVED}.source"),
             (_matrix_source({"source": "csv", "max_adjustment": 0.01}), [], f"{RESOLVED}.path"),
             (_matrix_source(dict(RESOLVED_FROM, tag=1)), [], f"{RESOLVED}.tag"),
@@ -315,7 +316,7 @@ class TestGenerate:
              "text-gram",
              # a matrix source's resolved_from is only the record generate writes for a csv source
              "text-adjustment", "list-adjustment", "null-adjustment", "negative-adjustment",
-             "bool-adjustment", "resolved-source", "resolved-no-path", "resolved-unknown-key",
+             "bool-adjustment", "missing-adjustment", "resolved-source", "resolved-no-path", "resolved-unknown-key",
              # a csv source reads a file and a matrix source a matrix: neither has a default
              "csv-no-path", "matrix-no-matrix",
              # a matrix entry is two numbers, read as every other number of the config
@@ -551,7 +552,7 @@ class TestHom:
 
     def test_too_few_points_exit_2(self, tmp_path, capsys):
         assert main(["hom", "--rate", "100", "--points", "4", "--out", str(tmp_path / "z")]) == 2
-        assert capsys.readouterr().err == "validation error: need at least 5 scan points\n"
+        assert capsys.readouterr().err == f"configuration error: hom.points: 4 lies outside [5, {_HOM_MAX_POINTS}]\n"
 
     def test_overlap_above_one_exits_2(self, tmp_path):
         assert main(["hom", "--overlap", "1.5", "--rate", "100",
@@ -560,26 +561,27 @@ class TestHom:
     def test_negative_points_exit_2_writing_nothing(self, tmp_path, capsys):
         # the five-point minimum also keeps np.linspace from a negative count, a ValueError with exit 1
         assert main(["hom", "--rate", "100", "--points", "-3", "--out", str(tmp_path / "z")]) == 2
-        assert capsys.readouterr().err == "validation error: need at least 5 scan points\n"
+        assert capsys.readouterr().err == f"configuration error: hom.points: -3 lies outside [5, {_HOM_MAX_POINTS}]\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_points_above_the_bound_exit_2_writing_nothing(self, tmp_path, capsys):
         # without this check the scan and its fit would hold about 14 MiB, for well under a second
         points = str(_HOM_MAX_POINTS + 1)
         assert main(["hom", "--rate", "100", "--points", points, "--out", str(tmp_path / "z")]) == 2
-        assert capsys.readouterr().err == f"validation error: --points must be at most {_HOM_MAX_POINTS}, got {points}\n"
+        assert capsys.readouterr().err == f"configuration error: hom.points: {points} lies outside [5, {_HOM_MAX_POINTS}]\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_rate_exits_2_with_the_scan_message(self, tmp_path, capsys):
         # hom_scan is the one check of the rate
-        assert main(["hom", "--rate", "nan", "--out", str(tmp_path / "z")]) == 2
+        assert main(["hom", "--rate", "NaN", "--out", str(tmp_path / "z")]) == 2
         assert capsys.readouterr().err == "validation error: count rate must be positive and finite, got nan\n"
 
     @pytest.mark.parametrize("flag, value", [("--span", "0"), ("--span", "-4"), ("--coherence", "0"),
                                              ("--coherence", "-1")])
     def test_non_positive_coherence_or_span_exits_2_naming_it(self, tmp_path, capsys, flag, value):
         assert main(["hom", "--rate", "1e4", flag, value, "--out", str(tmp_path / "z")]) == 2
-        assert capsys.readouterr().err == f"validation error: {flag} must be positive and finite, got {float(value)}\n"
+        err = f"configuration error: hom.{flag[2:]}: {value} is not positive and finite\n"
+        assert capsys.readouterr().err == err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags", [["--span", "1e-320", "--points", "5"], ["--span", "1e301"]],
@@ -601,15 +603,42 @@ class TestHom:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "flags",
-        [["--rate", "nan"], ["--rate", "inf"], ["--rate", "1e20"], ["--rate", "1", "--coherence", "inf"],
-         ["--rate", "1", "--span", "nan"], ["--rate", "nan", "--no-poisson"], ["--rate", "1", "--span", "1e308"]],
+        "flags, error",
+        [(["--rate", "nan"], "configuration error: hom.rate: "), (["--rate", "inf"], "configuration error: hom.rate: "),
+         (["--rate", "1e20"], "validation error: "),
+         (["--rate", "1", "--coherence", "inf"], "configuration error: hom.coherence: "),
+         (["--rate", "1", "--span", "nan"], "configuration error: hom.span: "),
+         (["--rate", "nan", "--no-poisson"], "configuration error: hom.rate: "),
+         (["--rate", "1", "--span", "1e308"], "validation error: ")],
         ids=["rate-nan", "rate-inf", "rate-beyond-poisson", "coherence-inf", "span-nan", "rate-nan-expected",
              "range-beyond-floats"],
     )
-    def test_non_finite_or_oversized_arguments_exit_2(self, tmp_path, capsys, flags):
+    def test_non_finite_or_oversized_arguments_exit_2(self, tmp_path, capsys, flags, error):
+        # a flag's text is JSON, which spells the non-finite numbers NaN and Infinity: lowercase nan and inf are
+        # not numbers
         assert main(["hom", *flags, "--out", str(tmp_path / "z")]) == 2
-        assert capsys.readouterr().err.startswith("validation error: ")
+        assert capsys.readouterr().err.startswith(error)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text", ["١٠٠", "0.9_5", "nan", "inf"])
+    @pytest.mark.parametrize("flag", ["rate", "overlap", "coherence", "span"])
+    def test_real_number_flags_read_by_the_config_rule(self, tmp_path, capsys, flag, text):
+        # float() took non-ASCII digits, digit separators and lowercase nan and inf, which no config number spells
+        argv = {"rate": "100", flag: text}
+        assert main(["hom", *(f"--{key}={value}" for key, value in argv.items()), "--out", str(tmp_path / "z")]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: hom.{flag}: inline JSON invalid")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_null_rate_exits_2(self, tmp_path, capsys):
+        # null gives a flag its default, and the rate has none
+        assert main(["hom", "--rate", "null", "--out", str(tmp_path / "z")]) == 2
+        assert capsys.readouterr().err == "configuration error: hom.rate: needs a value\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text, value", [("NaN", "nan"), ("Infinity", "inf")])
+    def test_json_non_finite_rate_gets_the_scan_message(self, tmp_path, capsys, text, value):
+        assert main(["hom", "--rate", text, "--out", str(tmp_path / "z")]) == 2
+        assert capsys.readouterr().err == f"validation error: count rate must be positive and finite, got {value}\n"
         assert list(tmp_path.iterdir()) == []
 
 
@@ -831,19 +860,16 @@ class TestTomo:
     ids=["generate", "hom", "tomo"],
 )
 def test_negative_seed_rejected_by_argparse(tmp_path, capsys, argv):
-    # generate reads its --seed as the config's tomography.seed; hom and tomo read theirs by the same whole-number
-    # rule, so a non-ASCII digit, a digit separator or a leading zero is an error as in JSON, not read by int()
+    # generate reads its --seed as the config's tomography.seed, and hom and tomo read theirs by the same entry of
+    # the config table, so a non-ASCII digit, a digit separator or a leading zero is an error as in JSON
+    field = "tomography.seed" if argv[0] == "generate" else f"{argv[0]}.seed"
     if argv[0] == "tomo":
         argv = argv + ["--counts", _small_counts_csv(tmp_path)]
     for seed in ("-1", "٣", "4_1", "007"):
-        if argv[0] == "generate":
-            assert main(argv + ["--seed", seed, "--out", str(tmp_path / "x")]) == 2
-            assert capsys.readouterr().err.startswith("configuration error: tomography.seed: ")
-            continue
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--seed", seed, "--out", str(tmp_path / "x")])
-        assert exc.value.code == 2
-        assert ("non-negative" if seed == "-1" else "a whole JSON number") in capsys.readouterr().err
+        assert main(argv + ["--seed", seed, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {field}: ")
+        assert ("-1 is negative" if seed == "-1" else "inline JSON invalid") in err
 
 
 @pytest.mark.parametrize("argv, dest", [(["hom", "--rate", "100", "--points"], "points"),
@@ -852,14 +878,13 @@ def test_negative_seed_rejected_by_argparse(tmp_path, capsys, argv):
 def test_whole_number_flags_read_by_the_config_rule(capsys, argv, dest):
     # as a config's whole numbers: a whole float is that integer; int()'s digit separators, non-ASCII digits and
     # leading zeros, and a fraction or a boolean, are errors
-    parser = build_parser()
-    assert getattr(parser.parse_args(argv + ["4.1e1"]), dest) == 41
-    assert getattr(parser.parse_args(argv + ["1e1"]), dest) == 10
+    for text, value in (("4.1e1", 41), ("1e1", 10)):
+        args = build_parser().parse_args(argv + [text])
+        tritterlab.cli._read_flags(args, argv[0])
+        assert getattr(args, dest) == value and type(getattr(args, dest)) is int
     for text in ("4_1", "٣", "007", "4.5", "true"):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv + [text])
-        assert exc.value.code == 2
-        assert f"must be a whole JSON number, got {text!r}" in capsys.readouterr().err
+        assert main(argv + [text]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {argv[0]}.{dest}: ")
 
 
 @pytest.mark.parametrize(

@@ -132,6 +132,22 @@ def test_whole_numbers_read_by_one_rule():
     assert {converter for converter, *_ in tritterlab.cli._SECTIONS["tomography"].values()} == {as_integer}
 
 
+def test_real_numbers_read_by_one_rule():
+    # validation.as_number and as_integer alone decide what a number is: no command-line flag reads its text with
+    # float() or a type of its own, and no reader keeps a number-type test beside them
+    assert _owners(lambda node: isinstance(node, ast.keyword) and node.arg == "type"
+                   and ast.unparse(node.value) in {"float", "_json_int", "_seed"}) == []
+    number_types = {"bool", "int", "float", "complex", "integer", "floating", "Real", "Integral", "Number"}
+    found = _owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+                    and any(getattr(name, "id", getattr(name, "attr", None)) in number_types
+                            for name in ast.walk(node.args[1])))
+    assert sorted(set(found)) == ["tritterlab/validation.py:as_integer", "tritterlab/validation.py:as_number"]
+    # a seed is non-negative by one entry of the config table, which hom's and tomo's --seed share
+    flags = tritterlab.cli._FLAGS
+    assert flags["hom"]["seed"] is flags["tomo"]["seed"] is tritterlab.cli._SECTIONS["tomography"]["seed"]
+    assert _owners(lambda node: isinstance(node, ast.Compare) and "seed" in ast.unparse(node)) == []
+
+
 #: the public names of the package root, by the submodule that defines each
 EXPORTS = {
     "calibration": ["DipScan", "GaussianFit", "IntensityTable", "fit_gaussian", "hom_scan", "insertion_loss_db",
